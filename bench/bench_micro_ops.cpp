@@ -8,6 +8,7 @@
 //   * compositor blend and name-server lookup
 #include <benchmark/benchmark.h>
 
+#include "../tests/clf_sink.hpp"
 #include "dstampede/app/image.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/core/channel.hpp"
@@ -126,8 +127,10 @@ BENCHMARK(BM_QueuePutGetConsume)->Arg(1000)->Arg(55000);
 void ClfRoundTrip(benchmark::State& state, bool shm) {
   clf::Endpoint::Options opts;
   opts.enable_shm_fastpath = shm;
-  auto a = clf::Endpoint::Create(opts);
-  auto b = clf::Endpoint::Create(opts);
+  clf::MessageSink a_sink;
+  clf::MessageSink b_sink;
+  auto a = clf::Endpoint::Create(opts, a_sink.Deliver());
+  auto b = clf::Endpoint::Create(opts, b_sink.Deliver());
   if (!a.ok() || !b.ok()) {
     state.SkipWithError("endpoint creation failed");
     return;
@@ -137,9 +140,9 @@ void ClfRoundTrip(benchmark::State& state, bool shm) {
   transport::SockAddr from;
   for (auto _ : state) {
     if (!(*a)->Send((*b)->addr(), payload).ok() ||
-        !(*b)->Recv(got, from, Deadline::AfterMillis(30000)).ok() ||
+        !b_sink.Next(got, from, Deadline::AfterMillis(30000)).ok() ||
         !(*b)->Send(from, got).ok() ||
-        !(*a)->Recv(got, from, Deadline::AfterMillis(30000)).ok()) {
+        !a_sink.Next(got, from, Deadline::AfterMillis(30000)).ok()) {
       state.SkipWithError("clf exchange failed");
       return;
     }

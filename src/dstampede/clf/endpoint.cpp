@@ -64,8 +64,12 @@ Buffer BuildPacket(std::uint8_t type, std::uint8_t flags, std::uint32_t seq,
 
 }  // namespace
 
-Result<std::unique_ptr<Endpoint>> Endpoint::Create(const Options& options) {
-  auto ep = std::unique_ptr<Endpoint>(new Endpoint(options));
+Result<std::unique_ptr<Endpoint>> Endpoint::Create(
+    const Options& options, DeliverFn deliver,
+    PeerEventCallback on_peer_down, PeerEventCallback on_peer_up) {
+  auto ep = std::unique_ptr<Endpoint>(
+      new Endpoint(options, std::move(deliver), std::move(on_peer_down),
+                   std::move(on_peer_up)));
   DS_ASSIGN_OR_RETURN(ep->socket_, transport::UdpSocket::Bind(options.port));
   ep->addr_ = ep->socket_.bound_addr();
   if (options.enable_shm_fastpath) {
@@ -73,7 +77,7 @@ Result<std::unique_ptr<Endpoint>> Endpoint::Create(const Options& options) {
     ep->shm_ring_ = std::make_shared<ShmRing>(
         [raw](const transport::SockAddr& from, Buffer message) {
           raw->stats_.shm_messages.fetch_add(1, std::memory_order_relaxed);
-          raw->PushInbox(from, std::move(message));
+          raw->Deliver(from, std::move(message));
         });
     ShmRegistry::Instance().Register(ep->addr_, ep->shm_ring_);
   }
@@ -81,8 +85,15 @@ Result<std::unique_ptr<Endpoint>> Endpoint::Create(const Options& options) {
   return ep;
 }
 
-Endpoint::Endpoint(const Options& options)
-    : options_(options), epoch_(NextEpoch()), injector_(options.faults) {}
+Endpoint::Endpoint(const Options& options, DeliverFn deliver,
+                   PeerEventCallback on_peer_down,
+                   PeerEventCallback on_peer_up)
+    : options_(options),
+      deliver_(std::move(deliver)),
+      on_peer_down_(std::move(on_peer_down)),
+      on_peer_up_(std::move(on_peer_up)),
+      epoch_(NextEpoch()),
+      injector_(options.faults) {}
 
 Endpoint::~Endpoint() { Shutdown(); }
 
@@ -92,7 +103,21 @@ void Endpoint::Shutdown() {
     if (receiver_.joinable()) receiver_.join();
     return;
   }
-  if (shm_ring_) ShmRegistry::Instance().Unregister(addr_);
+  // Wake Sends parked on a full window (one may be inside a delivery
+  // upcall, which the join below waits on), then wait out every Send
+  // still writing to the socket: each holds its peer's message_mu.
+  std::vector<std::shared_ptr<ds::Mutex>> streams;
+  {
+    ds::MutexLock lock(send_mu_);
+    window_cv_.NotifyAll();
+    for (auto& [to, peer] : send_peers_) streams.push_back(peer.message_mu);
+  }
+  for (auto& mu : streams) ds::MutexLock fence(*mu);
+  // After Close no shm sender can reach deliver_ any more.
+  if (shm_ring_) {
+    ShmRegistry::Instance().Unregister(addr_);
+    shm_ring_->Close();
+  }
   if (receiver_.joinable()) receiver_.join();
   // Last-gasp flush: ship the reorder-held packet and everything still
   // parked in the modeled-network queue before the socket goes away,
@@ -106,8 +131,6 @@ void Endpoint::Shutdown() {
     DrainModeledNetwork(TimePoint::max());
   }
   socket_.Close();
-  window_cv_.NotifyAll();
-  inbox_cv_.NotifyAll();
 }
 
 void Endpoint::WireSend(const transport::SockAddr& to, Buffer datagram) {
@@ -163,16 +186,6 @@ bool Endpoint::IsPeerDead(const transport::SockAddr& peer) const {
   return it != health_.end() && it->second.dead;
 }
 
-void Endpoint::set_peer_down_callback(PeerEventCallback cb) {
-  ds::MutexLock lock(callback_mu_);
-  on_peer_down_ = std::move(cb);
-}
-
-void Endpoint::set_peer_up_callback(PeerEventCallback cb) {
-  ds::MutexLock lock(callback_mu_);
-  on_peer_up_ = std::move(cb);
-}
-
 void Endpoint::DeclarePeerDead(const transport::SockAddr& peer,
                                const char* why) {
   {
@@ -195,12 +208,7 @@ void Endpoint::DeclarePeerDead(const transport::SockAddr& peer,
   window_cv_.NotifyAll();
   DS_LOG(kWarn) << "CLF: peer " << peer.ToString() << " declared dead ("
                 << why << ")";
-  PeerEventCallback cb;
-  {
-    ds::MutexLock lock(callback_mu_);
-    cb = on_peer_down_;
-  }
-  if (cb) cb(peer);
+  if (on_peer_down_) on_peer_down_(peer);
 }
 
 bool Endpoint::ObservePeer(const transport::SockAddr& from,
@@ -249,12 +257,7 @@ bool Endpoint::ObservePeer(const transport::SockAddr& from,
   if (resurrected) {
     DS_LOG(kInfo) << "CLF: peer " << from.ToString()
                   << " resurrected with epoch " << epoch;
-    PeerEventCallback cb;
-    {
-      ds::MutexLock lock(callback_mu_);
-      cb = on_peer_up_;
-    }
-    if (cb) cb(from);
+    if (on_peer_up_) on_peer_up_(from);
   }
   return true;
 }
@@ -267,12 +270,14 @@ Status Endpoint::Send(const transport::SockAddr& to,
   // slow; callers must not enter it holding a lock (PR 2 invariant).
   sync::AssertBlockingAllowed("clf::Endpoint::Send");
   if (stopping_.load()) return CancelledError("endpoint shut down");
+  if (message.size() > transport::kMaxFrame) {
+    return InvalidArgumentError("clf message over the frame cap");
+  }
 
   // Shared-memory fast path for in-process peers.
   if (options_.enable_shm_fastpath) {
     if (auto ring = ShmRegistry::Instance().Lookup(to)) {
-      ring->Transfer(addr_, message);
-      return OkStatus();
+      return ring->Transfer(addr_, message);
     }
   }
 
@@ -337,33 +342,9 @@ Status Endpoint::Send(const transport::SockAddr& to,
   return OkStatus();
 }
 
-Status Endpoint::Recv(Buffer& out, transport::SockAddr& from,
-                      Deadline deadline) {
-  // Blocks until a message arrives; a held lock here is a latent
-  // deadlock against whatever the sender needs to make progress.
-  sync::AssertBlockingAllowed("clf::Endpoint::Recv");
-  ds::MutexLock lock(inbox_mu_);
-  for (;;) {
-    if (!inbox_.empty()) {
-      from = inbox_.front().first;
-      out = std::move(inbox_.front().second);
-      inbox_.pop_front();
-      return OkStatus();
-    }
-    if (stopping_.load()) return CancelledError("endpoint shut down");
-    if (!inbox_cv_.WaitUntil(inbox_mu_, deadline) && inbox_.empty()) {
-      return TimeoutError("clf recv");
-    }
-  }
-}
-
-void Endpoint::PushInbox(const transport::SockAddr& from, Buffer message) {
-  {
-    ds::MutexLock lock(inbox_mu_);
-    inbox_.emplace_back(from, std::move(message));
-  }
+void Endpoint::Deliver(const transport::SockAddr& from, Buffer message) {
   stats_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
-  inbox_cv_.NotifyOne();
+  deliver_(from, std::move(message));
 }
 
 void Endpoint::SendAck(const transport::SockAddr& to, std::uint32_t ack) {
@@ -410,6 +391,12 @@ void Endpoint::DeliverInOrderFragment(const transport::SockAddr& from,
       return;
     }
     peer.message_length = ReadU32(payload.data());
+    if (peer.message_length > transport::kMaxFrame) {
+      // Send refuses such a message; the rest of it drops as orphans.
+      DS_LOG(kWarn) << "CLF: " << peer.message_length << "-byte message from "
+                    << from.ToString() << " is over the frame cap; dropping";
+      return;
+    }
     peer.partial.clear();
     peer.partial.reserve(peer.message_length);
     peer.assembling = true;
@@ -427,7 +414,7 @@ void Endpoint::DeliverInOrderFragment(const transport::SockAddr& from,
     Buffer message = std::move(peer.partial);
     message.resize(peer.message_length);
     peer.partial = Buffer();
-    PushInbox(from, std::move(message));
+    Deliver(from, std::move(message));
   }
 }
 
@@ -482,19 +469,20 @@ void Endpoint::HandleDatagram(const transport::SockAddr& from,
   }
   (void)it;
 
-  while (true) {
-    auto next = peer.out_of_order.find(peer.expected_seq);
-    if (next == peer.out_of_order.end()) break;
-    Buffer frag = std::move(next->second);
-    peer.out_of_order.erase(next);
-    ++peer.expected_seq;
-    const bool first_fragment = (frag[0] & kFlagFirstFragment) != 0;
+  // Ack the in-order prefix before delivering it, so the peer's window
+  // and RTT sample do not wait on the upcalls (which may even block on
+  // a refusal Send).
+  std::uint32_t in_order_end = peer.expected_seq;
+  while (peer.out_of_order.count(in_order_end) != 0) ++in_order_end;
+  SendAck(from, in_order_end);
+  for (; peer.expected_seq != in_order_end; ++peer.expected_seq) {
+    const Buffer frag =
+        std::move(peer.out_of_order.extract(peer.expected_seq).mapped());
     DeliverInOrderFragment(
         from, peer,
         std::span<const std::uint8_t>(frag.data() + 1, frag.size() - 1),
-        first_fragment);
+        (frag[0] & kFlagFirstFragment) != 0);
   }
-  SendAck(from, peer.expected_seq);
 }
 
 void Endpoint::RetransmitScan() {
@@ -566,7 +554,7 @@ void Endpoint::RetransmitScan() {
       }
     }
     // Release modeled-network packets whose (virtual) delivery time has
-    // arrived. The receive loop calls RetransmitScan at least every
+    // arrived. ReceiverLoop calls RetransmitScan at least every
     // 5ms of real time, which bounds release lag; under virtual time
     // the SimController's advance step paces this instead.
     DrainModeledNetwork(Now());

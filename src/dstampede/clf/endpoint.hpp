@@ -19,14 +19,17 @@
 // retransmission attempts, and declares a peer dead once it exceeds the
 // retransmit budget or stays silent past peer_timeout. Death fails
 // pending sends fast with kUnavailable, wakes window waiters, drops the
-// peer's ARQ state and fires the registered PeerDown callback. A
-// restarted peer shows up with a fresh epoch: stale sequence state is
-// discarded, the peer is resurrected, and PeerUp fires.
+// peer's ARQ state and fires the peer-down upcall. A restarted peer
+// shows up with a fresh epoch: stale sequence state is discarded, the
+// peer is resurrected, and the peer-up upcall fires.
+//
+// Delivery is push-only: Create takes a DeliverFn, called once per
+// reassembled message in per-peer order, on the receiver thread (UDP)
+// or on the sending thread (shm fast path).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -83,7 +86,13 @@ class Endpoint {
   // locks) when a peer is declared dead / heard from again.
   using PeerEventCallback = std::function<void(const transport::SockAddr&)>;
 
-  static Result<std::unique_ptr<Endpoint>> Create(const Options& options);
+  // The upcalls are fixed for the endpoint's lifetime and run with no
+  // endpoint lock held. Delivery (required) can start once the socket
+  // binds, before Create returns; no upcall runs once Shutdown returns.
+  static Result<std::unique_ptr<Endpoint>> Create(
+      const Options& options, DeliverFn deliver,
+      PeerEventCallback on_peer_down = nullptr,
+      PeerEventCallback on_peer_up = nullptr);
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -96,13 +105,10 @@ class Endpoint {
   // Reliable ordered send. Blocks while the per-peer window is full;
   // returns once every fragment has been handed to the wire (delivery
   // is then guaranteed by retransmission as long as both ends live).
-  // Fails fast with kUnavailable once the peer is declared dead.
+  // kUnavailable once the peer is dead or its shm ring closed,
+  // kCancelled on shutdown, kInvalidArgument over transport::kMaxFrame.
   Status Send(const transport::SockAddr& to,
               std::span<const std::uint8_t> message);
-
-  // Next fully reassembled message from any peer, in per-peer order.
-  Status Recv(Buffer& out, transport::SockAddr& from,
-              Deadline deadline = Deadline::Infinite());
 
   // --- failure detection ------------------------------------------------
   // Starts keepalive monitoring of `peer` before any traffic flows
@@ -112,15 +118,15 @@ class Endpoint {
   // starts fresh (a controller re-admitting a restarted peer).
   void ForgetPeer(const transport::SockAddr& peer);
   bool IsPeerDead(const transport::SockAddr& peer) const;
-  void set_peer_down_callback(PeerEventCallback cb);
-  void set_peer_up_callback(PeerEventCallback cb);
 
   // The outgoing-path fault injector; tests and the ablation bench use
   // it to install deterministic partitions.
   FaultInjector& fault_injector() { return injector_; }
 
-  // Stops the background thread and closes the socket. Unacked data is
-  // abandoned (the paper's CLF has no teardown handshake either).
+  // Wakes blocked senders, closes the shm ring (waiting out transfers
+  // in flight), stops the receiver thread and closes the socket. Unacked
+  // data is abandoned (the paper's CLF has no teardown handshake
+  // either). Must not be called from an upcall.
   void Shutdown();
 
   const EndpointStats& stats() const { return stats_; }
@@ -135,7 +141,8 @@ class Endpoint {
   }
 
  private:
-  explicit Endpoint(const Options& options);
+  Endpoint(const Options& options, DeliverFn deliver,
+           PeerEventCallback on_peer_down, PeerEventCallback on_peer_up);
 
   struct SendPeer {
     std::uint32_t next_seq = 0;
@@ -185,7 +192,7 @@ class Endpoint {
   void DeliverInOrderFragment(const transport::SockAddr& from, RecvPeer& peer,
                               std::span<const std::uint8_t> payload,
                               bool first_fragment);
-  void PushInbox(const transport::SockAddr& from, Buffer message);
+  void Deliver(const transport::SockAddr& from, Buffer message);
   void SendAck(const transport::SockAddr& to, std::uint32_t ack);
   void RetransmitScan();
   // Applies fault injection and writes datagrams to the socket.
@@ -208,6 +215,9 @@ class Endpoint {
   }
 
   Options options_;
+  const DeliverFn deliver_;
+  const PeerEventCallback on_peer_down_;
+  const PeerEventCallback on_peer_up_;
   transport::UdpSocket socket_;
   transport::SockAddr addr_;
   EndpointStats stats_;
@@ -226,19 +236,9 @@ class Endpoint {
   std::unordered_map<transport::SockAddr, PeerHealth> health_
       DS_GUARDED_BY(send_mu_);
 
-  // Leaf lock: held only to copy a callback out, never while firing it.
-  ds::Mutex callback_mu_{"clf.callback_mu"};
-  PeerEventCallback on_peer_down_ DS_GUARDED_BY(callback_mu_);
-  PeerEventCallback on_peer_up_ DS_GUARDED_BY(callback_mu_);
-
   // Receiver-side state is touched only by the receiver thread; it is
   // deliberately unguarded (single-owner data, see ReceiverLoop).
   std::unordered_map<transport::SockAddr, RecvPeer> recv_peers_;
-
-  ds::Mutex inbox_mu_{"clf.inbox_mu"};
-  ds::CondVar inbox_cv_;
-  std::deque<std::pair<transport::SockAddr, Buffer>> inbox_
-      DS_GUARDED_BY(inbox_mu_);
 
   FaultInjector injector_;
   std::shared_ptr<ShmRing> shm_ring_;

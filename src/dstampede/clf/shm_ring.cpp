@@ -4,12 +4,14 @@
 
 namespace dstampede::clf {
 
-void ShmRing::Transfer(const transport::SockAddr& from,
-                       std::span<const std::uint8_t> message) {
+Status ShmRing::Transfer(const transport::SockAddr& from,
+                         std::span<const std::uint8_t> message) {
   Buffer assembled;
   assembled.reserve(message.size());
   {
     ds::MutexLock lock(mu_);
+    if (closed_) return UnavailableError("shm peer shut down");
+    ++in_flight_;
     std::size_t off = 0;
     while (off < message.size()) {
       const std::size_t n = std::min(kChunk, message.size() - off);
@@ -19,6 +21,15 @@ void ShmRing::Transfer(const transport::SockAddr& from,
     }
   }
   deliver_(from, std::move(assembled));
+  ds::MutexLock lock(mu_);
+  if (--in_flight_ == 0 && closed_) drained_cv_.NotifyAll();
+  return OkStatus();
+}
+
+void ShmRing::Close() {
+  ds::MutexLock lock(mu_);
+  closed_ = true;
+  while (in_flight_ != 0) drained_cv_.Wait(mu_);
 }
 
 ShmRegistry& ShmRegistry::Instance() {

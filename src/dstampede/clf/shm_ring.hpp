@@ -20,8 +20,9 @@
 
 namespace dstampede::clf {
 
-// A message sink: the endpoint's inbox push, bound at registration.
-using ShmDeliverFn =
+// A message sink: the owner's delivery upcall, fixed when the endpoint
+// (or ring) is created. Both the UDP receiver and the shm ring call it.
+using DeliverFn =
     std::function<void(const transport::SockAddr& from, Buffer message)>;
 
 // Bounded staging buffer through which fast-path messages are copied in
@@ -31,16 +32,26 @@ class ShmRing {
  public:
   static constexpr std::size_t kChunk = 64 * 1024;
 
-  explicit ShmRing(ShmDeliverFn deliver) : deliver_(std::move(deliver)) {}
+  explicit ShmRing(DeliverFn deliver) : deliver_(std::move(deliver)) {}
 
   // Copies message chunk-by-chunk through the staging area, then hands
-  // the reassembled message to the delivery function.
-  void Transfer(const transport::SockAddr& from, std::span<const std::uint8_t> message);
+  // the reassembled message to the delivery function on the calling
+  // thread. kUnavailable once Close() has begun.
+  Status Transfer(const transport::SockAddr& from,
+                  std::span<const std::uint8_t> message);
+
+  // Refuses further transfers and waits for those in flight, so the
+  // delivery function is never called once Close returns. Must not be
+  // called from the delivery function itself.
+  void Close();
 
  private:
   ds::Mutex mu_{"shm_ring.mu"};
+  ds::CondVar drained_cv_;
   std::uint8_t staging_[kChunk] DS_GUARDED_BY(mu_){};
-  const ShmDeliverFn deliver_;  // bound at construction, immutable
+  bool closed_ DS_GUARDED_BY(mu_) = false;
+  std::size_t in_flight_ DS_GUARDED_BY(mu_) = 0;
+  const DeliverFn deliver_;  // bound at construction, immutable
 };
 
 // Process-wide registry mapping CLF addresses to their in-process ring.

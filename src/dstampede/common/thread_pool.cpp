@@ -5,9 +5,11 @@
 namespace dstampede {
 
 ThreadPool::ThreadPool(std::size_t num_threads, std::string name)
-    : name_(std::move(name)) {
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
+    : num_threads_(num_threads), name_(std::move(name)) {}
+
+void ThreadPool::Start() {
+  workers_.reserve(num_threads_);
+  for (std::size_t i = 0; i < num_threads_; ++i) {
     workers_.emplace_back([this] {
       if (!name_.empty()) SetThreadLogContext(name_);
       WorkerLoop();

@@ -1,8 +1,9 @@
 // Fixed-size worker pool used by each address space's dispatcher.
 //
 // STM requests arriving from remote address spaces may block (a GET can
-// wait for a timestamp to be produced), so the dispatcher hands each
-// request to a pool worker instead of servicing it on the receive loop.
+// wait for a timestamp to be produced), so the CLF delivery upcall hands
+// each request to a pool worker instead of servicing it on the thread
+// that delivered it.
 #pragma once
 
 #include <deque>
@@ -26,13 +27,15 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  // Spawns the workers. Until then Submit only queues, so an owner can
+  // accept work before everything its tasks touch exists. Call once.
+  void Start();
+
   // Enqueues work; returns false if the pool is shutting down.
   bool Submit(std::function<void()> task);
 
   // Stops accepting work, drains the queue, joins workers. Idempotent.
   void Shutdown();
-
-  std::size_t size() const { return workers_.size(); }
   // Tasks queued but not yet picked up (dispatcher queue depth).
   std::size_t pending() const {
     ds::MutexLock lock(mu_);
@@ -46,6 +49,7 @@ class ThreadPool {
   ds::CondVar cv_;
   std::deque<std::function<void()>> queue_ DS_GUARDED_BY(mu_);
   bool stopping_ DS_GUARDED_BY(mu_) = false;
+  const std::size_t num_threads_;
   std::string name_;
   std::vector<std::thread> workers_;
 };

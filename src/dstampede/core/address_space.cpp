@@ -25,23 +25,10 @@ std::string TraceTag(const trace::TraceContext& ctx) {
 Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
     const Options& options) {
   auto as = std::unique_ptr<AddressSpace>(new AddressSpace(options));
+  AddressSpace* raw = as.get();
   as->wheel_ = std::make_unique<TimerWheel>();
-  clf::Endpoint::Options ep_opts;
-  ep_opts.port = options.clf_port;
-  ep_opts.enable_shm_fastpath = options.shm_fastpath;
-  ep_opts.faults = options.faults;
-  ep_opts.max_retransmits = options.clf_max_retransmits;
-  ep_opts.keepalive_interval = options.peer_keepalive_interval;
-  ep_opts.peer_timeout = options.peer_timeout;
-  DS_ASSIGN_OR_RETURN(as->endpoint_, clf::Endpoint::Create(ep_opts));
-  as->endpoint_->set_peer_down_callback(
-      [raw = as.get()](const transport::SockAddr& addr) {
-        raw->OnPeerDown(addr);
-      });
-  as->endpoint_->set_peer_up_callback(
-      [raw = as.get()](const transport::SockAddr& addr) {
-        raw->OnPeerUp(addr);
-      });
+  // Its workers reply through endpoint_, so they start after it exists;
+  // requests delivered before then wait in the queue.
   as->dispatcher_ = std::make_unique<ThreadPool>(
       options.dispatcher_threads,
       "AS" + std::to_string(AsIndex(options.id)));
@@ -65,7 +52,6 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
     ro.lease = options.ns_lease;
     ro.heartbeat = options.ns_heartbeat;
     ro.rpc_deadline = std::max<Duration>(options.ns_heartbeat * 2, Millis(50));
-    AddressSpace* raw = as.get();
     as->replog_ = std::make_unique<RepLog>(
         ro,
         /*apply=*/
@@ -93,9 +79,27 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
         /*peer_dead=*/[raw](AsId peer) { return raw->IsPeerDown(peer); });
     as->replog_->set_on_became_leader([raw] { raw->OnBecameNsLeader(); });
   }
+  // Delivery starts as soon as the socket binds, so this comes after
+  // everything OnMessage and the peer upcalls touch.
+  clf::Endpoint::Options ep_opts;
+  ep_opts.port = options.clf_port;
+  ep_opts.enable_shm_fastpath = options.shm_fastpath;
+  ep_opts.faults = options.faults;
+  ep_opts.max_retransmits = options.clf_max_retransmits;
+  ep_opts.keepalive_interval = options.peer_keepalive_interval;
+  ep_opts.peer_timeout = options.peer_timeout;
+  DS_ASSIGN_OR_RETURN(
+      as->endpoint_,
+      clf::Endpoint::Create(
+          ep_opts,
+          [raw](const transport::SockAddr& from, Buffer message) {
+            raw->OnMessage(from, std::move(message));
+          },
+          [raw](const transport::SockAddr& addr) { raw->OnPeerDown(addr); },
+          [raw](const transport::SockAddr& addr) { raw->OnPeerUp(addr); }));
   as->InitObservability();
   as->gc_->Start();
-  as->receiver_ = Thread([raw = as.get()] { raw->ReceiveLoop(); });
+  as->dispatcher_->Start();
   if (as->replog_) as->replog_->Start();
   return as;
 }
@@ -103,9 +107,6 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
 void AddressSpace::InitObservability() {
   // Hot-path instruments, cached once: registry addresses are stable
   // for the registry's lifetime, so the fast paths hit only atomics.
-  m_dispatch_requests_ = &registry_.GetCounter("dispatch.requests");
-  m_dispatch_deferred_ = &registry_.GetCounter("dispatch.deferred");
-  m_dropped_or_expired_ = &registry_.GetCounter("dispatch.dropped_or_expired");
   stm_metrics_.puts = &registry_.GetCounter("stm.puts");
   stm_metrics_.gets = &registry_.GetCounter("stm.gets");
   stm_metrics_.reclaimed = &registry_.GetCounter("stm.reclaimed_items");
@@ -268,8 +269,8 @@ void AddressSpace::Shutdown() {
   if (wheel_) wheel_->Shutdown();
   gc_->Stop();
   dispatcher_->Shutdown();
-  endpoint_->Shutdown();
-  if (receiver_.joinable()) receiver_.join();
+  // Fences delivery. Null only when Create failed to bind the endpoint.
+  if (endpoint_) endpoint_->Shutdown();
 
   // Fail calls still waiting for replies.
   std::vector<std::shared_ptr<PendingCall>> orphans;
@@ -522,48 +523,34 @@ Result<Buffer> AddressSpace::Call(AsId target, Buffer request,
   return std::move(pending->response);
 }
 
-void AddressSpace::ReceiveLoop() {
-  SetThreadLogContext("AS" + std::to_string(AsIndex(options_.id)) + ".rx");
-  Buffer message;
-  transport::SockAddr from;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    Status s = endpoint_->Recv(message, from, Deadline::AfterMillis(50));
-    if (!s.ok()) {
-      if (s.code() == StatusCode::kTimeout) continue;
-      break;  // endpoint shut down
-    }
-    marshal::XdrDecoder peek(message);
-    auto hdr = DecodeRequestHeader(peek);
-    if (!hdr.ok()) {
-      DS_LOG(kWarn) << "undecodable frame from " << from.ToString();
-      continue;
-    }
-    if (hdr->op == Op::kReply) {
-      std::shared_ptr<PendingCall> call;
-      {
-        ds::MutexLock lock(calls_mu_);
-        auto it = calls_.find(hdr->request_id);
-        if (it != calls_.end()) {
-          call = it->second;
-          calls_.erase(it);
-        }
-      }
-      if (call) {
-        ds::MutexLock lock(call->mu);
-        call->done = true;
-        call->response = std::move(message);
-        call->cv.NotifyAll();
-      }
-      message = Buffer();
-      continue;
-    }
-    // A request: service it on the pool, since it may block.
-    DispatchRequest(from, std::move(message));
-    message = Buffer();
+void AddressSpace::OnMessage(const transport::SockAddr& from,
+                             Buffer message) {
+  marshal::XdrDecoder peek(message);
+  auto hdr = DecodeRequestHeader(peek);
+  if (!hdr.ok()) {
+    DS_LOG(kWarn) << "AS" << AsIndex(options_.id) << ": undecodable frame from "
+                  << from.ToString();
+    return;
   }
+  if (hdr->op != Op::kReply) {
+    DispatchRequest(from, *hdr, std::move(message));
+    return;
+  }
+  std::shared_ptr<PendingCall> call;
+  {
+    ds::MutexLock lock(calls_mu_);
+    auto node = calls_.extract(hdr->request_id);
+    if (node.empty()) return;  // late: the call timed out or failed
+    call = std::move(node.mapped());
+  }
+  ds::MutexLock lock(call->mu);
+  call->done = true;
+  call->response = std::move(message);
+  call->cv.NotifyAll();
 }
 
-void AddressSpace::DispatchRequest(transport::SockAddr from, Buffer message) {
+void AddressSpace::DispatchRequest(const transport::SockAddr& from,
+                                   const RequestHeader& hdr, Buffer message) {
   // Attribute the request to the sending address space (for attachment
   // bookkeeping); requests from unknown addresses stay anonymous.
   AsId origin = kInvalidAsId;
@@ -572,22 +559,10 @@ void AddressSpace::DispatchRequest(transport::SockAddr from, Buffer message) {
     auto it = peer_by_addr_.find(from);
     if (it != peer_by_addr_.end()) origin = it->second;
   }
-  // Peek the request id (and trace context) before the message is
-  // moved, so a refusal can still be addressed to the caller instead of
-  // leaving it to time out — and attributed to its trace.
-  std::uint64_t request_id = 0;
-  bool have_id = false;
-  trace::TraceContext tctx;
-  {
-    marshal::XdrDecoder peek(message);
-    if (auto hdr = DecodeRequestHeader(peek); hdr.ok()) {
-      request_id = hdr->request_id;
-      have_id = true;
-      tctx = hdr->trace;
-    }
-  }
+  const std::uint64_t request_id = hdr.request_id;
+  const trace::TraceContext tctx = hdr.trace;
   m_dispatch_requests_->Add();
-  auto task = [this, from, origin, request_id, have_id, tctx,
+  auto task = [this, from, origin, request_id, tctx,
                msg = std::move(message)]() {
     // The caller's context rides the whole execution of this request:
     // spans opened below parent onto it and every outgoing
@@ -598,12 +573,10 @@ void AddressSpace::DispatchRequest(transport::SockAddr from, Buffer message) {
       DS_LOG(kWarn) << "dropping request " << request_id
                     << " (address space shutting down), trace="
                     << TraceTag(tctx);
-      if (have_id) {
-        (void)endpoint_->Send(
-            from, EncodeStatusReply(
-                      request_id,
-                      UnavailableError("address space shutting down")));
-      }
+      (void)endpoint_->Send(
+          from, EncodeStatusReply(
+                    request_id,
+                    UnavailableError("address space shutting down")));
       return;
     }
     // Blocking container ops suspend into a waiter instead of parking
@@ -615,14 +588,15 @@ void AddressSpace::DispatchRequest(transport::SockAddr from, Buffer message) {
     }
   };
   if (!dispatcher_->Submit(std::move(task))) {
+    // Refused on the delivering thread; this Send is the one wait the
+    // delivery path allows, and Endpoint::Shutdown releases it.
     m_dropped_or_expired_->Add();
-    DS_LOG(kWarn) << "dispatcher rejected request " << request_id
+    DS_LOG(kWarn) << "AS" << AsIndex(options_.id)
+                  << ": dispatcher rejected request " << request_id
                   << " (shutting down), trace=" << TraceTag(tctx);
-    if (have_id) {
-      (void)endpoint_->Send(
-          from, EncodeStatusReply(
-                    request_id, UnavailableError("dispatcher shutting down")));
-    }
+    (void)endpoint_->Send(
+        from, EncodeStatusReply(
+                  request_id, UnavailableError("dispatcher shutting down")));
   }
 }
 

@@ -258,7 +258,7 @@ class AddressSpace {
  private:
   explicit AddressSpace(const Options& options);
 
-  // Caches hot-path instruments and registers pull providers; runs once
+  // Registers pull providers and the endpoint's RTT hook; runs once
   // during Create, after the endpoint/dispatcher/name server exist.
   void InitObservability();
 
@@ -290,8 +290,14 @@ class AddressSpace {
     return Deadline::After(options_.internal_rpc_deadline);
   }
 
-  void ReceiveLoop();
-  void DispatchRequest(transport::SockAddr from, Buffer message);
+  // The CLF delivery upcall, on the endpoint's receiver thread (UDP)
+  // or the sender's thread (shm). A reply completes its PendingCall
+  // inline; a request goes to DispatchRequest. Never blocks, except
+  // for DispatchRequest's refusal Send, which Endpoint::Shutdown wakes.
+  void OnMessage(const transport::SockAddr& from, Buffer message);
+  // Queues a request on the pool, or refuses it once the pool stops.
+  void DispatchRequest(const transport::SockAddr& from,
+                       const RequestHeader& hdr, Buffer message);
   // Decodes and executes one request; returns the encoded reply.
   // `origin` is the requesting peer AS when known (CLF dispatch);
   // kInvalidAsId for surrogate-driven client requests.
@@ -311,7 +317,7 @@ class AddressSpace {
 
   // Fired by the CLF endpoint (its receiver thread) on peer death /
   // resurrection; translates transport addresses to AS ids and runs
-  // the recovery sequence.
+  // the recovery sequence. Like OnMessage, bound at Endpoint::Create.
   void OnPeerDown(const transport::SockAddr& addr);
   void OnPeerUp(const transport::SockAddr& addr);
 
@@ -362,10 +368,14 @@ class AddressSpace {
   // endpoint, dispatcher, surrogates via metrics_registry().
   metrics::Registry registry_;
   trace::SpanSink span_sink_;
-  // Cached hot-path instruments (stable addresses inside registry_).
-  metrics::Counter* m_dispatch_requests_ = nullptr;
-  metrics::Counter* m_dispatch_deferred_ = nullptr;
-  metrics::Counter* m_dropped_or_expired_ = nullptr;
+  // Cached hot-path instruments (stable addresses inside registry_),
+  // bound here because delivery can use them before Create returns.
+  metrics::Counter* const m_dispatch_requests_ =
+      &registry_.GetCounter("dispatch.requests");
+  metrics::Counter* const m_dispatch_deferred_ =
+      &registry_.GetCounter("dispatch.deferred");
+  metrics::Counter* const m_dropped_or_expired_ =
+      &registry_.GetCounter("dispatch.dropped_or_expired");
   StmMetrics stm_metrics_;
   std::unique_ptr<clf::Endpoint> endpoint_;
   // Deadline service for parked container waiters. Declared before the
@@ -415,8 +425,8 @@ class AddressSpace {
       DS_GUARDED_BY(containers_mu_);
   std::uint32_t next_container_slot_ DS_GUARDED_BY(containers_mu_) = 1;
 
-  // Never held while locking a PendingCall's mu (both Call and the
-  // receive/recovery paths release one before taking the other).
+  // Never held while locking a PendingCall's mu (Call, OnMessage and
+  // the recovery paths release one before taking the other).
   ds::Mutex calls_mu_{"as.calls_mu"};
   std::unordered_map<std::uint64_t, std::shared_ptr<PendingCall>> calls_
       DS_GUARDED_BY(calls_mu_);
@@ -427,7 +437,6 @@ class AddressSpace {
   std::uint32_t next_thread_slot_ DS_GUARDED_BY(threads_mu_) = 1;
 
   std::atomic<bool> stopping_{false};
-  Thread receiver_;
 };
 
 }  // namespace dstampede::core

@@ -442,6 +442,10 @@ void LocalChannel::ReclaimLocked(Wakeups& out) {
                                           it->second.size()});
       out.freed.emplace_back(it->first, std::move(it->second));
       max_reclaimed_ = std::max(max_reclaimed_, it->first);
+      // The horizon now refuses this timestamp for good, so no consumer
+      // needs its entry; without this a Consume-only connection's set
+      // grows with every item.
+      for (auto& [slot, conn] : conns_) conn.consumed.erase(it->first);
       ++total_reclaimed_;
       if (metrics_.reclaimed != nullptr) metrics_.reclaimed->Add();
       if (metrics_.reclaim_lag_us != nullptr) {

@@ -11,7 +11,11 @@ std::int64_t EncodeDeadline(Deadline deadline) {
 }
 
 Deadline DecodeDeadline(std::int64_t wire_ms) {
-  if (wire_ms == kDeadlineInfinite) return Deadline::Infinite();
+  // Past ~35 years a peer's value would overflow the nanosecond
+  // TimePoint; it means "forever" anyway.
+  if (wire_ms == kDeadlineInfinite || wire_ms > (std::int64_t{1} << 40)) {
+    return Deadline::Infinite();
+  }
   if (wire_ms <= 0) return Deadline::Poll();
   return Deadline::AfterMillis(wire_ms);
 }

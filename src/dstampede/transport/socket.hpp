@@ -13,6 +13,10 @@
 
 namespace dstampede::transport {
 
+// Largest message one frame carries (a TCP frame or a reassembled CLF
+// message); receivers check a peer's length against it before allocating.
+inline constexpr std::uint32_t kMaxFrame = 64u << 20;  // 64 MiB
+
 // IPv4 host:port. Value type, usable as a map key.
 struct SockAddr {
   std::uint32_t ip_host_order = 0;  // e.g. 127.0.0.1 = 0x7f000001

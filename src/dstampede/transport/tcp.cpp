@@ -107,7 +107,6 @@ Status TcpConnection::RecvFrame(Buffer& out, Deadline deadline) {
                             (static_cast<std::uint32_t>(header[1]) << 16) |
                             (static_cast<std::uint32_t>(header[2]) << 8) |
                             header[3];
-  constexpr std::uint32_t kMaxFrame = 64u << 20;  // 64 MiB sanity bound
   if (len > kMaxFrame) return InternalError("oversized frame");
   out.resize(len);
   return RecvExact(std::span<std::uint8_t>(out.data(), len), deadline);

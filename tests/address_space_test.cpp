@@ -3,8 +3,11 @@
 // blocking semantics, remote GC, dynamic join.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
 #include <thread>
 
+#include "clf_sink.hpp"
 #include "dstampede/core/runtime.hpp"
 
 namespace dstampede::core {
@@ -351,6 +354,118 @@ TEST_F(RuntimeTest, ShutdownCancelsBlockedRemoteGet) {
   std::this_thread::sleep_for(Millis(100));
   rt_->Shutdown();
   getter.join();
+}
+
+// --- delivery contract ------------------------------------------------------
+//
+// CLF delivery starts as soon as a space's socket binds, which can be
+// before AddressSpace::Create returns; a request that arrives then must
+// still be served.
+
+// A sys/metrics request, which every space answers for itself.
+Buffer MetricsRequest(std::uint64_t request_id, AsId target) {
+  marshal::XdrEncoder enc;
+  EncodeRequestHeader(enc, Op::kMetrics, request_id);
+  MetricsReq req;
+  req.target_as = AsIndex(target);
+  req.Encode(enc);
+  return enc.Take();
+}
+
+void ExpectAnswered(clf::SinkEndpoint& client, std::uint64_t request_id) {
+  Buffer reply;
+  transport::SockAddr from;
+  ASSERT_TRUE(client.Next(reply, from, Deadline::AfterMillis(10000)).ok())
+      << "request " << request_id << " was never answered";
+  marshal::XdrDecoder dec(reply);
+  auto hdr = DecodeResponseHeader(dec);
+  ASSERT_TRUE(hdr.ok()) << hdr.status();
+  EXPECT_EQ(hdr->request_id, request_id);
+  EXPECT_TRUE(hdr->status.ok()) << hdr->status;
+}
+
+// A port that was free a moment ago.
+std::uint16_t FreeUdpPort() {
+  auto probe = transport::UdpSocket::Bind(0);
+  EXPECT_TRUE(probe.ok()) << probe.status();
+  return probe->bound_addr().port;
+}
+
+// "Threads:" of /proc/self/status.
+int ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(RuntimeDeliveryTest, RequestRetransmittedBeforeSpaceExistsIsAnswered) {
+  auto client = clf::CreateSinkEndpoint({});
+  ASSERT_TRUE(client.ok()) << client.status();
+  const auto addr = transport::SockAddr::Loopback(FreeUdpPort());
+  ASSERT_TRUE((*client)->Send(addr, MetricsRequest(41, AsId{0})).ok());
+  // The request retransmits into a closed port for a while.
+  std::this_thread::sleep_for(Millis(50));
+
+  AddressSpace::Options opts;
+  opts.clf_port = addr.port;
+  opts.dispatcher_threads = 2;
+  auto as = AddressSpace::Create(opts);
+  ASSERT_TRUE(as.ok()) << as.status();
+  ExpectAnswered(*client, 41);
+}
+
+TEST(RuntimeDeliveryTest, ShmRequestDeliveredDuringCreateIsAnswered) {
+  // A sender spinning on the shm registry reaches the space's delivery
+  // upcall moments after its ring registers, while Create still runs.
+  clf::Endpoint::Options shm;
+  shm.enable_shm_fastpath = true;
+  auto client = clf::CreateSinkEndpoint(shm);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const auto addr = transport::SockAddr::Loopback(FreeUdpPort());
+  std::thread sender([&] {
+    const TimePoint give_up = Now() + Millis(10000);
+    while (clf::ShmRegistry::Instance().Lookup(addr) == nullptr &&
+           Now() < give_up) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE((*client)->Send(addr, MetricsRequest(42, AsId{0})).ok());
+  });
+
+  AddressSpace::Options opts;
+  opts.clf_port = addr.port;
+  opts.shm_fastpath = true;
+  opts.dispatcher_threads = 2;
+  auto as = AddressSpace::Create(opts);
+  sender.join();
+  ASSERT_TRUE(as.ok()) << as.status();
+  ExpectAnswered(*client, 42);
+}
+
+TEST(RuntimeDeliveryTest, PlainSpaceRunsDispatcherPlusThreeThreads) {
+  // The dispatcher workers, the CLF receiver, the timer wheel and the
+  // GC service: delivery has no thread of its own.
+  constexpr int kWorkers = 3;
+  // A sanitizer runtime starts its helper thread with the process's
+  // first thread; let that happen before the baseline.
+  std::thread([] {}).join();
+  const int before = ThreadCount();
+  AddressSpace::Options opts;
+  opts.dispatcher_threads = kWorkers;
+  auto as = AddressSpace::Create(opts);
+  ASSERT_TRUE(as.ok()) << as.status();
+  EXPECT_EQ(ThreadCount() - before, kWorkers + 3);
+}
+
+TEST(RuntimeDeliveryTest, CreateOnABoundPortFailsCleanly) {
+  auto first = AddressSpace::Create({});
+  ASSERT_TRUE(first.ok()) << first.status();
+  AddressSpace::Options opts;
+  opts.clf_port = (*first)->clf_addr().port;
+  auto second = AddressSpace::Create(opts);
+  EXPECT_FALSE(second.ok());
 }
 
 }  // namespace

@@ -1,0 +1,76 @@
+// Test-side receiver for clf::Endpoint. The endpoint pushes each
+// message through its delivery upcall; MessageSink queues them, and
+// Next() pops the oldest, waiting until a deadline. The wait goes
+// through ds::CondVar::WaitUntil, so a virtual-clock Deadline is
+// honoured under the simulation harness.
+#pragma once
+
+#include <deque>
+#include <memory>
+#include <utility>
+
+#include "dstampede/clf/endpoint.hpp"
+#include "dstampede/common/sync.hpp"
+
+namespace dstampede::clf {
+
+class MessageSink {
+ public:
+  // The delivery upcall for Endpoint::Create. The sink must outlive
+  // the endpoint.
+  DeliverFn Deliver() {
+    return [this](const transport::SockAddr& from, Buffer message) {
+      {
+        ds::MutexLock lock(mu_);
+        messages_.emplace_back(from, std::move(message));
+      }
+      cv_.NotifyAll();
+    };
+  }
+
+  // kTimeout if nothing is delivered by `deadline`.
+  Status Next(Buffer& out, transport::SockAddr& from, Deadline deadline) {
+    ds::MutexLock lock(mu_);
+    while (messages_.empty()) {
+      if (!cv_.WaitUntil(mu_, deadline) && messages_.empty()) {
+        return TimeoutError("no message delivered");
+      }
+    }
+    from = messages_.front().first;
+    out = std::move(messages_.front().second);
+    messages_.pop_front();
+    return OkStatus();
+  }
+
+ private:
+  ds::Mutex mu_{"test.sink_mu"};
+  ds::CondVar cv_;
+  std::deque<std::pair<transport::SockAddr, Buffer>> messages_
+      DS_GUARDED_BY(mu_);
+};
+
+// An endpoint that delivers into its own sink. Members are destroyed
+// in reverse order, so the endpoint shuts down before the sink goes.
+struct SinkEndpoint {
+  std::unique_ptr<MessageSink> sink = std::make_unique<MessageSink>();
+  std::unique_ptr<Endpoint> endpoint;
+
+  Endpoint* operator->() const { return endpoint.get(); }
+  Status Next(Buffer& out, transport::SockAddr& from, Deadline deadline) {
+    return sink->Next(out, from, deadline);
+  }
+};
+
+inline Result<SinkEndpoint> CreateSinkEndpoint(
+    const Endpoint::Options& options,
+    Endpoint::PeerEventCallback on_peer_down = nullptr,
+    Endpoint::PeerEventCallback on_peer_up = nullptr) {
+  SinkEndpoint ep;
+  DS_ASSIGN_OR_RETURN(
+      ep.endpoint,
+      Endpoint::Create(options, ep.sink->Deliver(), std::move(on_peer_down),
+                       std::move(on_peer_up)));
+  return ep;
+}
+
+}  // namespace dstampede::clf

@@ -3,15 +3,17 @@
 // drives the ARQ through seeded drop/duplicate/reorder schedules.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
+#include "clf_sink.hpp"
 #include "dstampede/clf/endpoint.hpp"
 
 namespace dstampede::clf {
 namespace {
 
-std::unique_ptr<Endpoint> MakeEndpoint(Endpoint::Options opts = {}) {
-  auto ep = Endpoint::Create(opts);
+SinkEndpoint MakeEndpoint(Endpoint::Options opts = {}) {
+  auto ep = CreateSinkEndpoint(opts);
   EXPECT_TRUE(ep.ok()) << ep.status();
   return std::move(ep).value();
 }
@@ -23,7 +25,7 @@ TEST(ClfTest, SmallMessageRoundTrip) {
   ASSERT_TRUE(a->Send(b->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_EQ(got, msg);
   EXPECT_EQ(from, a->addr());
 }
@@ -34,7 +36,7 @@ TEST(ClfTest, EmptyMessage) {
   ASSERT_TRUE(a->Send(b->addr(), {}).ok());
   Buffer got = {9};
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_TRUE(got.empty());
 }
 
@@ -46,7 +48,7 @@ TEST(ClfTest, LargeMessageFragmentsAndReassembles) {
   ASSERT_TRUE(a->Send(b->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(10000)).ok());
+  ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(10000)).ok());
   ASSERT_EQ(got.size(), msg.size());
   EXPECT_TRUE(CheckPattern(got, 42));
   EXPECT_GT(a->stats().data_packets_sent.load(), 20u);
@@ -64,7 +66,7 @@ TEST(ClfTest, ManyMessagesStayOrdered) {
   for (int i = 0; i < kCount; ++i) {
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+    ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(5000)).ok());
     EXPECT_TRUE(CheckPattern(got, static_cast<std::uint64_t>(i)))
         << "message " << i << " out of order or corrupt";
   }
@@ -77,7 +79,7 @@ TEST(ClfTest, BidirectionalTraffic) {
     for (int i = 0; i < 50; ++i) {
       Buffer got;
       transport::SockAddr from;
-      ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+      ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(5000)).ok());
       ASSERT_TRUE(b->Send(from, got).ok());  // echo
     }
   });
@@ -87,7 +89,7 @@ TEST(ClfTest, BidirectionalTraffic) {
     ASSERT_TRUE(a->Send(b->addr(), msg).ok());
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(a->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+    ASSERT_TRUE(a.Next(got, from, Deadline::AfterMillis(5000)).ok());
     EXPECT_EQ(got, msg);
   }
   peer.join();
@@ -107,7 +109,7 @@ TEST(ClfTest, MultiplePeersInterleaved) {
   for (int i = 0; i < 40; ++i) {
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(hub->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+    ASSERT_TRUE(hub.Next(got, from, Deadline::AfterMillis(5000)).ok());
     if (from == a->addr()) {
       EXPECT_EQ(got, Buffer(32, 0xA));
       ++got_a;
@@ -118,14 +120,6 @@ TEST(ClfTest, MultiplePeersInterleaved) {
   }
   EXPECT_EQ(got_a, 20);
   EXPECT_EQ(got_b, 20);
-}
-
-TEST(ClfTest, RecvTimesOut) {
-  auto a = MakeEndpoint();
-  Buffer got;
-  transport::SockAddr from;
-  Status s = a->Recv(got, from, Deadline::AfterMillis(50));
-  EXPECT_EQ(s.code(), StatusCode::kTimeout);
 }
 
 TEST(ClfTest, SendAfterShutdownFails) {
@@ -146,7 +140,7 @@ TEST(ClfTest, ShmFastPathDelivers) {
   ASSERT_TRUE(a->Send(b->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_TRUE(CheckPattern(got, 9));
   EXPECT_EQ(from, a->addr());
   // The fast path must have bypassed the wire entirely.
@@ -161,7 +155,7 @@ TEST(ClfTest, ShmDisabledUsesWire) {
   ASSERT_TRUE(a->Send(b->addr(), Buffer(100)).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_GE(a->stats().data_packets_sent.load(), 1u);
   EXPECT_EQ(b->stats().shm_messages.load(), 0u);
 }
@@ -193,7 +187,7 @@ TEST(ClfTest, ConcurrentLargeSendsToOnePeerDoNotInterleave) {
   for (int i = 0; i < 2 * kPerThread; ++i) {
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(30000)).ok());
+    ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(30000)).ok());
     ASSERT_EQ(got.size(), kSize);
     // Each message must be internally intact and attributable.
     if (CheckPattern(got, 1000 + static_cast<std::uint64_t>(seen_t1))) {
@@ -208,6 +202,134 @@ TEST(ClfTest, ConcurrentLargeSendsToOnePeerDoNotInterleave) {
   EXPECT_EQ(seen_t2, kPerThread);
   t1.join();
   t2.join();
+}
+
+// --- delivery contract ------------------------------------------------------
+
+// Polls until pred() holds or `timeout` passes.
+template <typename Pred>
+bool WaitFor(Pred pred, Duration timeout) {
+  const TimePoint give_up = Now() + timeout;
+  while (!pred()) {
+    if (Now() >= give_up) return false;
+    std::this_thread::sleep_for(Millis(1));
+  }
+  return true;
+}
+
+TEST(ClfTest, ShutdownReleasesSendBlockedInDelivery) {
+  // A delivery upcall that sends more fragments than the window holds
+  // to a partitioned peer parks the receiver thread on the window.
+  // Shutdown joins that thread, so it must wake the Send first.
+  auto peer = MakeEndpoint();
+  const transport::SockAddr peer_addr = peer->addr();
+  const Buffer big(130 * 60000);  // > 128 fragments
+  std::atomic<Endpoint*> self{nullptr};
+  std::atomic<int> send_code{-1};
+  auto relay = Endpoint::Create({}, [&](const transport::SockAddr&, Buffer) {
+    send_code = static_cast<int>(self.load()->Send(peer_addr, big).code());
+  });
+  ASSERT_TRUE(relay.ok()) << relay.status();
+  self = relay->get();
+  (*relay)->fault_injector().Partition(peer_addr);
+
+  auto trigger = MakeEndpoint();
+  ASSERT_TRUE(trigger->Send((*relay)->addr(), Buffer{1}).ok());
+  ASSERT_TRUE(WaitFor(
+      [&] { return (*relay)->stats().data_packets_sent.load() >= 128; },
+      Millis(10000)))
+      << "the delivery's Send never filled the window";
+
+  const TimePoint start = Now();
+  (*relay)->Shutdown();
+  EXPECT_LT(Now() - start, Millis(2000));
+  EXPECT_EQ(send_code.load(), static_cast<int>(StatusCode::kCancelled));
+}
+
+TEST(ClfTest, ShmSendDuringPeerShutdownNeverReachesIt) {
+  // A sender may pass the registry lookup just before the peer shuts
+  // down. The peer's Shutdown must wait for such a transfer and refuse
+  // later ones, so nothing is delivered into a destroyed endpoint or
+  // sink (ASan checks the latter). Each delivery dawdles so that the
+  // shutdown lands mid-transfer.
+  Endpoint::Options opts;
+  opts.enable_shm_fastpath = true;
+  for (int round = 0; round < 5; ++round) {
+    auto a = MakeEndpoint(opts);
+    auto sink = std::make_unique<MessageSink>();
+    auto b = Endpoint::Create(
+        opts, [to_sink = sink->Deliver()](const transport::SockAddr& from,
+                                          Buffer message) {
+          std::this_thread::sleep_for(Millis(2));
+          to_sink(from, std::move(message));
+        });
+    ASSERT_TRUE(b.ok()) << b.status();
+    const transport::SockAddr b_addr = (*b)->addr();
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> bad_status{0};
+    std::thread sender([&] {
+      const Buffer msg(256, 7);
+      while (!stop.load()) {
+        // kUnavailable: the ring closed under the transfer. Once `b` is
+        // unregistered, sends fall back to UDP and succeed unacked.
+        const StatusCode code = a->Send(b_addr, msg).code();
+        if (code != StatusCode::kOk && code != StatusCode::kUnavailable) {
+          ++bad_status;
+        }
+      }
+    });
+    Buffer got;
+    transport::SockAddr from;
+    ASSERT_TRUE(sink->Next(got, from, Deadline::AfterMillis(5000)).ok());
+    b->reset();
+    sink.reset();
+    stop = true;
+    a->ForgetPeer(b_addr);  // empties a window the UDP fallback filled
+    sender.join();
+    EXPECT_EQ(bad_status.load(), 0);
+  }
+}
+
+TEST(ClfTest, OverCapFirstFragmentIsDroppedAndStreamContinues) {
+  auto b = MakeEndpoint();
+  auto raw = transport::UdpSocket::Bind(0);
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  // A first-fragment data packet as the wire carries it: magic C1F0,
+  // type 1 (data), flags 1 (first fragment), seq, ack, epoch, then the
+  // u32 message length and the bytes.
+  auto first_fragment = [](std::uint32_t seq, std::uint32_t length,
+                           const Buffer& bytes) {
+    Buffer packet = {0xC1, 0xF0, 1, 1};
+    for (std::uint32_t v : {seq, 0u, /*epoch=*/7u, length}) {
+      for (int shift = 24; shift >= 0; shift -= 8) {
+        packet.push_back(static_cast<std::uint8_t>(v >> shift));
+      }
+    }
+    packet.insert(packet.end(), bytes.begin(), bytes.end());
+    return packet;
+  };
+  ASSERT_TRUE(
+      raw->SendTo(b->addr(), first_fragment(0, 0xFFFFFFFFu, {1, 2, 3})).ok());
+  ASSERT_TRUE(raw->SendTo(b->addr(), first_fragment(1, 3, {4, 5, 6})).ok());
+
+  Buffer got;
+  transport::SockAddr from;
+  ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(5000)).ok());
+  EXPECT_EQ(got, (Buffer{4, 5, 6}));
+  EXPECT_EQ(from, raw->bound_addr());
+  // Reassembly reuses its buffer, so a reservation sized by the hostile
+  // length would have carried over into this message.
+  EXPECT_LT(got.capacity(), transport::kMaxFrame);
+  EXPECT_EQ(b->stats().messages_delivered.load(), 1u);
+}
+
+TEST(ClfTest, SendRefusesOverCapMessage) {
+  auto a = MakeEndpoint();
+  auto b = MakeEndpoint();
+  const Buffer huge(transport::kMaxFrame + 1);
+  EXPECT_EQ(a->Send(b->addr(), huge).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(a->stats().data_packets_sent.load(), 0u);
 }
 
 // --- fault-injection property suite -------------------------------------
@@ -245,7 +367,7 @@ TEST_P(ClfFaultTest, ExactlyOnceInOrderUnderFaults) {
   for (int i = 0; i < kCount; ++i) {
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(receiver->Recv(got, from, Deadline::AfterMillis(30000)).ok())
+    ASSERT_TRUE(receiver.Next(got, from, Deadline::AfterMillis(30000)).ok())
         << "lost message " << i << " under faults";
     EXPECT_EQ(got.size(), 100u + (i % 7) * 501u) << "order violated at " << i;
     EXPECT_TRUE(CheckPattern(got, static_cast<std::uint64_t>(i) * 13 + 1));
@@ -254,7 +376,7 @@ TEST_P(ClfFaultTest, ExactlyOnceInOrderUnderFaults) {
   // Nothing extra may be delivered (exactly-once).
   Buffer extra;
   transport::SockAddr from;
-  EXPECT_EQ(receiver->Recv(extra, from, Deadline::AfterMillis(200)).code(),
+  EXPECT_EQ(receiver.Next(extra, from, Deadline::AfterMillis(200)).code(),
             StatusCode::kTimeout);
   if (fc.drop > 0) {
     EXPECT_GT(sender->stats().retransmissions.load(), 0u);
@@ -286,7 +408,7 @@ TEST(ClfFaultTest, FragmentedMessagesSurviveLoss) {
     ASSERT_TRUE(sender->Send(receiver->addr(), msg).ok());
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(receiver->Recv(got, from, Deadline::AfterMillis(30000)).ok());
+    ASSERT_TRUE(receiver.Next(got, from, Deadline::AfterMillis(30000)).ok());
     ASSERT_EQ(got.size(), msg.size());
     EXPECT_TRUE(CheckPattern(got, static_cast<std::uint64_t>(i) + 500));
   }

@@ -3,8 +3,10 @@
 // sending, and retransmission statistics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
+#include "clf_sink.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/clf/fault_injector.hpp"
 #include "dstampede/clf/shm_ring.hpp"
@@ -98,7 +100,7 @@ TEST(ShmRingTest, TransfersMessagesThroughChunks) {
   Buffer big(3 * ShmRing::kChunk + 500);
   FillPattern(big, 4);
   const auto from = transport::SockAddr::Loopback(1234);
-  ring.Transfer(from, big);
+  ASSERT_TRUE(ring.Transfer(from, big).ok());
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].first, from);
   EXPECT_EQ(delivered[0].second.size(), big.size());
@@ -111,8 +113,41 @@ TEST(ShmRingTest, EmptyMessage) {
     ++calls;
     EXPECT_TRUE(message.empty());
   });
-  ring.Transfer(transport::SockAddr::Loopback(1), {});
+  ASSERT_TRUE(ring.Transfer(transport::SockAddr::Loopback(1), {}).ok());
   EXPECT_EQ(calls, 1u);
+}
+
+TEST(ShmRingTest, ClosedRingRefusesTransfers) {
+  std::size_t calls = 0;
+  ShmRing ring([&](const transport::SockAddr&, Buffer) { ++calls; });
+  ring.Close();
+  EXPECT_EQ(ring.Transfer(transport::SockAddr::Loopback(1), Buffer{1}).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(ShmRingTest, CloseWaitsForTransferInFlight) {
+  std::atomic<bool> delivering{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> closed{false};
+  ShmRing ring([&](const transport::SockAddr&, Buffer) {
+    delivering = true;
+    while (!release.load()) std::this_thread::sleep_for(Millis(1));
+  });
+  std::thread sender([&] {
+    EXPECT_TRUE(ring.Transfer(transport::SockAddr::Loopback(1), Buffer{1}).ok());
+  });
+  while (!delivering.load()) std::this_thread::sleep_for(Millis(1));
+  std::thread closer([&] {
+    ring.Close();
+    closed = true;
+  });
+  std::this_thread::sleep_for(Millis(50));
+  EXPECT_FALSE(closed.load()) << "Close returned while a delivery ran";
+  release = true;
+  closer.join();
+  sender.join();
+  EXPECT_TRUE(closed.load());
 }
 
 TEST(ShmRegistryTest, RegisterLookupUnregister) {
@@ -135,8 +170,8 @@ TEST(ClfWindowTest, TinyWindowStillDeliversLargeMessage) {
   Endpoint::Options opts;
   opts.window_packets = 2;
   opts.initial_rto = Millis(5);
-  auto a = Endpoint::Create(opts);
-  auto b = Endpoint::Create({});
+  auto a = CreateSinkEndpoint(opts);
+  auto b = CreateSinkEndpoint({});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   Buffer msg(500 * 1024);  // ~9 fragments through a 2-packet window
@@ -144,7 +179,7 @@ TEST(ClfWindowTest, TinyWindowStillDeliversLargeMessage) {
   ASSERT_TRUE((*a)->Send((*b)->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE((*b)->Recv(got, from, Deadline::AfterMillis(30000)).ok());
+  ASSERT_TRUE(b->Next(got, from, Deadline::AfterMillis(30000)).ok());
   ASSERT_EQ(got.size(), msg.size());
   EXPECT_TRUE(CheckPattern(got, 77));
 }
@@ -155,8 +190,8 @@ TEST(ClfWindowTest, TinyWindowUnderLoss) {
   opts.initial_rto = Millis(5);
   opts.faults.drop_probability = 0.2;
   opts.faults.seed = 3;
-  auto a = Endpoint::Create(opts);
-  auto b = Endpoint::Create({});
+  auto a = CreateSinkEndpoint(opts);
+  auto b = CreateSinkEndpoint({});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   Buffer msg(200 * 1024);
@@ -164,14 +199,14 @@ TEST(ClfWindowTest, TinyWindowUnderLoss) {
   ASSERT_TRUE((*a)->Send((*b)->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE((*b)->Recv(got, from, Deadline::AfterMillis(30000)).ok());
+  ASSERT_TRUE(b->Next(got, from, Deadline::AfterMillis(30000)).ok());
   EXPECT_TRUE(CheckPattern(got, 99));
   EXPECT_GT((*a)->stats().retransmissions.load(), 0u);
 }
 
 TEST(ClfStatsTest, CountersReflectTraffic) {
-  auto a = Endpoint::Create({});
-  auto b = Endpoint::Create({});
+  auto a = CreateSinkEndpoint({});
+  auto b = CreateSinkEndpoint({});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   Buffer msg(150 * 1024);  // 3 fragments
@@ -179,7 +214,7 @@ TEST(ClfStatsTest, CountersReflectTraffic) {
   ASSERT_TRUE((*a)->Send((*b)->addr(), msg).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE((*b)->Recv(got, from, Deadline::AfterMillis(10000)).ok());
+  ASSERT_TRUE(b->Next(got, from, Deadline::AfterMillis(10000)).ok());
   EXPECT_GE((*a)->stats().data_packets_sent.load(), 3u);
   EXPECT_GE((*b)->stats().data_packets_received.load(), 3u);
   EXPECT_GE((*b)->stats().acks_sent.load(), 1u);

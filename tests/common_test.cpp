@@ -253,6 +253,7 @@ TEST(StatsTest, ScopedTimerRecords) {
 
 TEST(ThreadPoolTest, ExecutesSubmittedWork) {
   ThreadPool pool(2);
+  pool.Start();
   std::atomic<int> count{0};
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(pool.Submit([&] { count.fetch_add(1); }));
@@ -269,6 +270,7 @@ TEST(ThreadPoolTest, RejectsAfterShutdown) {
 
 TEST(ThreadPoolTest, DrainsQueueOnShutdown) {
   ThreadPool pool(1);
+  pool.Start();
   std::atomic<int> count{0};
   for (int i = 0; i < 20; ++i) {
     pool.Submit([&] {
@@ -278,6 +280,19 @@ TEST(ThreadPoolTest, DrainsQueueOnShutdown) {
   }
   pool.Shutdown();
   EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ThreadPoolTest, WorkQueuedBeforeStartRunsOnceStarted) {
+  ThreadPool pool(2);
+  std::atomic<int> count{0};
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(pool.Submit([&] { count.fetch_add(1); }));
+  }
+  EXPECT_EQ(pool.pending(), 10u);
+  EXPECT_EQ(count.load(), 0);
+  pool.Start();
+  pool.Shutdown();
+  EXPECT_EQ(count.load(), 10);
 }
 
 TEST(ThreadPoolTest, WaitGroupWaitsForAll) {

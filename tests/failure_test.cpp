@@ -8,6 +8,7 @@
 #include <atomic>
 #include <thread>
 
+#include "clf_sink.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/core/runtime.hpp"
 
@@ -35,8 +36,11 @@ Endpoint::Options Detecting() {
   return opts;
 }
 
-std::unique_ptr<Endpoint> MakeEndpoint(Endpoint::Options opts = {}) {
-  auto ep = Endpoint::Create(opts);
+SinkEndpoint MakeEndpoint(Endpoint::Options opts = {},
+                          Endpoint::PeerEventCallback on_peer_down = nullptr,
+                          Endpoint::PeerEventCallback on_peer_up = nullptr) {
+  auto ep = CreateSinkEndpoint(opts, std::move(on_peer_down),
+                               std::move(on_peer_up));
   EXPECT_TRUE(ep.ok()) << ep.status();
   return std::move(ep).value();
 }
@@ -81,18 +85,18 @@ TEST(FaultInjectorPartitionTest, HealAllClearsEveryPartition) {
 }
 
 TEST(ClfFailureTest, PartitionedPeerDeclaredDeadWithinBound) {
-  auto a = MakeEndpoint(Detecting());
+  std::atomic<bool> down_fired{false};
+  auto a = MakeEndpoint(Detecting(), [&](const transport::SockAddr&) {
+    down_fired = true;
+  });
   auto b = MakeEndpoint(Detecting());
 
   // Healthy exchange first, so death is a state change, not a default.
   ASSERT_TRUE(a->Send(b->addr(), Buffer{1}).ok());
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(b->Recv(got, from, Deadline::AfterMillis(5000)).ok());
-
-  std::atomic<bool> down_fired{false};
-  a->set_peer_down_callback(
-      [&](const transport::SockAddr&) { down_fired = true; });
+  ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(5000)).ok());
+  EXPECT_FALSE(down_fired.load());
 
   // Symmetric partition: data and acks both blackhole.
   a->fault_injector().Partition(b->addr());
@@ -134,7 +138,9 @@ TEST(ClfFailureTest, SilentWatchedPeerDeclaredDeadByKeepalive) {
 }
 
 TEST(ClfFailureTest, RestartedPeerResurrectsWithNewEpoch) {
-  auto a = MakeEndpoint(Detecting());
+  std::atomic<bool> up_fired{false};
+  auto a = MakeEndpoint(Detecting(), nullptr,
+                        [&](const transport::SockAddr&) { up_fired = true; });
   std::uint16_t port = 0;
   std::uint32_t first_epoch = 0;
   {
@@ -144,15 +150,13 @@ TEST(ClfFailureTest, RestartedPeerResurrectsWithNewEpoch) {
     ASSERT_TRUE(b1->Send(a->addr(), Buffer{1}).ok());
     Buffer got;
     transport::SockAddr from;
-    ASSERT_TRUE(a->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+    ASSERT_TRUE(a.Next(got, from, Deadline::AfterMillis(5000)).ok());
     b1->Shutdown();
   }
   const auto b_addr = transport::SockAddr::Loopback(port);
   ASSERT_TRUE(WaitFor([&] { return a->IsPeerDead(b_addr); }, Millis(5000)))
       << "silence after shutdown should kill the peer";
-
-  std::atomic<bool> up_fired{false};
-  a->set_peer_up_callback([&](const transport::SockAddr&) { up_fired = true; });
+  EXPECT_FALSE(up_fired.load());
 
   // Same port, fresh incarnation.
   Endpoint::Options opts = Detecting();
@@ -163,7 +167,7 @@ TEST(ClfFailureTest, RestartedPeerResurrectsWithNewEpoch) {
 
   Buffer got;
   transport::SockAddr from;
-  ASSERT_TRUE(a->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(a.Next(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_EQ(got, (Buffer{4, 2}));
   EXPECT_TRUE(WaitFor([&] { return !a->IsPeerDead(b_addr); }, Millis(1000)));
   EXPECT_TRUE(up_fired.load());
@@ -171,7 +175,7 @@ TEST(ClfFailureTest, RestartedPeerResurrectsWithNewEpoch) {
 
   // And the reverse direction works against the new incarnation.
   ASSERT_TRUE(a->Send(b_addr, Buffer{9}).ok());
-  ASSERT_TRUE(b2->Recv(got, from, Deadline::AfterMillis(5000)).ok());
+  ASSERT_TRUE(b2.Next(got, from, Deadline::AfterMillis(5000)).ok());
   EXPECT_EQ(got, (Buffer{9}));
 }
 

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "clf_sink.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/clf/fault_injector.hpp"
 #include "dstampede/client/client.hpp"
@@ -527,9 +528,9 @@ TEST(ScenarioSwarmTest, SlowLinkTailLatencyIsQueueingDelay) {
   // maturing inside the horizon so a real UDP drop can be recovered.
   sender_opts.initial_rto = Millis(300'000);
   sender_opts.max_rto = Millis(300'000);
-  auto sender = clf::Endpoint::Create(sender_opts);
+  auto sender = clf::CreateSinkEndpoint(sender_opts);
   ASSERT_TRUE(sender.ok()) << sender.status();
-  auto receiver = clf::Endpoint::Create({});
+  auto receiver = clf::CreateSinkEndpoint({});
   ASSERT_TRUE(receiver.ok()) << receiver.status();
 
   // 8kbit/s with 100-byte messages: ~100ms of serialization each, so
@@ -556,20 +557,20 @@ TEST(ScenarioSwarmTest, SlowLinkTailLatencyIsQueueingDelay) {
   const TimePoint t0 = sim.Now();
   std::thread drain([&] {
     // One absolute deadline for the whole drain, inside the RunUntil
-    // horizon below: every Recv matures before the horizon does.
+    // horizon below: every sink wait matures before the horizon does.
     const Deadline give_up = Deadline::At(t0 + Millis(650'000));
     for (int i = 0; i < kMessages; ++i) {
       Buffer got;
       transport::SockAddr from;
-      if (!(*receiver)->Recv(got, from, give_up).ok()) return;
+      if (!receiver->Next(got, from, give_up).ok()) return;
       delivery_offsets[i] = Now() - t0;
       order.push_back(got.empty() ? 0xFF : got[0]);
       received.fetch_add(1);
     }
   });
-  // The horizon outlives both the drain's absolute Recv deadline and
+  // The horizon outlives both the drain's absolute wait deadline and
   // the 300s RTO: whatever happens — normal delivery, a real UDP drop
-  // recovered by retransmission, or the Recv timing out — the drain
+  // recovered by retransmission, or the wait timing out — the drain
   // thread is guaranteed to exit before RunUntil returns, so join()
   // cannot wedge on a frozen clock.
   const bool all = sim.RunUntil(

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "clf_sink.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/client/client.hpp"
 #include "dstampede/common/clock.hpp"
@@ -334,15 +335,15 @@ TEST(FaultInjectorFlushTest, EndpointIdleScanDeliversHeldPacket) {
   sender_opts.faults.reorder_probability = 1.0;
   sender_opts.initial_rto = Millis(60'000);
   sender_opts.max_rto = Millis(60'000);
-  auto sender = Endpoint::Create(sender_opts);
+  auto sender = CreateSinkEndpoint(sender_opts);
   ASSERT_TRUE(sender.ok()) << sender.status();
-  auto receiver = Endpoint::Create({});
+  auto receiver = CreateSinkEndpoint({});
   ASSERT_TRUE(receiver.ok()) << receiver.status();
 
   ASSERT_TRUE((*sender)->Send((*receiver)->addr(), Buffer{42}).ok());
   Buffer got;
   transport::SockAddr from;
-  Status s = (*receiver)->Recv(got, from, Deadline::AfterMillis(5000));
+  Status s = receiver->Next(got, from, Deadline::AfterMillis(5000));
   ASSERT_TRUE(s.ok()) << s << " — held packet was stranded";
   EXPECT_EQ(got, (Buffer{42}));
   EXPECT_EQ((*sender)->stats().retransmissions.load(), 0u)

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <thread>
 
+#include "clf_sink.hpp"
 #include "dstampede/clf/endpoint.hpp"
 #include "dstampede/client/client.hpp"
 #include "dstampede/client/listener.hpp"
@@ -62,15 +63,15 @@ TEST(StressTest, ManyProducersManyConsumersOneChannel) {
 }
 
 TEST(StressTest, ConcurrentSendersOverOneClfEndpoint) {
-  auto receiver = clf::Endpoint::Create({});
+  auto receiver = clf::CreateSinkEndpoint({});
   ASSERT_TRUE(receiver.ok());
   constexpr int kSenders = 3;
   constexpr int kPerSender = 60;
 
-  std::vector<std::unique_ptr<clf::Endpoint>> senders;
+  std::vector<clf::SinkEndpoint> senders;
   std::vector<std::thread> threads;
   for (int s = 0; s < kSenders; ++s) {
-    auto ep = clf::Endpoint::Create({});
+    auto ep = clf::CreateSinkEndpoint({});
     ASSERT_TRUE(ep.ok());
     senders.push_back(std::move(ep).value());
   }
@@ -88,8 +89,7 @@ TEST(StressTest, ConcurrentSendersOverOneClfEndpoint) {
   for (int got = 0; got < kSenders * kPerSender; ++got) {
     Buffer msg;
     transport::SockAddr from;
-    ASSERT_TRUE(
-        (*receiver)->Recv(msg, from, Deadline::AfterMillis(30000)).ok());
+    ASSERT_TRUE(receiver->Next(msg, from, Deadline::AfterMillis(30000)).ok());
     int sender = -1;
     for (int s = 0; s < kSenders; ++s) {
       if (senders[s]->addr() == from) sender = s;

@@ -5,6 +5,7 @@
 // address space).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 
 #include "dstampede/core/runtime.hpp"
@@ -121,6 +122,9 @@ TEST(WireTest, DeadlineMapping) {
   EXPECT_TRUE(DecodeDeadline(kDeadlineInfinite).infinite());
   EXPECT_TRUE(DecodeDeadline(0).expired());
   EXPECT_FALSE(DecodeDeadline(10000).expired());
+  // A value no TimePoint can hold means forever rather than overflowing.
+  EXPECT_TRUE(
+      DecodeDeadline(std::numeric_limits<std::int64_t>::max()).infinite());
 }
 
 TEST(WireTest, GcNoticeRoundTrip) {
