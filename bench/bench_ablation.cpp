@@ -72,8 +72,8 @@ double GcLagP50(core::Runtime& rt) {
 std::uint64_t Retransmits(core::Runtime& rt) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < rt.size(); ++i) {
-    total += rt.as(i).transport_stats().retransmissions.load(
-        std::memory_order_relaxed);
+    total +=
+        rt.as(i).metrics_registry().GetCounter("clf.retransmissions").Value();
   }
   return total;
 }

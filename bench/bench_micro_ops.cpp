@@ -127,10 +127,13 @@ BENCHMARK(BM_QueuePutGetConsume)->Arg(1000)->Arg(55000);
 void ClfRoundTrip(benchmark::State& state, bool shm) {
   clf::Endpoint::Options opts;
   opts.enable_shm_fastpath = shm;
+  // One registry per endpoint, as each address space has its own.
+  metrics::Registry a_metrics;
+  metrics::Registry b_metrics;
   clf::MessageSink a_sink;
   clf::MessageSink b_sink;
-  auto a = clf::Endpoint::Create(opts, a_sink.Deliver());
-  auto b = clf::Endpoint::Create(opts, b_sink.Deliver());
+  auto a = clf::Endpoint::Create(opts, a_metrics, a_sink.Deliver());
+  auto b = clf::Endpoint::Create(opts, b_metrics, b_sink.Deliver());
   if (!a.ok() || !b.ok()) {
     state.SkipWithError("endpoint creation failed");
     return;

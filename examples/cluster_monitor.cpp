@@ -1,8 +1,9 @@
 // Cluster observability: runs a short mixed workload (a conference and
 // a split/track/join pipeline) and then prints the operational state of
-// every address space — STM op counters, transport counters, GC
-// activity — plus the listener's surrogate census. This is the view an
-// operator of a D-Stampede deployment would watch. Run with:
+// every address space from its metrics registry — STM op counters,
+// transport counters — plus GC activity and the listener's surrogate
+// census. This is the view an operator of a D-Stampede deployment
+// would watch. Run with:
 //
 //   cluster_monitor [participants=3] [frames=40]
 #include <cstdio>
@@ -16,32 +17,33 @@ using namespace dstampede;
 
 namespace {
 
+// One space's counters, read from its metrics registry: the calls its
+// threads issued (api.*), the work it did as an owner (stm.*,
+// dispatch.*) and its CLF traffic (clf.*).
 void PrintAsStats(core::AddressSpace& as) {
-  const core::AsStats& s = as.stats();
-  const clf::EndpointStats& t = as.transport_stats();
+  metrics::Registry& registry = as.metrics_registry();
+  auto n = [&registry](const char* name) {
+    return static_cast<unsigned long long>(registry.GetCounter(name).Value());
+  };
+  auto mb = [&n](const char* name) {
+    return static_cast<double>(n(name)) / (1024.0 * 1024.0);
+  };
   std::printf(
       "AS%-3u puts=%-6llu gets=%-6llu consumes=%-6llu attach=%-4llu "
       "detach=%-4llu ns=%-4llu\n"
       "      rpc_out=%-6llu served=%-6llu put_MB=%-7.1f got_MB=%-7.1f\n"
+      "      stm: puts=%llu gets=%llu reclaimed=%llu\n"
       "      clf: data_tx=%llu data_rx=%llu retx=%llu acks=%llu dups=%llu "
-      "msgs=%llu\n"
+      "msgs=%llu shm=%llu\n"
       "      gc : sweeps=%llu notices=%llu\n",
-      AsIndex(as.id()), static_cast<unsigned long long>(s.puts.load()),
-      static_cast<unsigned long long>(s.gets.load()),
-      static_cast<unsigned long long>(s.consumes.load()),
-      static_cast<unsigned long long>(s.attaches.load()),
-      static_cast<unsigned long long>(s.detaches.load()),
-      static_cast<unsigned long long>(s.ns_ops.load()),
-      static_cast<unsigned long long>(s.remote_calls.load()),
-      static_cast<unsigned long long>(s.requests_served.load()),
-      static_cast<double>(s.bytes_put.load()) / (1024.0 * 1024.0),
-      static_cast<double>(s.bytes_got.load()) / (1024.0 * 1024.0),
-      static_cast<unsigned long long>(t.data_packets_sent.load()),
-      static_cast<unsigned long long>(t.data_packets_received.load()),
-      static_cast<unsigned long long>(t.retransmissions.load()),
-      static_cast<unsigned long long>(t.acks_sent.load()),
-      static_cast<unsigned long long>(t.duplicates_discarded.load()),
-      static_cast<unsigned long long>(t.messages_delivered.load()),
+      AsIndex(as.id()), n("api.puts"), n("api.gets"), n("api.consumes"),
+      n("api.attaches"), n("api.detaches"), n("api.ns_ops"),
+      n("api.remote_calls"), n("dispatch.requests"), mb("api.bytes_put"),
+      mb("api.bytes_got"), n("stm.puts"), n("stm.gets"),
+      n("stm.reclaimed_items"), n("clf.data_packets_sent"),
+      n("clf.data_packets_received"), n("clf.retransmissions"),
+      n("clf.acks_sent"), n("clf.duplicates_discarded"),
+      n("clf.messages_delivered"), n("clf.shm_messages"),
       static_cast<unsigned long long>(as.gc().sweeps()),
       static_cast<unsigned long long>(as.gc().notices_total()));
 }

@@ -14,7 +14,6 @@
 #include "dstampede/app/image.hpp"
 #include "dstampede/client/client.hpp"
 #include "dstampede/client/listener.hpp"
-#include "dstampede/common/stats.hpp"
 #include "dstampede/core/rt_sync.hpp"
 #include "dstampede/core/runtime.hpp"
 
@@ -86,8 +85,7 @@ int main(int argc, char** argv) {
                                   core::ConnMode::kInput);
     if (!in.ok()) return;
 
-    RateMeter meter;
-    meter.Start();
+    const TimePoint start = Now();
     for (Timestamp frame = 0; frame < frames; ++frame) {
       auto item = (*display)->Get(*in, core::GetSpec::Exact(frame),
                                   Deadline::AfterMillis(10000));
@@ -99,11 +97,12 @@ int main(int argc, char** argv) {
         return;
       }
       (void)(*display)->Consume(*in, frame);
-      meter.Tick();
     }
+    const double secs = std::chrono::duration<double>(Now() - start).count();
     std::printf("  [display] received %lld validated frames at %.1f fps "
                 "(target %.0f)\n",
-                static_cast<long long>(frames), meter.Rate(), fps);
+                static_cast<long long>(frames),
+                secs > 0 ? static_cast<double>(frames) / secs : 0, fps);
     (void)(*display)->Leave();
   });
 

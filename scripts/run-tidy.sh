@@ -5,12 +5,10 @@
 #   scripts/run-tidy.sh [build-dir] [-- extra clang-tidy args]
 #
 # Stages (see docs/STATIC_ANALYSIS.md):
-#   1. hierarchy drift — docs/lock_hierarchy.txt must match the edge
-#      table in docs/CONCURRENCY.md;
-#   2. dslint gate — the standalone checker (build-dir/tools/dslint/
-#      dslint, no clang needed) over src/ and tools/;
-#   3. clang-tidy over src/ using the CMake compilation database,
-#      loading the dslint plugin when the build produced one.
+#   1. dslint gate — the standalone checker (build-dir/tools/dslint/
+#      dslint, no clang needed) over src/ and tools/, with lock order
+#      read from the table in docs/CONCURRENCY.md;
+#   2. clang-tidy over src/ using the CMake compilation database.
 #
 # The build dir must have been configured with CMake (compile_commands
 # .json is exported by default; see CMAKE_EXPORT_COMPILE_COMMANDS in
@@ -23,7 +21,7 @@ build_dir="${1:-$repo_root/build}"
 shift || true
 [ "${1:-}" = "--" ] && shift
 
-# --- stage 1+2: dslint (hierarchy drift, then the checks) -------------
+# --- stage 1: dslint ----------------------------------------------------
 dslint="$build_dir/tools/dslint/dslint"
 if [ ! -x "$dslint" ]; then
   echo "error: $dslint not found; build the tree first:" >&2
@@ -31,18 +29,14 @@ if [ ! -x "$dslint" ]; then
   exit 2
 fi
 
-echo "== dslint: hierarchy drift check"
-"$dslint" --verify-hierarchy "$repo_root/docs/lock_hierarchy.txt" \
-  "$repo_root/docs/CONCURRENCY.md"
-
 echo "== dslint: src/ and tools/"
 mapfile -t ds_sources < <(
   find "$repo_root/src" "$repo_root/tools" \
     \( -name '*.cpp' -o -name '*.hpp' \) -not -path '*/tools/dslint/*' | sort)
 "$dslint" --root "$repo_root" \
-  --hierarchy "$repo_root/docs/lock_hierarchy.txt" "${ds_sources[@]}"
+  --hierarchy "$repo_root/docs/CONCURRENCY.md" "${ds_sources[@]}"
 
-# --- stage 3: clang-tidy ----------------------------------------------
+# --- stage 2: clang-tidy ----------------------------------------------
 if [ ! -f "$build_dir/compile_commands.json" ]; then
   echo "error: $build_dir/compile_commands.json not found." >&2
   echo "Configure first: cmake -B $build_dir -S $repo_root" >&2
@@ -55,17 +49,6 @@ if ! command -v "$tidy" >/dev/null 2>&1; then
   exit 2
 fi
 
-# When the build produced the plugin flavor, load it so the
-# dstampede-* checks run inside clang-tidy too (the .clang-tidy Checks
-# glob already enables them; without the plugin the glob matches
-# nothing and is harmless).
-tidy_args=()
-plugin="$build_dir/tools/dslint/libdslint.so"
-if [ -f "$plugin" ]; then
-  echo "== clang-tidy: loading dslint plugin ($plugin)"
-  tidy_args+=(-load "$plugin")
-fi
-
 # Library sources only: tests and benches lean on gtest/benchmark
 # macros that trip bugprone checks with no fix available to us.
 mapfile -t sources < <(find "$repo_root/src" -name '*.cpp' | sort)
@@ -73,7 +56,7 @@ mapfile -t sources < <(find "$repo_root/src" -name '*.cpp' | sort)
 status=0
 for source in "${sources[@]}"; do
   echo "== ${source#"$repo_root"/}"
-  "$tidy" -p "$build_dir" --quiet "${tidy_args[@]}" "$@" "$source" || status=1
+  "$tidy" -p "$build_dir" --quiet "$@" "$source" || status=1
 done
 if [ "$status" -eq 0 ]; then
   echo "clang-tidy: clean"

@@ -65,18 +65,18 @@ Buffer BuildPacket(std::uint8_t type, std::uint8_t flags, std::uint32_t seq,
 }  // namespace
 
 Result<std::unique_ptr<Endpoint>> Endpoint::Create(
-    const Options& options, DeliverFn deliver,
+    const Options& options, metrics::Registry& registry, DeliverFn deliver,
     PeerEventCallback on_peer_down, PeerEventCallback on_peer_up) {
   auto ep = std::unique_ptr<Endpoint>(
-      new Endpoint(options, std::move(deliver), std::move(on_peer_down),
-                   std::move(on_peer_up)));
+      new Endpoint(options, registry, std::move(deliver),
+                   std::move(on_peer_down), std::move(on_peer_up)));
   DS_ASSIGN_OR_RETURN(ep->socket_, transport::UdpSocket::Bind(options.port));
   ep->addr_ = ep->socket_.bound_addr();
   if (options.enable_shm_fastpath) {
     Endpoint* raw = ep.get();
     ep->shm_ring_ = std::make_shared<ShmRing>(
         [raw](const transport::SockAddr& from, Buffer message) {
-          raw->stats_.shm_messages.fetch_add(1, std::memory_order_relaxed);
+          raw->m_shm_messages_->Add();
           raw->Deliver(from, std::move(message));
         });
     ShmRegistry::Instance().Register(ep->addr_, ep->shm_ring_);
@@ -85,10 +85,11 @@ Result<std::unique_ptr<Endpoint>> Endpoint::Create(
   return ep;
 }
 
-Endpoint::Endpoint(const Options& options, DeliverFn deliver,
-                   PeerEventCallback on_peer_down,
+Endpoint::Endpoint(const Options& options, metrics::Registry& registry,
+                   DeliverFn deliver, PeerEventCallback on_peer_down,
                    PeerEventCallback on_peer_up)
     : options_(options),
+      registry_(registry),
       deliver_(std::move(deliver)),
       on_peer_down_(std::move(on_peer_down)),
       on_peer_up_(std::move(on_peer_up)),
@@ -200,7 +201,7 @@ void Endpoint::DeclarePeerDead(const transport::SockAddr& peer,
       it->second.unacked.clear();
       it->second.next_seq = 0;
     }
-    stats_.peers_declared_dead.fetch_add(1, std::memory_order_relaxed);
+    m_peers_declared_dead_->Add();
   }
   // Receiver-side state is owned by the receiver thread — which is the
   // only caller of this function.
@@ -235,7 +236,7 @@ bool Endpoint::ObservePeer(const transport::SockAddr& from,
       // A fresh incarnation on the same address: discard every piece of
       // sequence state tied to the old one so the restarted peer is not
       // poisoned by stale numbering.
-      stats_.epoch_resets.fetch_add(1, std::memory_order_relaxed);
+      m_epoch_resets_->Add();
       auto it = send_peers_.find(from);
       if (it != send_peers_.end()) {
         it->second.unacked.clear();
@@ -246,7 +247,7 @@ bool Endpoint::ObservePeer(const transport::SockAddr& from,
       if (!epoch_reset) return false;  // same incarnation stays dead
       h.dead = false;
       resurrected = true;
-      stats_.peers_resurrected.fetch_add(1, std::memory_order_relaxed);
+      m_peers_resurrected_->Add();
     }
     h.last_heard = Now();
   }
@@ -329,12 +330,9 @@ Status Endpoint::Send(const transport::SockAddr& to,
                              /*ack=*/0, epoch_, payload);
       const TimePoint now = Now();
       peer.unacked[seq] = SendPeer::Unacked{
-          datagram, now + options_.initial_rto, options_.initial_rto, 0,
-          metrics_registry_.load(std::memory_order_acquire) != nullptr
-              ? now
-              : TimePoint{}};
+          datagram, now + options_.initial_rto, options_.initial_rto, 0, now};
     }
-    stats_.data_packets_sent.fetch_add(1, std::memory_order_relaxed);
+    m_data_packets_sent_->Add();
     WireSend(to, std::move(datagram));
     first = false;
   } while (offset < message.size());
@@ -343,12 +341,12 @@ Status Endpoint::Send(const transport::SockAddr& to,
 }
 
 void Endpoint::Deliver(const transport::SockAddr& from, Buffer message) {
-  stats_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
+  m_messages_delivered_->Add();
   deliver_(from, std::move(message));
 }
 
 void Endpoint::SendAck(const transport::SockAddr& to, std::uint32_t ack) {
-  stats_.acks_sent.fetch_add(1, std::memory_order_relaxed);
+  m_acks_sent_->Add();
   WireSend(to, BuildPacket(kTypeAck, 0, /*seq=*/0, ack, epoch_, {}));
 }
 
@@ -359,17 +357,14 @@ void Endpoint::HandleAck(const transport::SockAddr& from, std::uint32_t ack) {
     auto it = send_peers_.find(from);
     if (it == send_peers_.end()) return;
     auto& unacked = it->second.unacked;
-    metrics::Registry* registry =
-        metrics_registry_.load(std::memory_order_acquire);
     while (!unacked.empty() && unacked.begin()->first < ack) {
       const SendPeer::Unacked& entry = unacked.begin()->second;
       // Karn's rule: only fresh (never retransmitted) packets yield an
       // unambiguous round-trip sample.
-      if (registry != nullptr && entry.retransmits == 0 &&
-          entry.sent_at != TimePoint{}) {
+      if (entry.retransmits == 0) {
         metrics::Histogram*& hist = rtt_hist_[from];
         if (hist == nullptr) {
-          hist = &registry->GetHistogram("clf.rtt_us." + from.ToString());
+          hist = &registry_.GetHistogram("clf.rtt_us." + from.ToString());
         }
         hist->Observe(ToMicros(Now() - entry.sent_at));
       }
@@ -448,13 +443,13 @@ void Endpoint::HandleDatagram(const transport::SockAddr& from,
       return;
   }
 
-  stats_.data_packets_received.fetch_add(1, std::memory_order_relaxed);
+  m_data_packets_received_->Add();
   RecvPeer& peer = recv_peers_[from];
 
   if (seq < peer.expected_seq) {
     // Duplicate of something already delivered; re-ack so the sender
     // stops retransmitting.
-    stats_.duplicates_discarded.fetch_add(1, std::memory_order_relaxed);
+    m_duplicates_discarded_->Add();
     SendAck(from, peer.expected_seq);
     return;
   }
@@ -465,7 +460,7 @@ void Endpoint::HandleDatagram(const transport::SockAddr& from,
   stored.insert(stored.end(), payload.begin(), payload.end());
   auto [it, inserted] = peer.out_of_order.emplace(seq, std::move(stored));
   if (!inserted) {
-    stats_.duplicates_discarded.fetch_add(1, std::memory_order_relaxed);
+    m_duplicates_discarded_->Add();
   }
   (void)it;
 
@@ -531,11 +526,11 @@ void Endpoint::RetransmitScan() {
     }
   }
   for (auto& [addr, datagram] : to_send) {
-    stats_.retransmissions.fetch_add(1, std::memory_order_relaxed);
+    m_retransmissions_->Add();
     WireSend(addr, std::move(datagram));
   }
   for (const auto& addr : to_probe) {
-    stats_.keepalive_probes_sent.fetch_add(1, std::memory_order_relaxed);
+    m_keepalive_probes_sent_->Add();
     WireSend(addr, BuildPacket(kTypePing, 0, 0, 0, epoch_, {}));
   }
   for (const auto& addr : expired) {

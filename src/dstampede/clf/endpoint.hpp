@@ -26,6 +26,10 @@
 // Delivery is push-only: Create takes a DeliverFn, called once per
 // reassembled message in per-peer order, on the receiver thread (UDP)
 // or on the sending thread (shm fast path).
+//
+// Telemetry: Create also takes the owning space's metrics registry.
+// The endpoint counts its traffic in the clf.* counters there and
+// records per-peer round trips as clf.rtt_us.<addr> histograms.
 #pragma once
 
 #include <atomic>
@@ -46,20 +50,6 @@
 #include "dstampede/transport/udp.hpp"
 
 namespace dstampede::clf {
-
-struct EndpointStats {
-  std::atomic<std::uint64_t> data_packets_sent{0};
-  std::atomic<std::uint64_t> data_packets_received{0};
-  std::atomic<std::uint64_t> retransmissions{0};
-  std::atomic<std::uint64_t> acks_sent{0};
-  std::atomic<std::uint64_t> duplicates_discarded{0};
-  std::atomic<std::uint64_t> messages_delivered{0};
-  std::atomic<std::uint64_t> shm_messages{0};
-  std::atomic<std::uint64_t> keepalive_probes_sent{0};
-  std::atomic<std::uint64_t> peers_declared_dead{0};
-  std::atomic<std::uint64_t> peers_resurrected{0};
-  std::atomic<std::uint64_t> epoch_resets{0};
-};
 
 class Endpoint {
  public:
@@ -86,11 +76,12 @@ class Endpoint {
   // locks) when a peer is declared dead / heard from again.
   using PeerEventCallback = std::function<void(const transport::SockAddr&)>;
 
-  // The upcalls are fixed for the endpoint's lifetime and run with no
-  // endpoint lock held. Delivery (required) can start once the socket
-  // binds, before Create returns; no upcall runs once Shutdown returns.
+  // `registry` must outlive the endpoint. The upcalls are fixed for
+  // the endpoint's lifetime and run with no endpoint lock held.
+  // Delivery (required) can start once the socket binds, before Create
+  // returns; no upcall runs once Shutdown returns.
   static Result<std::unique_ptr<Endpoint>> Create(
-      const Options& options, DeliverFn deliver,
+      const Options& options, metrics::Registry& registry, DeliverFn deliver,
       PeerEventCallback on_peer_down = nullptr,
       PeerEventCallback on_peer_up = nullptr);
   ~Endpoint();
@@ -129,20 +120,10 @@ class Endpoint {
   // either). Must not be called from an upcall.
   void Shutdown();
 
-  const EndpointStats& stats() const { return stats_; }
-
-  // Optional telemetry hook: when set, the endpoint records a per-peer
-  // round-trip histogram ("clf.rtt_us.<addr>", microseconds) from the
-  // send of a fresh data packet to its cumulative ack. Retransmitted
-  // packets are excluded (Karn's rule: their RTT is ambiguous). May be
-  // set at any time; null disables.
-  void set_metrics_registry(metrics::Registry* registry) {
-    metrics_registry_.store(registry, std::memory_order_release);
-  }
-
  private:
-  Endpoint(const Options& options, DeliverFn deliver,
-           PeerEventCallback on_peer_down, PeerEventCallback on_peer_up);
+  Endpoint(const Options& options, metrics::Registry& registry,
+           DeliverFn deliver, PeerEventCallback on_peer_down,
+           PeerEventCallback on_peer_up);
 
   struct SendPeer {
     std::uint32_t next_seq = 0;
@@ -152,9 +133,7 @@ class Endpoint {
       TimePoint resend_at;
       Duration rto;
       std::size_t retransmits = 0;
-      // First wire send, for the RTT histogram (unset when telemetry
-      // is off, so the hot path skips the clock read).
-      TimePoint sent_at{};
+      TimePoint sent_at;  // first wire send, for the RTT histogram
     };
     std::map<std::uint32_t, Unacked> unacked;
     // Held across ALL fragments of one message: concurrent senders to
@@ -215,22 +194,46 @@ class Endpoint {
   }
 
   Options options_;
+  metrics::Registry& registry_;
+  // The clf.* counters, bound before the receiver starts (stable
+  // addresses inside registry_).
+  metrics::Counter* const m_data_packets_sent_ =
+      &registry_.GetCounter("clf.data_packets_sent");
+  metrics::Counter* const m_data_packets_received_ =
+      &registry_.GetCounter("clf.data_packets_received");
+  metrics::Counter* const m_retransmissions_ =
+      &registry_.GetCounter("clf.retransmissions");
+  metrics::Counter* const m_acks_sent_ = &registry_.GetCounter("clf.acks_sent");
+  metrics::Counter* const m_duplicates_discarded_ =
+      &registry_.GetCounter("clf.duplicates_discarded");
+  metrics::Counter* const m_messages_delivered_ =
+      &registry_.GetCounter("clf.messages_delivered");
+  metrics::Counter* const m_shm_messages_ =
+      &registry_.GetCounter("clf.shm_messages");
+  metrics::Counter* const m_keepalive_probes_sent_ =
+      &registry_.GetCounter("clf.keepalive_probes_sent");
+  metrics::Counter* const m_peers_declared_dead_ =
+      &registry_.GetCounter("clf.peers_declared_dead");
+  metrics::Counter* const m_peers_resurrected_ =
+      &registry_.GetCounter("clf.peers_resurrected");
+  metrics::Counter* const m_epoch_resets_ =
+      &registry_.GetCounter("clf.epoch_resets");
   const DeliverFn deliver_;
   const PeerEventCallback on_peer_down_;
   const PeerEventCallback on_peer_up_;
   transport::UdpSocket socket_;
   transport::SockAddr addr_;
-  EndpointStats stats_;
   std::uint32_t epoch_ = 0;
 
   mutable ds::Mutex send_mu_{"clf.send_mu"};
   ds::CondVar window_cv_;
   std::unordered_map<transport::SockAddr, SendPeer> send_peers_
       DS_GUARDED_BY(send_mu_);
-  // Telemetry (optional). The histogram cache avoids a registry name
-  // lookup per ack; Histogram::Observe itself is lock-free, so
-  // recording under send_mu_ is safe.
-  std::atomic<metrics::Registry*> metrics_registry_{nullptr};
+  // Per-peer RTT histograms, sampled from the send of a fresh data
+  // packet to its cumulative ack; retransmitted packets are excluded
+  // (Karn's rule: their RTT is ambiguous). The cache avoids a registry
+  // name lookup per ack; Histogram::Observe is lock-free, so recording
+  // under send_mu_ is safe.
   std::unordered_map<transport::SockAddr, metrics::Histogram*> rtt_hist_
       DS_GUARDED_BY(send_mu_);
   std::unordered_map<transport::SockAddr, PeerHealth> health_

@@ -75,7 +75,6 @@ void Surrogate::AppendNoticeTrailer(Buffer& reply) {
   EncodeNoticeTrailer(enc, drained);
   const Buffer trailer = enc.Take();
   reply.insert(reply.end(), trailer.begin(), trailer.end());
-  notices_forwarded_.fetch_add(drained.size(), std::memory_order_relaxed);
 }
 
 Buffer Surrogate::HandleHello(std::span<const std::uint8_t> frame) {
@@ -598,7 +597,6 @@ Status Surrogate::ServiceResume(std::span<const std::uint8_t> frame) {
   EncodeResumeResp(enc, resp);
   Buffer reply = enc.Take();
   AppendNoticeTrailer(reply);
-  calls_serviced_.fetch_add(1, std::memory_order_relaxed);
   return conn_.SendFrame(reply);
 }
 
@@ -668,7 +666,6 @@ Status Surrogate::ServiceHello(std::span<const std::uint8_t> frame) {
   Buffer reply = HandleHello(frame);
   if (reply.empty()) return InternalError("bad hello frame");
   AppendNoticeTrailer(reply);
-  calls_serviced_.fetch_add(1, std::memory_order_relaxed);
   MirrorSession();
   return conn_.SendFrame(reply);
 }
@@ -701,7 +698,6 @@ void Surrogate::Run() {
       return;
     }
     AppendNoticeTrailer(reply);
-    calls_serviced_.fetch_add(1, std::memory_order_relaxed);
     if (!conn_.SendFrame(reply).ok()) {
       Park();
       return;

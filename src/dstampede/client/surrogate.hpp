@@ -70,8 +70,6 @@ class Surrogate {
   State state() const { return state_.load(); }
   std::uint64_t session_id() const { return session_id_; }
   const std::string& client_name() const { return client_name_; }
-  std::uint64_t calls_serviced() const { return calls_serviced_.load(); }
-  std::uint64_t notices_forwarded() const { return notices_forwarded_.load(); }
   // Valid once parked: when the device was last heard from.
   TimePoint parked_since() const { return parked_since_; }
   bool host_stopped() const { return host_.stopped(); }
@@ -152,8 +150,6 @@ class Surrogate {
 
   std::atomic<State> state_{State::kActive};
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> calls_serviced_{0};
-  std::atomic<std::uint64_t> notices_forwarded_{0};
 
   // Host-registry instruments (stable addresses, cached at construction).
   metrics::Counter* m_replay_hits_ = nullptr;

@@ -9,14 +9,8 @@ namespace dstampede::metrics {
 
 void Histogram::Observe(std::int64_t sample) {
   if (sample < 0) sample = 0;
-  const std::uint64_t v = static_cast<std::uint64_t>(sample);
-  buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(sample, std::memory_order_relaxed);
-  // First observer seeds min/max; racy CAS loops keep them tight.
-  if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-    min_.store(sample, std::memory_order_relaxed);
-    max_.store(sample, std::memory_order_relaxed);
-  }
+  // The extremes start at INT64_MAX and 0, so every sample tightens
+  // them with the same CAS loop.
   std::int64_t seen = min_.load(std::memory_order_relaxed);
   while (sample < seen &&
          !min_.compare_exchange_weak(seen, sample, std::memory_order_relaxed)) {
@@ -25,6 +19,13 @@ void Histogram::Observe(std::int64_t sample) {
   while (sample > seen &&
          !max_.compare_exchange_weak(seen, sample, std::memory_order_relaxed)) {
   }
+  const std::uint64_t v = static_cast<std::uint64_t>(sample);
+  buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(sample, std::memory_order_relaxed);
+  // Counted last, with release: a reader that sees this count (Count()
+  // acquires) also sees the extremes above, so with Count() > 0,
+  // Min() <= some counted sample <= Max().
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 std::size_t Histogram::BucketIndex(std::uint64_t v) {
@@ -63,8 +64,7 @@ std::int64_t Histogram::Percentile(double p) const {
   const std::uint64_t n = Count();
   if (n == 0) return 0;
   p = std::clamp(p, 0.0, 100.0);
-  // Rank of the target sample (1-based), matching LatencyRecorder's
-  // nearest-rank percentile.
+  // Rank of the target sample (1-based), nearest-rank.
   std::uint64_t rank = static_cast<std::uint64_t>(p / 100.0 *
                                                   static_cast<double>(n - 1)) +
                        1;

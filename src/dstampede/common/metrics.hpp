@@ -103,7 +103,7 @@ class Histogram {
 
   void Observe(std::int64_t sample);
 
-  std::uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
+  std::uint64_t Count() const { return count_.load(std::memory_order_acquire); }
   std::int64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
   std::int64_t Mean() const;
   std::int64_t Min() const;
@@ -127,7 +127,9 @@ class Histogram {
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::int64_t> sum_{0};
-  std::atomic<std::int64_t> min_{0};  // valid when count_ > 0
+  // Read only once Count() > 0; until the first sample they hold
+  // values every sample tightens.
+  std::atomic<std::int64_t> min_{INT64_MAX};
   std::atomic<std::int64_t> max_{0};
 };
 

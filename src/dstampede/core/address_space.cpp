@@ -91,7 +91,7 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
   DS_ASSIGN_OR_RETURN(
       as->endpoint_,
       clf::Endpoint::Create(
-          ep_opts,
+          ep_opts, as->registry_,
           [raw](const transport::SockAddr& from, Buffer message) {
             raw->OnMessage(from, std::move(message));
           },
@@ -111,7 +111,6 @@ void AddressSpace::InitObservability() {
   stm_metrics_.gets = &registry_.GetCounter("stm.gets");
   stm_metrics_.reclaimed = &registry_.GetCounter("stm.reclaimed_items");
   stm_metrics_.reclaim_lag_us = &registry_.GetHistogram("stm.reclaim_lag_us");
-  endpoint_->set_metrics_registry(&registry_);  // per-peer RTT histograms
 
   // Pull providers, evaluated at snapshot time. They read atomics or
   // take only leaf locks (containers_mu_ -> container mu is the same
@@ -146,38 +145,6 @@ void AddressSpace::InitObservability() {
                                           q->parked_put_waiters());
     }
     return parked;
-  });
-
-  // CLF transport mirror: expose the endpoint's atomics through the
-  // registry so one snapshot covers every layer.
-  const clf::EndpointStats* clf_stats = &endpoint_->stats();
-  registry_.AddProvider("clf.data_packets_sent", [clf_stats] {
-    return static_cast<std::int64_t>(
-        clf_stats->data_packets_sent.load(std::memory_order_relaxed));
-  });
-  registry_.AddProvider("clf.data_packets_received", [clf_stats] {
-    return static_cast<std::int64_t>(
-        clf_stats->data_packets_received.load(std::memory_order_relaxed));
-  });
-  registry_.AddProvider("clf.retransmissions", [clf_stats] {
-    return static_cast<std::int64_t>(
-        clf_stats->retransmissions.load(std::memory_order_relaxed));
-  });
-  registry_.AddProvider("clf.duplicates_discarded", [clf_stats] {
-    return static_cast<std::int64_t>(
-        clf_stats->duplicates_discarded.load(std::memory_order_relaxed));
-  });
-  registry_.AddProvider("clf.messages_delivered", [clf_stats] {
-    return static_cast<std::int64_t>(
-        clf_stats->messages_delivered.load(std::memory_order_relaxed));
-  });
-  registry_.AddProvider("clf.keepalive_probes_sent", [clf_stats] {
-    return static_cast<std::int64_t>(
-        clf_stats->keepalive_probes_sent.load(std::memory_order_relaxed));
-  });
-  registry_.AddProvider("clf.peers_declared_dead", [clf_stats] {
-    return static_cast<std::int64_t>(
-        clf_stats->peers_declared_dead.load(std::memory_order_relaxed));
   });
 
   // Fault-injector counters: zero in production, load-bearing in
@@ -482,7 +449,7 @@ Result<Buffer> AddressSpace::Call(AsId target, Buffer request,
   // deadlock, so fail loudly under the runtime detector.
   sync::AssertBlockingAllowed("AddressSpace::Call");
   if (stopping_.load()) return CancelledError("address space shut down");
-  stats_.remote_calls.fetch_add(1, std::memory_order_relaxed);
+  m_api_remote_calls_->Add();
   DS_ASSIGN_OR_RETURN(transport::SockAddr addr, PeerAddr(target));
   if (IsPeerDown(target)) {
     return UnavailableError("peer address space declared dead");
@@ -635,8 +602,6 @@ bool AddressSpace::ServeDeferred(std::span<const std::uint8_t> message,
     auto req = GetReq::Decode(dec);
     if (!req.ok()) return false;  // sync path emits the decode error
     if (OwnerOf(req->container_bits) != options_.id) return false;
-    stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
-    stats_.gets.fetch_add(1, std::memory_order_relaxed);
     m_dispatch_deferred_->Add();
     // The suspension itself is a span: it starts here (request arrives,
     // try phase may park it) and ends — possibly on the producer's or
@@ -656,8 +621,6 @@ bool AddressSpace::ServeDeferred(std::span<const std::uint8_t> message,
         (void)reply->Complete(EncodeStatusReply(id, item.status()));
         return;
       }
-      stats_.bytes_got.fetch_add(item->payload.size(),
-                                 std::memory_order_relaxed);
       (void)reply->Complete(EncodeItemReply(id, *item));
     };
     const Deadline deadline = DecodeDeadline(req->deadline_ms);
@@ -683,9 +646,6 @@ bool AddressSpace::ServeDeferred(std::span<const std::uint8_t> message,
   auto req = PutReq::Decode(dec);
   if (!req.ok()) return false;
   if (OwnerOf(req->container_bits) != options_.id) return false;
-  stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_put.fetch_add(req->payload.size(), std::memory_order_relaxed);
   m_dispatch_deferred_->Add();
   if (!CanOutput(req->mode)) {
     (void)reply->Complete(EncodeStatusReply(
@@ -729,7 +689,6 @@ Buffer AddressSpace::ProcessRequest(std::span<const std::uint8_t> message,
   marshal::XdrDecoder dec(message);
   auto hdr = DecodeRequestHeader(dec);
   if (!hdr.ok()) return Buffer();  // cannot even address a reply
-  stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t id = hdr->request_id;
 
   switch (hdr->op) {
@@ -1090,7 +1049,7 @@ std::shared_ptr<LocalQueue> AddressSpace::FindQueue(std::uint64_t bits) {
 
 Result<Connection> AddressSpace::Connect(ChannelId ch, ConnMode mode,
                                          std::string label) {
-  stats_.attaches.fetch_add(1, std::memory_order_relaxed);
+  m_api_attaches_->Add();
   if (label.empty()) label = "thread@AS" + std::to_string(AsIndex(options_.id));
   if (ch.owner() == options_.id) {
     auto channel = FindChannel(ch.bits());
@@ -1117,7 +1076,7 @@ Result<Connection> AddressSpace::Connect(ChannelId ch, ConnMode mode,
 
 Result<Connection> AddressSpace::Connect(QueueId q, ConnMode mode,
                                          std::string label) {
-  stats_.attaches.fetch_add(1, std::memory_order_relaxed);
+  m_api_attaches_->Add();
   if (label.empty()) label = "thread@AS" + std::to_string(AsIndex(options_.id));
   if (q.owner() == options_.id) {
     auto queue = FindQueue(q.bits());
@@ -1144,7 +1103,7 @@ Result<Connection> AddressSpace::Connect(QueueId q, ConnMode mode,
 
 Status AddressSpace::Disconnect(const Connection& conn) {
   if (!conn.valid()) return InvalidArgumentError("invalid connection");
-  stats_.detaches.fetch_add(1, std::memory_order_relaxed);
+  m_api_detaches_->Add();
   if (conn.owner() == options_.id) {
     if (conn.is_queue()) {
       auto q = FindQueue(conn.container_bits());
@@ -1173,8 +1132,8 @@ Status AddressSpace::Disconnect(const Connection& conn) {
 Status AddressSpace::Put(const Connection& conn, Timestamp ts, Buffer payload,
                          Deadline deadline) {
   if (!conn.valid()) return InvalidArgumentError("invalid connection");
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_put.fetch_add(payload.size(), std::memory_order_relaxed);
+  m_api_puts_->Add();
+  m_api_bytes_put_->Add(payload.size());
   if (!CanOutput(conn.mode())) {
     return PermissionDeniedError("connection is input-only");
   }
@@ -1213,7 +1172,7 @@ Status AddressSpace::Put(const Connection& conn, Timestamp ts, Buffer payload,
 Result<ItemView> AddressSpace::Get(const Connection& conn, GetSpec spec,
                                    Deadline deadline) {
   if (!conn.valid()) return InvalidArgumentError("invalid connection");
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
+  m_api_gets_->Add();
   if (conn.owner() == options_.id) {
     // Owner-side serving span; for a blocking get the duration is the
     // time parked waiting for the producer.
@@ -1229,8 +1188,7 @@ Result<ItemView> AddressSpace::Get(const Connection& conn, GetSpec spec,
       item = ch->Get(conn.slot(), spec, deadline);
     }
     if (item.ok()) {
-      stats_.bytes_got.fetch_add(item->payload.size(),
-                                 std::memory_order_relaxed);
+      m_api_bytes_got_->Add(item->payload.size());
     }
     return item;
   }
@@ -1252,7 +1210,7 @@ Result<ItemView> AddressSpace::Get(const Connection& conn, GetSpec spec,
   DS_ASSIGN_OR_RETURN(view.timestamp, dec.GetI64());
   DS_ASSIGN_OR_RETURN(Buffer payload, dec.GetOpaque());
   view.payload = SharedBuffer(std::move(payload));
-  stats_.bytes_got.fetch_add(view.payload.size(), std::memory_order_relaxed);
+  m_api_bytes_got_->Add(view.payload.size());
   return view;
 }
 
@@ -1262,7 +1220,7 @@ Result<ItemView> AddressSpace::Get(const Connection& conn, Deadline deadline) {
 
 Status AddressSpace::Consume(const Connection& conn, Timestamp ts) {
   if (!conn.valid()) return InvalidArgumentError("invalid connection");
-  stats_.consumes.fetch_add(1, std::memory_order_relaxed);
+  m_api_consumes_->Add();
   if (conn.owner() == options_.id) {
     if (conn.is_queue()) {
       auto q = FindQueue(conn.container_bits());
@@ -1291,7 +1249,7 @@ Status AddressSpace::Consume(const Connection& conn, Timestamp ts) {
 
 Status AddressSpace::ConsumeUntil(const Connection& conn, Timestamp ts) {
   if (!conn.valid()) return InvalidArgumentError("invalid connection");
-  stats_.consumes.fetch_add(1, std::memory_order_relaxed);
+  m_api_consumes_->Add();
   if (conn.is_queue()) {
     return InvalidArgumentError("consume-until is channel-only");
   }
@@ -1525,7 +1483,7 @@ Status AddressSpace::MutateNs(const NsMutation& m) {
 }
 
 Status AddressSpace::NsRegister(const NsEntry& entry) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
+  m_api_ns_ops_->Add();
   // Stamp ownership before the entry crosses the wire: recovery purges
   // a dead space's names by this field. Entries arriving with ownership
   // already set (forwarded registrations) keep it; entries from end
@@ -1538,7 +1496,7 @@ Status AddressSpace::NsRegister(const NsEntry& entry) {
 }
 
 Status AddressSpace::NsUnregister(const std::string& name) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
+  m_api_ns_ops_->Add();
   NsMutation m;
   m.kind = NsMutation::Kind::kUnregister;
   m.name = name;
@@ -1547,7 +1505,7 @@ Status AddressSpace::NsUnregister(const std::string& name) {
 
 Result<NsEntry> AddressSpace::NsLookup(const std::string& name,
                                        Deadline deadline) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
+  m_api_ns_ops_->Add();
   // Reads are served from the local replica while its lease view is
   // fresh — this is the payoff of replication: lookups keep working on
   // any survivor without a round trip.
@@ -1584,7 +1542,7 @@ Result<NsEntry> AddressSpace::NsLookup(const std::string& name,
 }
 
 Result<std::vector<NsEntry>> AddressSpace::NsList(const std::string& prefix) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
+  m_api_ns_ops_->Add();
   if (name_server_ && (!replog_ || replog_->LeaseFresh())) {
     return name_server_->List(prefix);
   }
@@ -1637,7 +1595,7 @@ void AddressSpace::OnBecameNsLeader() {
 // --- end-device session registry -----------------------------------------------
 
 Status AddressSpace::SessionPut(const SessionRecord& record) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
+  m_api_ns_ops_->Add();
   NsMutation m;
   m.kind = NsMutation::Kind::kPutSession;
   m.session = record;
@@ -1645,7 +1603,7 @@ Status AddressSpace::SessionPut(const SessionRecord& record) {
 }
 
 Result<SessionRecord> AddressSpace::SessionGet(std::uint64_t session_id) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
+  m_api_ns_ops_->Add();
   if (name_server_ && (!replog_ || replog_->LeaseFresh())) {
     return name_server_->GetSession(session_id);
   }
@@ -1670,7 +1628,7 @@ Result<SessionRecord> AddressSpace::SessionGet(std::uint64_t session_id) {
 }
 
 Status AddressSpace::SessionDrop(std::uint64_t session_id) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
+  m_api_ns_ops_->Add();
   NsMutation m;
   m.kind = NsMutation::Kind::kDropSession;
   m.session_id = session_id;
@@ -1679,7 +1637,7 @@ Status AddressSpace::SessionDrop(std::uint64_t session_id) {
 
 Status AddressSpace::SessionTick(std::uint64_t session_id,
                                  std::uint64_t ticket) {
-  stats_.ns_ops.fetch_add(1, std::memory_order_relaxed);
+  m_api_ns_ops_->Add();
   NsMutation m;
   m.kind = NsMutation::Kind::kTickSession;
   m.session_id = session_id;

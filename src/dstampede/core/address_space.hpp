@@ -37,21 +37,6 @@
 
 namespace dstampede::core {
 
-// Operation counters for one address space. All relaxed atomics: these
-// are monitoring data, not synchronization.
-struct AsStats {
-  std::atomic<std::uint64_t> puts{0};
-  std::atomic<std::uint64_t> gets{0};
-  std::atomic<std::uint64_t> consumes{0};
-  std::atomic<std::uint64_t> attaches{0};
-  std::atomic<std::uint64_t> detaches{0};
-  std::atomic<std::uint64_t> ns_ops{0};
-  std::atomic<std::uint64_t> remote_calls{0};      // RPCs sent to peers
-  std::atomic<std::uint64_t> requests_served{0};   // requests executed here
-  std::atomic<std::uint64_t> bytes_put{0};
-  std::atomic<std::uint64_t> bytes_got{0};
-};
-
 // A thread's binding to a channel or queue, in input and/or output
 // mode. Value type; cheap to copy between the threads of one program
 // but semantically owned by the connector (disconnect once).
@@ -214,7 +199,8 @@ class AddressSpace {
 
   // --- observability ------------------------------------------------------
   // This space's metrics registry and span sink (see
-  // docs/OBSERVABILITY.md). Instruments live as long as the AS.
+  // docs/OBSERVABILITY.md). Instruments live as long as the AS; every
+  // counter of the space and of its CLF endpoint is one of them.
   metrics::Registry& metrics_registry() { return registry_; }
   trace::SpanSink& span_sink() { return span_sink_; }
   // JSON snapshot of this space: registry + recorded/active spans +
@@ -241,10 +227,6 @@ class AddressSpace {
   // Null unless this AS hosts a NameServer replica in a replicated
   // (ns_replicas.size() > 1) deployment.
   RepLog* replication() { return replog_.get(); }
-  const clf::EndpointStats& transport_stats() const {
-    return endpoint_->stats();
-  }
-  const AsStats& stats() const { return stats_; }
 
   // Owner-side lookup, used by surrogates and tests.
   std::shared_ptr<LocalChannel> FindChannel(std::uint64_t bits);
@@ -258,8 +240,8 @@ class AddressSpace {
  private:
   explicit AddressSpace(const Options& options);
 
-  // Registers pull providers and the endpoint's RTT hook; runs once
-  // during Create, after the endpoint/dispatcher/name server exist.
+  // Registers pull providers; runs once during Create, after the
+  // endpoint/dispatcher/name server exist.
   void InitObservability();
 
   struct PendingCall {
@@ -362,7 +344,6 @@ class AddressSpace {
 
  private:
   Options options_;
-  AsStats stats_;
   // Observability state is declared before (so destroyed after) every
   // component that caches instrument pointers into it: containers,
   // endpoint, dispatcher, surrogates via metrics_registry().
@@ -376,6 +357,23 @@ class AddressSpace {
       &registry_.GetCounter("dispatch.deferred");
   metrics::Counter* const m_dropped_or_expired_ =
       &registry_.GetCounter("dispatch.dropped_or_expired");
+  // Calls issued through this space's API (see docs/OBSERVABILITY.md;
+  // the owner's side of the work is stm.* and dispatch.*).
+  metrics::Counter* const m_api_puts_ = &registry_.GetCounter("api.puts");
+  metrics::Counter* const m_api_gets_ = &registry_.GetCounter("api.gets");
+  metrics::Counter* const m_api_consumes_ =
+      &registry_.GetCounter("api.consumes");
+  metrics::Counter* const m_api_attaches_ =
+      &registry_.GetCounter("api.attaches");
+  metrics::Counter* const m_api_detaches_ =
+      &registry_.GetCounter("api.detaches");
+  metrics::Counter* const m_api_ns_ops_ = &registry_.GetCounter("api.ns_ops");
+  metrics::Counter* const m_api_remote_calls_ =
+      &registry_.GetCounter("api.remote_calls");
+  metrics::Counter* const m_api_bytes_put_ =
+      &registry_.GetCounter("api.bytes_put");
+  metrics::Counter* const m_api_bytes_got_ =
+      &registry_.GetCounter("api.bytes_got");
   StmMetrics stm_metrics_;
   std::unique_ptr<clf::Endpoint> endpoint_;
   // Deadline service for parked container waiters. Declared before the

@@ -314,6 +314,9 @@ TEST_F(RuntimeTest, ProducerConsumerPipelineAcrossThreeAs) {
 }
 
 TEST_F(RuntimeTest, OpCountersTrackActivity) {
+  // A remote put from AS0 into AS1's channel, then a get and consume of
+  // the item: the issuing space counts each call once under api.*, and
+  // the owner counts the container work under stm.*.
   AddressSpace& as0 = rt_->as(0);
   AddressSpace& as1 = rt_->as(1);
   auto ch = as1.CreateChannel();
@@ -322,23 +325,29 @@ TEST_F(RuntimeTest, OpCountersTrackActivity) {
   auto in = as0.Connect(*ch, ConnMode::kInput);
   ASSERT_TRUE(out.ok());
   ASSERT_TRUE(in.ok());
-  const std::uint64_t served_before = as1.stats().requests_served.load();
 
   ASSERT_TRUE(as0.Put(*out, 1, Bytes("12345")).ok());
   auto item = as0.Get(*in, GetSpec::Exact(1), Deadline::AfterMillis(5000));
   ASSERT_TRUE(item.ok());
   ASSERT_TRUE(as0.Consume(*in, 1).ok());
 
-  const AsStats& stats = as0.stats();
-  EXPECT_EQ(stats.attaches.load(), 2u);
-  EXPECT_EQ(stats.puts.load(), 1u);
-  EXPECT_EQ(stats.gets.load(), 1u);
-  EXPECT_EQ(stats.consumes.load(), 1u);
-  EXPECT_EQ(stats.bytes_put.load(), 5u);
-  EXPECT_EQ(stats.bytes_got.load(), 5u);
-  EXPECT_GE(stats.remote_calls.load(), 5u);  // attach x2, put, get, consume
-  // The owner AS served the put/get/consume issued after the snapshot.
-  EXPECT_GE(as1.stats().requests_served.load(), served_before + 3);
+  auto count = [](AddressSpace& as, const char* name) {
+    return as.metrics_registry().GetCounter(name).Value();
+  };
+  EXPECT_EQ(count(as0, "api.puts"), 1u);
+  EXPECT_EQ(count(as1, "api.puts"), 0u);
+  EXPECT_EQ(count(as1, "stm.puts"), 1u);
+  EXPECT_EQ(count(as0, "stm.puts"), 0u);
+  EXPECT_EQ(count(as0, "api.gets"), 1u);
+  EXPECT_EQ(count(as1, "api.gets"), 0u);
+  EXPECT_EQ(count(as1, "stm.gets"), 1u);
+  EXPECT_EQ(count(as0, "api.attaches"), 2u);
+  EXPECT_EQ(count(as0, "api.consumes"), 1u);
+  EXPECT_EQ(count(as0, "api.bytes_put"), 5u);
+  EXPECT_EQ(count(as1, "api.bytes_put"), 0u);
+  EXPECT_EQ(count(as0, "api.bytes_got"), 5u);
+  EXPECT_EQ(count(as1, "api.bytes_got"), 0u);
+  EXPECT_GE(count(as0, "api.remote_calls"), 5u);  // attach x2, put, get, consume
 }
 
 TEST_F(RuntimeTest, ShutdownCancelsBlockedRemoteGet) {

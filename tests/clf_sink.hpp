@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "dstampede/clf/endpoint.hpp"
+#include "dstampede/common/metrics.hpp"
 #include "dstampede/common/sync.hpp"
 
 namespace dstampede::clf {
@@ -49,9 +50,12 @@ class MessageSink {
       DS_GUARDED_BY(mu_);
 };
 
-// An endpoint that delivers into its own sink. Members are destroyed
-// in reverse order, so the endpoint shuts down before the sink goes.
+// An endpoint that delivers into its own sink and counts into its own
+// registry. Members are destroyed in reverse order, so the endpoint
+// shuts down before the sink and the registry go.
 struct SinkEndpoint {
+  std::unique_ptr<metrics::Registry> registry =
+      std::make_unique<metrics::Registry>();
   std::unique_ptr<MessageSink> sink = std::make_unique<MessageSink>();
   std::unique_ptr<Endpoint> endpoint;
 
@@ -68,8 +72,8 @@ inline Result<SinkEndpoint> CreateSinkEndpoint(
   SinkEndpoint ep;
   DS_ASSIGN_OR_RETURN(
       ep.endpoint,
-      Endpoint::Create(options, ep.sink->Deliver(), std::move(on_peer_down),
-                       std::move(on_peer_up)));
+      Endpoint::Create(options, *ep.registry, ep.sink->Deliver(),
+                       std::move(on_peer_down), std::move(on_peer_up)));
   return ep;
 }
 

@@ -51,7 +51,7 @@ TEST(ClfTest, LargeMessageFragmentsAndReassembles) {
   ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(10000)).ok());
   ASSERT_EQ(got.size(), msg.size());
   EXPECT_TRUE(CheckPattern(got, 42));
-  EXPECT_GT(a->stats().data_packets_sent.load(), 20u);
+  EXPECT_GT(a.registry->GetCounter("clf.data_packets_sent").Value(), 20u);
 }
 
 TEST(ClfTest, ManyMessagesStayOrdered) {
@@ -144,8 +144,8 @@ TEST(ClfTest, ShmFastPathDelivers) {
   EXPECT_TRUE(CheckPattern(got, 9));
   EXPECT_EQ(from, a->addr());
   // The fast path must have bypassed the wire entirely.
-  EXPECT_EQ(a->stats().data_packets_sent.load(), 0u);
-  EXPECT_EQ(b->stats().shm_messages.load(), 1u);
+  EXPECT_EQ(a.registry->GetCounter("clf.data_packets_sent").Value(), 0u);
+  EXPECT_EQ(b.registry->GetCounter("clf.shm_messages").Value(), 1u);
 }
 
 TEST(ClfTest, ShmDisabledUsesWire) {
@@ -156,8 +156,8 @@ TEST(ClfTest, ShmDisabledUsesWire) {
   Buffer got;
   transport::SockAddr from;
   ASSERT_TRUE(b.Next(got, from, Deadline::AfterMillis(5000)).ok());
-  EXPECT_GE(a->stats().data_packets_sent.load(), 1u);
-  EXPECT_EQ(b->stats().shm_messages.load(), 0u);
+  EXPECT_GE(a.registry->GetCounter("clf.data_packets_sent").Value(), 1u);
+  EXPECT_EQ(b.registry->GetCounter("clf.shm_messages").Value(), 0u);
 }
 
 TEST(ClfTest, ConcurrentLargeSendsToOnePeerDoNotInterleave) {
@@ -226,7 +226,9 @@ TEST(ClfTest, ShutdownReleasesSendBlockedInDelivery) {
   const Buffer big(130 * 60000);  // > 128 fragments
   std::atomic<Endpoint*> self{nullptr};
   std::atomic<int> send_code{-1};
-  auto relay = Endpoint::Create({}, [&](const transport::SockAddr&, Buffer) {
+  metrics::Registry registry;
+  auto relay = Endpoint::Create({}, registry,
+                                [&](const transport::SockAddr&, Buffer) {
     send_code = static_cast<int>(self.load()->Send(peer_addr, big).code());
   });
   ASSERT_TRUE(relay.ok()) << relay.status();
@@ -236,7 +238,9 @@ TEST(ClfTest, ShutdownReleasesSendBlockedInDelivery) {
   auto trigger = MakeEndpoint();
   ASSERT_TRUE(trigger->Send((*relay)->addr(), Buffer{1}).ok());
   ASSERT_TRUE(WaitFor(
-      [&] { return (*relay)->stats().data_packets_sent.load() >= 128; },
+      [&] {
+        return registry.GetCounter("clf.data_packets_sent").Value() >= 128;
+      },
       Millis(10000)))
       << "the delivery's Send never filled the window";
 
@@ -256,10 +260,12 @@ TEST(ClfTest, ShmSendDuringPeerShutdownNeverReachesIt) {
   opts.enable_shm_fastpath = true;
   for (int round = 0; round < 5; ++round) {
     auto a = MakeEndpoint(opts);
+    metrics::Registry registry;
     auto sink = std::make_unique<MessageSink>();
     auto b = Endpoint::Create(
-        opts, [to_sink = sink->Deliver()](const transport::SockAddr& from,
-                                          Buffer message) {
+        opts, registry,
+        [to_sink = sink->Deliver()](const transport::SockAddr& from,
+                                    Buffer message) {
           std::this_thread::sleep_for(Millis(2));
           to_sink(from, std::move(message));
         });
@@ -321,7 +327,7 @@ TEST(ClfTest, OverCapFirstFragmentIsDroppedAndStreamContinues) {
   // Reassembly reuses its buffer, so a reservation sized by the hostile
   // length would have carried over into this message.
   EXPECT_LT(got.capacity(), transport::kMaxFrame);
-  EXPECT_EQ(b->stats().messages_delivered.load(), 1u);
+  EXPECT_EQ(b.registry->GetCounter("clf.messages_delivered").Value(), 1u);
 }
 
 TEST(ClfTest, SendRefusesOverCapMessage) {
@@ -329,7 +335,7 @@ TEST(ClfTest, SendRefusesOverCapMessage) {
   auto b = MakeEndpoint();
   const Buffer huge(transport::kMaxFrame + 1);
   EXPECT_EQ(a->Send(b->addr(), huge).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(a->stats().data_packets_sent.load(), 0u);
+  EXPECT_EQ(a.registry->GetCounter("clf.data_packets_sent").Value(), 0u);
 }
 
 // --- fault-injection property suite -------------------------------------
@@ -379,7 +385,7 @@ TEST_P(ClfFaultTest, ExactlyOnceInOrderUnderFaults) {
   EXPECT_EQ(receiver.Next(extra, from, Deadline::AfterMillis(200)).code(),
             StatusCode::kTimeout);
   if (fc.drop > 0) {
-    EXPECT_GT(sender->stats().retransmissions.load(), 0u);
+    EXPECT_GT(sender.registry->GetCounter("clf.retransmissions").Value(), 0u);
   }
 }
 

@@ -201,7 +201,7 @@ TEST(ClfWindowTest, TinyWindowUnderLoss) {
   transport::SockAddr from;
   ASSERT_TRUE(b->Next(got, from, Deadline::AfterMillis(30000)).ok());
   EXPECT_TRUE(CheckPattern(got, 99));
-  EXPECT_GT((*a)->stats().retransmissions.load(), 0u);
+  EXPECT_GT(a->registry->GetCounter("clf.retransmissions").Value(), 0u);
 }
 
 TEST(ClfStatsTest, CountersReflectTraffic) {
@@ -215,10 +215,10 @@ TEST(ClfStatsTest, CountersReflectTraffic) {
   Buffer got;
   transport::SockAddr from;
   ASSERT_TRUE(b->Next(got, from, Deadline::AfterMillis(10000)).ok());
-  EXPECT_GE((*a)->stats().data_packets_sent.load(), 3u);
-  EXPECT_GE((*b)->stats().data_packets_received.load(), 3u);
-  EXPECT_GE((*b)->stats().acks_sent.load(), 1u);
-  EXPECT_EQ((*b)->stats().messages_delivered.load(), 1u);
+  EXPECT_GE(a->registry->GetCounter("clf.data_packets_sent").Value(), 3u);
+  EXPECT_GE(b->registry->GetCounter("clf.data_packets_received").Value(), 3u);
+  EXPECT_GE(b->registry->GetCounter("clf.acks_sent").Value(), 1u);
+  EXPECT_EQ(b->registry->GetCounter("clf.messages_delivered").Value(), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: Status/Result, byte buffers,
-// deadlines, stats, thread pool.
+// deadlines, thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +8,6 @@
 #include "dstampede/common/bytes.hpp"
 #include "dstampede/common/clock.hpp"
 #include "dstampede/common/ids.hpp"
-#include "dstampede/common/stats.hpp"
 #include "dstampede/common/status.hpp"
 #include "dstampede/common/thread_pool.hpp"
 
@@ -208,45 +207,6 @@ TEST(DeadlineTest, FutureDeadlineCountsDown) {
   EXPECT_GT(d.remaining(), Duration::zero());
   std::this_thread::sleep_for(Millis(70));
   EXPECT_TRUE(d.expired());
-}
-
-// --- stats -----------------------------------------------------------------
-
-TEST(StatsTest, LatencyRecorderSummary) {
-  LatencyRecorder rec;
-  for (int i = 1; i <= 100; ++i) rec.Add(i);
-  EXPECT_EQ(rec.count(), 100u);
-  EXPECT_EQ(rec.Min(), 1);
-  EXPECT_EQ(rec.Max(), 100);
-  EXPECT_DOUBLE_EQ(rec.Mean(), 50.5);
-  EXPECT_NEAR(rec.Median(), 50, 1);
-  EXPECT_NEAR(rec.Percentile(99), 99, 1);
-}
-
-TEST(StatsTest, EmptyRecorderIsSafe) {
-  LatencyRecorder rec;
-  EXPECT_EQ(rec.Mean(), 0.0);
-  EXPECT_EQ(rec.Percentile(50), 0);
-}
-
-TEST(StatsTest, RateMeterMeasuresRate) {
-  RateMeter meter;
-  meter.Start();
-  meter.TickN(100);
-  std::this_thread::sleep_for(Millis(50));
-  const double rate = meter.Rate();
-  EXPECT_GT(rate, 0.0);
-  EXPECT_LT(rate, 100.0 / 0.040);  // at least 40ms elapsed
-}
-
-TEST(StatsTest, ScopedTimerRecords) {
-  LatencyRecorder rec;
-  {
-    ScopedTimer timer(rec);
-    std::this_thread::sleep_for(Millis(10));
-  }
-  ASSERT_EQ(rec.count(), 1u);
-  EXPECT_GE(rec.Min(), 8000);  // at least ~8ms in micros
 }
 
 // --- thread pool ----------------------------------------------------------------

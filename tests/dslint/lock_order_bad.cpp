@@ -1,5 +1,5 @@
 // dslint fixture: dstampede-lock-order positives (run with
-// --hierarchy docs/lock_hierarchy.txt) — an inversion of a documented
+// --hierarchy docs/CONCURRENCY.md) — an inversion of a documented
 // edge, an undocumented edge, and same-class nesting. Expected
 // findings: 3.
 

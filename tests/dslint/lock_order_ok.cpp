@@ -1,5 +1,5 @@
 // dslint fixture: dstampede-lock-order negatives (run with
-// --hierarchy docs/lock_hierarchy.txt) — the documented direction,
+// --hierarchy docs/CONCURRENCY.md) — the documented direction,
 // including a transitive (two-hop) path. Expected findings: 0.
 
 namespace fixture {

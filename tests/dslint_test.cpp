@@ -52,7 +52,7 @@ CheckerRun Check(const char* fixture, const char* rel,
   args += rel;
   if (with_hierarchy) {
     args += " --hierarchy ";
-    args += DSLINT_REPO_ROOT "/docs/lock_hierarchy.txt";
+    args += DSLINT_REPO_ROOT "/docs/CONCURRENCY.md";
   }
   args += " ";
   args += Fixture(fixture);
@@ -127,6 +127,8 @@ TEST(DslintLockOrder, FlagsInversionUndocumentedAndSameClass) {
   EXPECT_EQ(3, Count(run.output, "[dstampede-lock-order]")) << run.output;
   EXPECT_NE(std::string::npos, run.output.find("inverts")) << run.output;
   EXPECT_NE(std::string::npos, run.output.find("undocumented")) << run.output;
+  EXPECT_EQ(2, Count(run.output, "docs/CONCURRENCY.md lock table"))
+      << run.output;
   EXPECT_NE(std::string::npos, run.output.find("nested acquisition"))
       << run.output;
 }
@@ -145,11 +147,14 @@ TEST(DslintNolint, JustifiedSuppressesUnjustifiedNags) {
       << run.output;
 }
 
-TEST(DslintHierarchy, FileMatchesConcurrencyDocTable) {
-  const CheckerRun run = Dslint("--verify-hierarchy " DSLINT_REPO_ROOT
-                         "/docs/lock_hierarchy.txt " DSLINT_REPO_ROOT
-                         "/docs/CONCURRENCY.md");
-  EXPECT_EQ(0, run.exit_code) << run.output;
+TEST(DslintHierarchy, DocWithoutTableMarkersIsAnError) {
+  // Any file without the lock-hierarchy markers will do; a fixture has
+  // none.
+  const CheckerRun run = Dslint("--hierarchy " + Fixture("lock_order_ok.cpp") +
+                                " " + Fixture("lock_order_ok.cpp"));
+  EXPECT_EQ(2, run.exit_code) << run.output;
+  EXPECT_NE(std::string::npos, run.output.find("markers not found"))
+      << run.output;
 }
 
 }  // namespace

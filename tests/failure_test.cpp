@@ -113,7 +113,7 @@ TEST(ClfFailureTest, PartitionedPeerDeclaredDeadWithinBound) {
   // outside it, so IsPeerDead() can be observed a beat ahead of the
   // notification: wait rather than sample.
   EXPECT_TRUE(WaitFor([&] { return down_fired.load(); }, Millis(2000)));
-  EXPECT_GE(a->stats().peers_declared_dead.load(), 1u);
+  EXPECT_GE(a.registry->GetCounter("clf.peers_declared_dead").Value(), 1u);
 
   // Further sends fail fast instead of hanging.
   Status send = a->Send(b->addr(), Buffer{3});
@@ -130,7 +130,7 @@ TEST(ClfFailureTest, SilentWatchedPeerDeclaredDeadByKeepalive) {
   }
   a->WatchPeer(dead_addr);  // no traffic ever flows
   ASSERT_TRUE(WaitFor([&] { return a->IsPeerDead(dead_addr); }, Millis(5000)));
-  EXPECT_GE(a->stats().keepalive_probes_sent.load(), 1u);
+  EXPECT_GE(a.registry->GetCounter("clf.keepalive_probes_sent").Value(), 1u);
 
   // Manual override re-admits the address.
   a->ForgetPeer(dead_addr);
@@ -171,7 +171,7 @@ TEST(ClfFailureTest, RestartedPeerResurrectsWithNewEpoch) {
   EXPECT_EQ(got, (Buffer{4, 2}));
   EXPECT_TRUE(WaitFor([&] { return !a->IsPeerDead(b_addr); }, Millis(1000)));
   EXPECT_TRUE(up_fired.load());
-  EXPECT_GE(a->stats().peers_resurrected.load(), 1u);
+  EXPECT_GE(a.registry->GetCounter("clf.peers_resurrected").Value(), 1u);
 
   // And the reverse direction works against the new incarnation.
   ASSERT_TRUE(a->Send(b_addr, Buffer{9}).ok());

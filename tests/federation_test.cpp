@@ -263,8 +263,9 @@ TEST(FederationFailureTest, RevivedClusterIsNoLongerDown) {
   ep_opts.max_retransmits = 5;
   ep_opts.keepalive_interval = Millis(25);
   ep_opts.peer_timeout = Millis(150);
+  metrics::Registry registry;
   auto revived = clf::Endpoint::Create(
-      ep_opts, [](const transport::SockAddr&, Buffer) {});
+      ep_opts, registry, [](const transport::SockAddr&, Buffer) {});
   ASSERT_TRUE(revived.ok()) << revived.status();
   (*revived)->WatchPeer(fed->cluster(0).as(0).clf_addr());
 

@@ -3,7 +3,6 @@
 
 #include <thread>
 
-#include "dstampede/common/stats.hpp"
 #include "dstampede/core/rt_sync.hpp"
 
 namespace dstampede::core {

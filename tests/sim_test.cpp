@@ -346,7 +346,7 @@ TEST(FaultInjectorFlushTest, EndpointIdleScanDeliversHeldPacket) {
   Status s = receiver->Next(got, from, Deadline::AfterMillis(5000));
   ASSERT_TRUE(s.ok()) << s << " — held packet was stranded";
   EXPECT_EQ(got, (Buffer{42}));
-  EXPECT_EQ((*sender)->stats().retransmissions.load(), 0u)
+  EXPECT_EQ(sender->registry->GetCounter("clf.retransmissions").Value(), 0u)
       << "delivery must come from the flush path, not retransmission";
 }
 

@@ -4,12 +4,14 @@
 // integrity, and old-wire (no trace field) interop.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include "clf_sink.hpp"
 #include "dstampede/client/client.hpp"
 #include "dstampede/client/listener.hpp"
 #include "dstampede/common/json.hpp"
@@ -117,6 +119,37 @@ TEST(TelemetryHistogram, SmallValuesExactLargeApproximate) {
   hist.Observe(-7);  // clamps to 0
   EXPECT_EQ(hist.Min(), 0);
   EXPECT_EQ(hist.Count(), 5u);
+}
+
+TEST(TelemetryHistogram, MinIsTheSmallerOfTwoRacingFirstSamples) {
+  // Two threads released together make the first two samples of a
+  // fresh histogram, 1000 and 5, in either order. Meanwhile this thread
+  // reads it: Min() must never report the extremes' starting values,
+  // and never exceed Max() (Percentile clamps between them).
+  for (int round = 0; round < 2000; ++round) {
+    metrics::Histogram hist;
+    std::atomic<int> ready{0};
+    auto observe = [&](std::int64_t sample) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      hist.Observe(sample);
+    };
+    std::thread big(observe, 1000);
+    std::thread small(observe, 5);
+    std::int64_t torn = -1;  // a Min() the reader must never see
+    while (hist.Count() < 2 && torn < 0) {
+      const std::int64_t min = hist.Min();
+      if (min > hist.Max() || (min != 0 && min != 5 && min != 1000)) {
+        torn = min;
+      }
+    }
+    big.join();
+    small.join();
+    ASSERT_EQ(torn, -1) << "round " << round;
+    ASSERT_EQ(hist.Min(), 5) << "round " << round;
+    ASSERT_EQ(hist.Max(), 1000) << "round " << round;
+  }
 }
 
 TEST(TelemetryRegistry, StableInstrumentAddressesAndJson) {
@@ -407,6 +440,62 @@ TEST_F(TelemetryClusterTest, DeferredTimeoutCountsDroppedOrExpired) {
     std::this_thread::sleep_for(Millis(5));
   }
   EXPECT_GE(dropped.Value(), before + 1);
+}
+
+// The CLF endpoint counts into its space's registry: after shm and UDP
+// traffic, every clf.* name is a counter, and no clf.* value is left
+// for a provider to mirror except the fault injector's.
+TEST(TelemetryTest, ClfCountersLiveInTheRegistry) {
+  // AS0 and AS1 share the process with the shm fast path on, so a put
+  // between them crosses the ring.
+  core::Runtime::Options opts;
+  opts.num_address_spaces = 2;
+  opts.shm_fastpath = true;
+  auto rt = core::Runtime::Create(opts);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  core::AddressSpace& as0 = (*rt)->as(0);
+  auto ch = (*rt)->as(1).CreateChannel();
+  ASSERT_TRUE(ch.ok()) << ch.status();
+  auto out = as0.Connect(*ch, ConnMode::kOutput);
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_TRUE(as0.Put(*out, 1, Buffer(64)).ok());
+
+  // An endpoint without the fast path reaches AS0 over UDP: a
+  // sys/metrics request and its reply.
+  auto peer = clf::CreateSinkEndpoint({});
+  ASSERT_TRUE(peer.ok()) << peer.status();
+  marshal::XdrEncoder enc;
+  core::EncodeRequestHeader(enc, core::Op::kMetrics, 7);
+  core::MetricsReq req;
+  req.target_as = AsIndex(as0.id());
+  req.Encode(enc);
+  ASSERT_TRUE((*peer)->Send(as0.clf_addr(), enc.Take()).ok());
+  Buffer reply;
+  transport::SockAddr from;
+  ASSERT_TRUE(peer->Next(reply, from, Deadline::AfterMillis(10000)).ok());
+
+  auto parsed = json::Parse(as0.MetricsJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  for (const char* name :
+       {"clf.data_packets_sent", "clf.data_packets_received",
+        "clf.retransmissions", "clf.acks_sent", "clf.duplicates_discarded",
+        "clf.messages_delivered", "clf.shm_messages",
+        "clf.keepalive_probes_sent", "clf.peers_declared_dead",
+        "clf.peers_resurrected", "clf.epoch_resets"}) {
+    ASSERT_NE(RegistryEntry(*parsed, "counters", name), nullptr) << name;
+  }
+  EXPECT_GE(RegistryEntry(*parsed, "counters", "clf.shm_messages")->AsInt(), 1);
+  EXPECT_GE(
+      RegistryEntry(*parsed, "counters", "clf.data_packets_received")->AsInt(),
+      1);
+  EXPECT_GE(RegistryEntry(*parsed, "counters", "clf.acks_sent")->AsInt(), 1);
+  const json::Value* providers = parsed->FindPath("registry.providers");
+  ASSERT_NE(providers, nullptr);
+  for (const auto& [name, value] : providers->AsObject()) {
+    if (name.rfind("clf.", 0) == 0) {
+      EXPECT_EQ(name.rfind("clf.fault.", 0), 0u) << name;
+    }
+  }
 }
 
 }  // namespace

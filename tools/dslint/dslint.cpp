@@ -1,12 +1,13 @@
 // dslint driver. Usage:
 //
-//   dslint [--root DIR] [--hierarchy FILE] [--as-path RELPATH]
-//          [--checks c1,c2] [--list-edges] file.cpp [file.hpp ...]
-//   dslint --verify-hierarchy docs/lock_hierarchy.txt docs/CONCURRENCY.md
+//   dslint [--root DIR] [--hierarchy docs/CONCURRENCY.md]
+//          [--as-path RELPATH] [--checks c1,c2] [--list-edges]
+//          file.cpp [file.hpp ...]
 //
-// Findings go to stdout in clang-tidy format
-// ("path:line:col: warning: msg [dstampede-check]"); exit status is 0
-// when clean, 1 on findings or drift, 2 on usage/I-O errors.
+// --hierarchy reads the lock-order table between the lock-hierarchy
+// markers of the given markdown file. Findings go to stdout in
+// clang-tidy format ("path:line:col: warning: msg [dstampede-check]");
+// exit status is 0 when clean, 1 on findings, 2 on usage/I-O errors.
 //
 // The engine resolves a MutexLock's mutex variable against every file
 // it has seen, so pass the whole file set in one invocation (the way
@@ -26,33 +27,10 @@ namespace {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: dslint [--root DIR] [--hierarchy FILE] [--as-path RELPATH]\n"
-      "              [--checks c1,c2] [--list-edges] files...\n"
-      "       dslint --verify-hierarchy HIERARCHY_FILE CONCURRENCY_MD\n");
+      "usage: dslint [--root DIR] [--hierarchy CONCURRENCY_MD]\n"
+      "              [--as-path RELPATH] [--checks c1,c2] [--list-edges]\n"
+      "              files...\n");
   return 2;
-}
-
-int VerifyHierarchy(const std::string& hier_path, const std::string& md_path) {
-  dslint::Hierarchy file_h, doc_h;
-  std::string error;
-  if (!file_h.LoadFromFile(hier_path, &error)) {
-    std::fprintf(stderr, "dslint: %s\n", error.c_str());
-    return 2;
-  }
-  if (!doc_h.LoadFromMarkdown(md_path, &error)) {
-    std::fprintf(stderr, "dslint: %s\n", error.c_str());
-    return 2;
-  }
-  std::vector<std::string> drift = dslint::DiffHierarchy(file_h, doc_h);
-  for (const std::string& d : drift)
-    std::printf("hierarchy drift: %s\n", d.c_str());
-  if (drift.empty()) {
-    std::fprintf(stderr,
-                 "dslint: %s and %s agree (%zu edges)\n", hier_path.c_str(),
-                 md_path.c_str(), file_h.edges().size());
-    return 0;
-  }
-  return 1;
 }
 
 }  // namespace
@@ -68,12 +46,7 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--verify-hierarchy") {
-      const char* h = next();
-      const char* m = next();
-      if (h == nullptr || m == nullptr) return Usage();
-      return VerifyHierarchy(h, m);
-    } else if (arg == "--root") {
+    if (arg == "--root") {
       const char* v = next();
       if (v == nullptr) return Usage();
       options.root = v;
@@ -105,7 +78,7 @@ int main(int argc, char** argv) {
 
   if (!hierarchy_path.empty()) {
     std::string error;
-    if (!options.hierarchy.LoadFromFile(hierarchy_path, &error)) {
+    if (!options.hierarchy.LoadFromMarkdown(hierarchy_path, &error)) {
       std::fprintf(stderr, "dslint: %s\n", error.c_str());
       return 2;
     }

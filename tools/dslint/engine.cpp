@@ -310,12 +310,6 @@ std::string Finding::Render() const {
 // Hierarchy.
 // ---------------------------------------------------------------------------
 
-void Hierarchy::AddEdge(const std::string& from, const std::string& to) {
-  edges_.insert({from, to});
-  adj_[from].insert(to);
-  loaded_ = true;
-}
-
 bool Hierarchy::HasPath(const std::string& from, const std::string& to) const {
   std::set<std::string> seen{from};
   std::deque<std::string> queue{from};
@@ -330,46 +324,6 @@ bool Hierarchy::HasPath(const std::string& from, const std::string& to) const {
     }
   }
   return false;
-}
-
-bool Hierarchy::LoadFromFile(const std::string& path, std::string* error) {
-  std::string text;
-  if (!ReadFile(path, &text)) {
-    if (error) *error = "cannot read " + path;
-    return false;
-  }
-  std::stringstream ss(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(ss, line)) {
-    ++lineno;
-    std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line.erase(0, line.find_first_not_of(" \t"));
-    line.erase(line.find_last_not_of(" \t\r") + 1);
-    if (line.empty()) continue;
-    std::size_t arrow = line.find("->");
-    if (arrow == std::string::npos) {
-      if (error) {
-        *error = path + ":" + std::to_string(lineno) +
-                 ": expected \"holder -> acquired\", got \"" + line + "\"";
-      }
-      return false;
-    }
-    std::string from = line.substr(0, arrow);
-    std::string to = line.substr(arrow + 2);
-    from.erase(from.find_last_not_of(" \t") + 1);
-    to.erase(0, to.find_first_not_of(" \t"));
-    if (from.empty() || to.empty()) {
-      if (error) {
-        *error = path + ":" + std::to_string(lineno) + ": empty lock name";
-      }
-      return false;
-    }
-    AddEdge(from, to);
-  }
-  loaded_ = true;  // an empty file is a valid (edge-free) hierarchy
-  return true;
 }
 
 bool Hierarchy::LoadFromMarkdown(const std::string& path, std::string* error) {
@@ -410,30 +364,10 @@ bool Hierarchy::LoadFromMarkdown(const std::string& path, std::string* error) {
         std::string::npos)
       continue;
     if (cells[0] == "held" || cells[0] == "holder") continue;
-    AddEdge(cells[0], cells[1]);
+    adj_[cells[0]].insert(cells[1]);
   }
   loaded_ = true;
   return true;
-}
-
-std::vector<std::string> DiffHierarchy(const Hierarchy& file,
-                                       const Hierarchy& doc) {
-  std::vector<std::string> drift;
-  for (const LockEdge& e : file.edges()) {
-    if (!doc.edges().count(e)) {
-      drift.push_back("edge \"" + e.holder + " -> " + e.acquired +
-                      "\" is in docs/lock_hierarchy.txt but missing from the "
-                      "CONCURRENCY.md table");
-    }
-  }
-  for (const LockEdge& e : doc.edges()) {
-    if (!file.edges().count(e)) {
-      drift.push_back("edge \"" + e.holder + " -> " + e.acquired +
-                      "\" is in the CONCURRENCY.md table but missing from "
-                      "docs/lock_hierarchy.txt");
-    }
-  }
-  return drift;
 }
 
 // ---------------------------------------------------------------------------
@@ -737,14 +671,14 @@ void Engine::Analyze(const std::string& path, std::vector<Finding>* findings) {
             if (options_.hierarchy.HasPath(b, a)) {
               emit(tok.line, tok.col, kLockOrder,
                    "acquiring \"" + b + "\" while holding \"" + a +
-                       "\" inverts the documented lock order (docs/"
-                       "lock_hierarchy.txt documents " + b + " -> " + a + ")");
+                       "\" inverts the documented lock order (the "
+                       "docs/CONCURRENCY.md lock table has a path " + b +
+                       " -> " + a + ")");
             } else {
               emit(tok.line, tok.col, kLockOrder,
                    "undocumented lock-order edge \"" + a + " -> " + b +
-                       "\"; add it to docs/lock_hierarchy.txt and the "
-                       "CONCURRENCY.md table, or restructure to avoid the "
-                       "nesting");
+                       "\"; add it to the docs/CONCURRENCY.md lock table, "
+                       "or restructure to avoid the nesting");
             }
           }
         }

@@ -25,19 +25,16 @@
 //                                  detector.
 //   dstampede-lock-order           statically observed ds::MutexLock
 //                                  nesting edges that are undocumented
-//                                  in docs/lock_hierarchy.txt or invert
-//                                  a documented edge.
+//                                  in the docs/CONCURRENCY.md lock
+//                                  table or invert a documented edge.
 //
 // Suppression: `// NOLINT(dstampede-<check>): <why>` on the offending
 // line, or `// NOLINTNEXTLINE(dstampede-<check>): <why>` on the line
 // above. A suppression without a justification is itself a finding
 // (dstampede-nolint-justification). See docs/STATIC_ANALYSIS.md.
 //
-// This engine is the toolchain-independent implementation: a C++
-// tokenizer plus lexical scope tracking, no libclang required, so the
-// gate runs wherever the tree builds. tools/dslint/plugin/ holds the
-// clang-tidy plugin flavor of the same checks for editor integration
-// when clang-tidy dev headers are available.
+// The engine is a C++ tokenizer plus lexical scope tracking, with no
+// libclang required, so the gate runs wherever the tree builds.
 #pragma once
 
 #include <map>
@@ -68,26 +65,21 @@ struct LockEdge {
   }
 };
 
-// The documented lock hierarchy (docs/lock_hierarchy.txt): directed
-// edges "holder -> acquired". An observed nesting A under B is legal
-// when a forward path B -> ... -> A exists.
+// The documented lock hierarchy (the docs/CONCURRENCY.md table):
+// directed edges "holder -> acquired". An observed nesting A under B
+// is legal when a forward path B -> ... -> A exists.
 class Hierarchy {
  public:
-  // Parses "a -> b" lines ('#' comments, blank lines ignored). Returns
-  // false and sets *error on I/O or syntax problems.
-  bool LoadFromFile(const std::string& path, std::string* error);
-  // Parses the machine-readable edge table embedded in a markdown doc
-  // between the `<!-- lock-hierarchy:begin -->` / `:end` markers
-  // (rows "| a | b |").
+  // Parses the edge table embedded in a markdown doc between the
+  // `<!-- lock-hierarchy:begin -->` / `:end` markers (rows
+  // "| a | b |"). Returns false and sets *error on an I/O error or
+  // missing markers.
   bool LoadFromMarkdown(const std::string& path, std::string* error);
 
-  void AddEdge(const std::string& from, const std::string& to);
   bool HasPath(const std::string& from, const std::string& to) const;
   bool loaded() const { return loaded_; }
-  const std::set<LockEdge>& edges() const { return edges_; }
 
  private:
-  std::set<LockEdge> edges_;
   std::map<std::string, std::set<std::string>> adj_;
   bool loaded_ = false;
 };
@@ -120,7 +112,7 @@ class Engine {
   void Analyze(const std::string& path, std::vector<Finding>* findings);
 
   // All resolved nesting edges observed across Analyze calls
-  // (seeding/debugging aid for docs/lock_hierarchy.txt).
+  // (debugging aid for the docs/CONCURRENCY.md table).
   const std::set<LockEdge>& observed_edges() const { return observed_edges_; }
 
  private:
@@ -147,10 +139,5 @@ class Engine {
 
 // Reads a whole file; false on I/O error.
 bool ReadFile(const std::string& path, std::string* out);
-
-// Compares the hierarchy file against the edge table embedded in
-// docs/CONCURRENCY.md; returns drift messages (empty == in sync).
-std::vector<std::string> DiffHierarchy(const Hierarchy& file,
-                                       const Hierarchy& doc);
 
 }  // namespace dslint
