@@ -270,7 +270,8 @@ Status BasicClient<Codec>::RefreshListenerCacheLocked(
   typename Codec::Decoder dec(reply);
   DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeaderT(dec));
   if (!hdr.status.ok()) return hdr.status;
-  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetU32());
+  DS_ASSIGN_OR_RETURN(std::uint32_t count,
+                      dec.GetCount(core::kMinNsEntryBytes));
   std::vector<transport::SockAddr> fresh;
   fresh.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -639,7 +640,8 @@ Result<std::vector<core::NsEntry>> BasicClient<Codec>::NsList(
     DS_CLIENT_FINISH(dec);
     return parsed.status;
   }
-  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetU32());
+  DS_ASSIGN_OR_RETURN(std::uint32_t count,
+                      dec.GetCount(core::kMinNsEntryBytes));
   std::vector<core::NsEntry> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

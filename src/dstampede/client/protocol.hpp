@@ -106,6 +106,10 @@ struct ResumeResp {
   std::vector<SlotRemap> remaps;
 };
 
+// Encoded size of one remap, the bound for a decoded remap count:
+// 8 + 4 + 4 + 4.
+inline constexpr std::size_t kSlotRemapBytes = 20;
+
 template <class Enc>
 void EncodeResumeResp(Enc& enc, const ResumeResp& resp) {
   enc.PutU32(resp.host_as);
@@ -126,7 +130,7 @@ Result<ResumeResp> DecodeResumeRespT(Dec& dec) {
   DS_ASSIGN_OR_RETURN(resp.host_as, dec.GetU32());
   DS_ASSIGN_OR_RETURN(resp.session_id, dec.GetU64());
   DS_ASSIGN_OR_RETURN(resp.last_executed_ticket, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetU32());
+  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetCount(kSlotRemapBytes));
   resp.remaps.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     SlotRemap r;
@@ -209,7 +213,8 @@ void EncodeNoticeTrailer(Enc& enc, const std::vector<core::GcNotice>& notices) {
 
 template <class Dec>
 Result<std::vector<core::GcNotice>> DecodeNoticeTrailerT(Dec& dec) {
-  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetU32());
+  DS_ASSIGN_OR_RETURN(std::uint32_t count,
+                      dec.GetCount(core::kGcNoticeBytes));
   std::vector<core::GcNotice> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

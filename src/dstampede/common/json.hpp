@@ -2,7 +2,7 @@
 // introspection consumers (tools/dsctl, telemetry tests) to validate
 // and walk sys/metrics snapshots. Writing is done with plain string
 // appends at the producer sites (metrics.cpp, trace.cpp,
-// address_space.cpp) — this header is the read side.
+// address_space.cpp); AppendQuoted is their one string escaper.
 //
 // Supports the full JSON grammar except \uXXXX escapes beyond latin-1
 // (sufficient: every producer in this repo emits ASCII).
@@ -55,5 +55,9 @@ class Value {
 // Parses one JSON document (trailing whitespace allowed, trailing
 // garbage is an error).
 Result<Value> Parse(std::string_view text);
+
+// Appends `s` to `out` as a quoted JSON string: quote, backslash, \n
+// and \t get their short escapes, other control bytes \u00XX.
+void AppendQuoted(std::string& out, std::string_view s);
 
 }  // namespace dstampede::json

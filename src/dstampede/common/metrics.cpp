@@ -1,5 +1,7 @@
 #include "dstampede/common/metrics.hpp"
 
+#include "dstampede/common/json.hpp"
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -124,27 +126,6 @@ void Registry::RemoveProvider(std::uint64_t token) {
 
 namespace {
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void AppendI64(std::string& out, std::int64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
@@ -178,21 +159,21 @@ void Registry::WriteJson(std::string& out) const {
   out += "{\"counters\":{";
   for (std::size_t i = 0; i < counters.size(); ++i) {
     if (i) out.push_back(',');
-    AppendEscaped(out, counters[i].first);
+    json::AppendQuoted(out, counters[i].first);
     out.push_back(':');
     AppendU64(out, counters[i].second->Value());
   }
   out += "},\"gauges\":{";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     if (i) out.push_back(',');
-    AppendEscaped(out, gauges[i].first);
+    json::AppendQuoted(out, gauges[i].first);
     out.push_back(':');
     AppendI64(out, gauges[i].second->Value());
   }
   out += "},\"providers\":{";
   for (std::size_t i = 0; i < providers.size(); ++i) {
     if (i) out.push_back(',');
-    AppendEscaped(out, providers[i].name);
+    json::AppendQuoted(out, providers[i].name);
     out.push_back(':');
     AppendI64(out, providers[i].fn ? providers[i].fn() : 0);
   }
@@ -200,7 +181,7 @@ void Registry::WriteJson(std::string& out) const {
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     if (i) out.push_back(',');
     const Histogram& h = *histograms[i].second;
-    AppendEscaped(out, histograms[i].first);
+    json::AppendQuoted(out, histograms[i].first);
     out += ":{\"count\":";
     AppendU64(out, h.Count());
     out += ",\"sum\":";

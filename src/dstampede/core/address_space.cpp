@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "dstampede/common/json.hpp"
 #include "dstampede/common/logging.hpp"
 
 namespace dstampede::core {
@@ -32,7 +33,8 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
   as->dispatcher_ = std::make_unique<ThreadPool>(
       options.dispatcher_threads,
       "AS" + std::to_string(AsIndex(options.id)));
-  as->gc_ = std::make_unique<GcService>(options.gc_interval);
+  as->gc_ = std::make_unique<GcService>(options.gc_interval,
+                                        [raw] { return raw->Containers(); });
   const bool is_ns_replica =
       std::find(options.ns_replicas.begin(), options.ns_replicas.end(),
                 options.id) != options.ns_replicas.end();
@@ -113,36 +115,28 @@ void AddressSpace::InitObservability() {
   stm_metrics_.reclaim_lag_us = &registry_.GetHistogram("stm.reclaim_lag_us");
 
   // Pull providers, evaluated at snapshot time. They read atomics or
-  // take only leaf locks (containers_mu_ -> container mu is the same
-  // order Shutdown uses), and this object outlives the registry's
+  // take only leaf locks (containers_mu_, then each container's own
+  // lock after releasing it), and this object outlives the registry's
   // users, so the raw captures are safe.
   registry_.AddProvider("dispatcher.queue_depth",
                         [this] { return static_cast<std::int64_t>(
                                      dispatcher_->pending()); });
-  registry_.AddProvider("containers.channels", [this] {
-    ds::MutexLock lock(containers_mu_);
-    return static_cast<std::int64_t>(channels_.size());
-  });
-  registry_.AddProvider("containers.queues", [this] {
-    ds::MutexLock lock(containers_mu_);
-    return static_cast<std::int64_t>(queues_.size());
-  });
+  for (const bool is_queue : {false, true}) {
+    registry_.AddProvider(
+        is_queue ? "containers.queues" : "containers.channels",
+        [this, is_queue] {
+          ds::MutexLock lock(containers_mu_);
+          return static_cast<std::int64_t>(std::count_if(
+              containers_.begin(), containers_.end(), [&](const auto& entry) {
+                return entry.second->is_queue() == is_queue;
+              }));
+        });
+  }
   registry_.AddProvider("containers.parked_waiters", [this] {
-    std::vector<std::shared_ptr<LocalChannel>> channels;
-    std::vector<std::shared_ptr<LocalQueue>> queues;
-    {
-      ds::MutexLock lock(containers_mu_);
-      for (auto& [slot, ch] : channels_) channels.push_back(ch);
-      for (auto& [slot, q] : queues_) queues.push_back(q);
-    }
     std::int64_t parked = 0;
-    for (auto& ch : channels) {
-      parked += static_cast<std::int64_t>(ch->parked_get_waiters() +
-                                          ch->parked_put_waiters());
-    }
-    for (auto& q : queues) {
-      parked += static_cast<std::int64_t>(q->parked_get_waiters() +
-                                          q->parked_put_waiters());
+    for (auto& [bits, container] : Containers()) {
+      parked += static_cast<std::int64_t>(container->parked_get_waiters() +
+                                          container->parked_put_waiters());
     }
     return parked;
   });
@@ -219,17 +213,7 @@ void AddressSpace::Shutdown() {
   // remote requests flush their replies while the endpoint is still
   // up and local blocked callers unwind. Close runs outside
   // containers_mu_ because it fires completions, which send over CLF.
-  std::vector<std::shared_ptr<LocalChannel>> channels;
-  std::vector<std::shared_ptr<LocalQueue>> queues;
-  {
-    ds::MutexLock lock(containers_mu_);
-    channels.reserve(channels_.size());
-    for (auto& [slot, ch] : channels_) channels.push_back(ch);
-    queues.reserve(queues_.size());
-    for (auto& [slot, q] : queues_) queues.push_back(q);
-  }
-  for (auto& ch : channels) ch->Close();
-  for (auto& q : queues) q->Close();
+  for (auto& [bits, container] : Containers()) container->Close();
   // Join the timer wheel before tearing down what its callbacks touch
   // (containers, endpoint). New waiters cannot register: the containers
   // are closed.
@@ -315,19 +299,11 @@ void AddressSpace::OnPeerDown(const transport::SockAddr& addr) {
   // pin payloads and timers until their deadlines expire (or forever,
   // for infinite-deadline waits).
   {
-    std::vector<std::shared_ptr<LocalChannel>> channels;
-    std::vector<std::shared_ptr<LocalQueue>> queues;
-    {
-      ds::MutexLock lock(containers_mu_);
-      channels.reserve(channels_.size());
-      for (auto& [slot, ch] : channels_) channels.push_back(ch);
-      queues.reserve(queues_.size());
-      for (auto& [slot, q] : queues_) queues.push_back(q);
-    }
     const Status gone = UnavailableError("peer address space declared dead");
     std::size_t cancelled = 0;
-    for (auto& ch : channels) cancelled += ch->CancelWaitersOf(AsIndex(dead), gone);
-    for (auto& q : queues) cancelled += q->CancelWaitersOf(AsIndex(dead), gone);
+    for (auto& [bits, container] : Containers()) {
+      cancelled += container->CancelWaitersOf(AsIndex(dead), gone);
+    }
     if (cancelled != 0) {
       DS_LOG(kInfo) << "completed " << cancelled
                     << " parked waiters of dead AS" << AsIndex(dead);
@@ -347,14 +323,9 @@ void AddressSpace::OnPeerDown(const transport::SockAddr& addr) {
     }
   }
   for (const auto& att : attachments) {
-    Status detached = OkStatus();
-    if (att.is_queue) {
-      auto q = FindQueue(att.container_bits);
-      if (q) detached = q->Detach(att.slot);
-    } else {
-      auto ch = FindChannel(att.container_bits);
-      if (ch) detached = ch->Detach(att.slot);
-    }
+    auto container = FindContainer(att.container_bits, att.is_queue);
+    if (!container.ok()) continue;
+    const Status detached = (*container)->Detach(att.slot);
     if (!detached.ok()) {
       DS_LOG(kWarn) << "recovery detach failed: " << detached.message();
     }
@@ -623,23 +594,14 @@ bool AddressSpace::ServeDeferred(std::span<const std::uint8_t> message,
       }
       (void)reply->Complete(EncodeItemReply(id, *item));
     };
-    const Deadline deadline = DecodeDeadline(req->deadline_ms);
-    if (req->is_queue) {
-      auto q = FindQueue(req->container_bits);
-      if (!q) {
-        (void)reply->Complete(EncodeStatusReply(id, NotFoundError("queue")));
-        return true;
-      }
-      q->GetAsync(req->slot, deadline, std::move(done), origin_tag);
-    } else {
-      auto ch = FindChannel(req->container_bits);
-      if (!ch) {
-        (void)reply->Complete(EncodeStatusReply(id, NotFoundError("channel")));
-        return true;
-      }
-      ch->GetAsync(req->slot, req->spec, deadline, std::move(done),
-                   origin_tag);
+    auto container = FindContainer(req->container_bits, req->is_queue);
+    if (!container.ok()) {
+      (void)reply->Complete(EncodeStatusReply(id, container.status()));
+      return true;
     }
+    (*container)->GetAsync(req->slot, req->spec,
+                           DecodeDeadline(req->deadline_ms), std::move(done),
+                           origin_tag);
     return true;
   }
 
@@ -663,24 +625,14 @@ bool AddressSpace::ServeDeferred(std::span<const std::uint8_t> message,
     }
     (void)reply->Complete(EncodeStatusReply(id, st));
   };
-  const Deadline deadline = DecodeDeadline(req->deadline_ms);
-  if (req->is_queue) {
-    auto q = FindQueue(req->container_bits);
-    if (!q) {
-      (void)reply->Complete(EncodeStatusReply(id, NotFoundError("queue")));
-      return true;
-    }
-    q->PutAsync(req->ts, SharedBuffer(std::move(req->payload)), deadline,
-                std::move(done), origin_tag);
-  } else {
-    auto ch = FindChannel(req->container_bits);
-    if (!ch) {
-      (void)reply->Complete(EncodeStatusReply(id, NotFoundError("channel")));
-      return true;
-    }
-    ch->PutAsync(req->ts, SharedBuffer(std::move(req->payload)), deadline,
-                 std::move(done), origin_tag);
+  auto container = FindContainer(req->container_bits, req->is_queue);
+  if (!container.ok()) {
+    (void)reply->Complete(EncodeStatusReply(id, container.status()));
+    return true;
   }
+  (*container)->PutAsync(req->ts, SharedBuffer(std::move(req->payload)),
+                         DecodeDeadline(req->deadline_ms), std::move(done),
+                         origin_tag);
   return true;
 }
 
@@ -692,41 +644,24 @@ Buffer AddressSpace::ProcessRequest(std::span<const std::uint8_t> message,
   const std::uint64_t id = hdr->request_id;
 
   switch (hdr->op) {
-    case Op::kCreateChannel: {
-      auto req = CreateReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      ChannelAttr attr;
-      attr.capacity_items = static_cast<std::size_t>(req->capacity);
-      attr.debug_name = req->debug_name;
-      auto created = CreateChannel(attr);
-      if (!created.ok()) return EncodeStatusReply(id, created.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutU64(created->bits());
-      return enc.Take();
-    }
+    case Op::kCreateChannel:
     case Op::kCreateQueue: {
       auto req = CreateReq::Decode(dec);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
-      QueueAttr attr;
-      attr.capacity_items = static_cast<std::size_t>(req->capacity);
-      attr.debug_name = req->debug_name;
-      auto created = CreateQueue(attr);
+      auto created =
+          CreateOn(options_.id, hdr->op == Op::kCreateQueue,
+                   static_cast<std::size_t>(req->capacity), req->debug_name);
       if (!created.ok()) return EncodeStatusReply(id, created.status());
       marshal::XdrEncoder enc;
       EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutU64(created->bits());
+      enc.PutU64(*created);
       return enc.Take();
     }
     case Op::kAttach: {
       auto req = AttachReq::Decode(dec);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
-      Result<Connection> conn =
-          req->is_queue
-              ? Connect(QueueId::FromBits(req->container_bits), req->mode,
-                        req->label)
-              : Connect(ChannelId::FromBits(req->container_bits), req->mode,
-                        req->label);
+      Result<Connection> conn = ConnectTo(req->container_bits, req->is_queue,
+                                          req->mode, req->label);
       if (!conn.ok()) return EncodeStatusReply(id, conn.status());
       // Remember which peer holds the slot so its connections can be
       // detached (and its items reclaimed) if it dies.
@@ -781,8 +716,7 @@ Buffer AddressSpace::ProcessRequest(std::span<const std::uint8_t> message,
       const Connection conn(req->container_bits, req->is_queue, req->mode,
                             OwnerOf(req->container_bits), req->slot);
       Result<ItemView> item =
-          req->is_queue ? Get(conn, DecodeDeadline(req->deadline_ms))
-                        : Get(conn, req->spec, DecodeDeadline(req->deadline_ms));
+          Get(conn, req->spec, DecodeDeadline(req->deadline_ms));
       if (!item.ok()) return EncodeStatusReply(id, item.status());
       return EncodeItemReply(id, *item);
     }
@@ -959,158 +893,144 @@ Buffer AddressSpace::ProcessRequest(std::span<const std::uint8_t> message,
 // --- containers --------------------------------------------------------------
 
 Result<ChannelId> AddressSpace::CreateChannel(const ChannelAttr& attr) {
-  if (stopping_.load()) return CancelledError("address space shut down");
-  std::uint32_t slot;
-  std::shared_ptr<LocalChannel> ch;
-  {
-    ds::MutexLock lock(containers_mu_);
-    slot = next_container_slot_++;
-    ch = std::make_shared<LocalChannel>(attr, wheel_.get());
-    ch->set_metrics(stm_metrics_);
-    channels_[slot] = ch;
-  }
-  const ChannelId cid(options_.id, slot);
-  gc_->RegisterChannel(cid.bits(), ch);
-  return cid;
+  return CreateChannelOn(options_.id, attr);
 }
 
 Result<QueueId> AddressSpace::CreateQueue(const QueueAttr& attr) {
-  if (stopping_.load()) return CancelledError("address space shut down");
-  std::uint32_t slot;
-  std::shared_ptr<LocalQueue> q;
-  {
-    ds::MutexLock lock(containers_mu_);
-    slot = next_container_slot_++;
-    q = std::make_shared<LocalQueue>(attr, wheel_.get());
-    q->set_metrics(stm_metrics_);
-    queues_[slot] = q;
-  }
-  const QueueId qid(options_.id, slot);
-  gc_->RegisterQueue(qid.bits(), q);
-  return qid;
+  return CreateQueueOn(options_.id, attr);
 }
-
-namespace {
-template <typename Attr>
-CreateReq MakeCreateReq(const Attr& attr) {
-  CreateReq req;
-  req.capacity = attr.capacity_items;
-  req.debug_name = attr.debug_name;
-  return req;
-}
-}  // namespace
 
 Result<ChannelId> AddressSpace::CreateChannelOn(AsId owner,
                                                 const ChannelAttr& attr) {
-  if (owner == options_.id) return CreateChannel(attr);
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kCreateChannel, next_request_id_.fetch_add(1));
-  MakeCreateReq(attr).Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(owner, enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  DS_ASSIGN_OR_RETURN(std::uint64_t bits, dec.GetU64());
+  DS_ASSIGN_OR_RETURN(std::uint64_t bits,
+                      CreateOn(owner, /*is_queue=*/false, attr.capacity_items,
+                               attr.debug_name));
   return ChannelId::FromBits(bits);
 }
 
 Result<QueueId> AddressSpace::CreateQueueOn(AsId owner, const QueueAttr& attr) {
-  if (owner == options_.id) return CreateQueue(attr);
+  DS_ASSIGN_OR_RETURN(std::uint64_t bits,
+                      CreateOn(owner, /*is_queue=*/true, attr.capacity_items,
+                               attr.debug_name));
+  return QueueId::FromBits(bits);
+}
+
+Result<std::uint64_t> AddressSpace::CreateOn(AsId owner, bool is_queue,
+                                             std::size_t capacity,
+                                             const std::string& debug_name) {
+  if (owner == options_.id) {
+    if (stopping_.load()) return CancelledError("address space shut down");
+    std::shared_ptr<LocalContainer> container;
+    if (is_queue) {
+      container = std::make_shared<LocalQueue>(QueueAttr{capacity, debug_name},
+                                               wheel_.get());
+    } else {
+      container = std::make_shared<LocalChannel>(
+          ChannelAttr{capacity, debug_name}, wheel_.get());
+    }
+    container->set_metrics(stm_metrics_);
+    ds::MutexLock lock(containers_mu_);
+    const std::uint32_t slot = next_container_slot_++;
+    containers_.emplace(slot, std::move(container));
+    return ChannelId(options_.id, slot).bits();
+  }
+  CreateReq req;
+  req.capacity = capacity;
+  req.debug_name = debug_name;
   marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kCreateQueue, next_request_id_.fetch_add(1));
-  MakeCreateReq(attr).Encode(enc);
+  EncodeRequestHeader(enc, is_queue ? Op::kCreateQueue : Op::kCreateChannel,
+                      next_request_id_.fetch_add(1));
+  req.Encode(enc);
   DS_ASSIGN_OR_RETURN(Buffer reply,
                       Call(owner, enc.Take(), InternalDeadline()));
   marshal::XdrDecoder dec(reply);
   DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
   if (!hdr.status.ok()) return hdr.status;
-  DS_ASSIGN_OR_RETURN(std::uint64_t bits, dec.GetU64());
-  return QueueId::FromBits(bits);
+  return dec.GetU64();
+}
+
+Result<std::shared_ptr<LocalContainer>> AddressSpace::FindContainer(
+    std::uint64_t bits, bool is_queue) {
+  // Channel and queue ids share one layout (ids.hpp) and one slot
+  // counter, so the slot alone finds the container; its kind must
+  // still match the handle's.
+  const ChannelId id = ChannelId::FromBits(bits);
+  if (id.owner() == options_.id) {
+    ds::MutexLock lock(containers_mu_);
+    auto it = containers_.find(id.slot());
+    if (it != containers_.end() && it->second->is_queue() == is_queue) {
+      return it->second;
+    }
+  }
+  return NotFoundError(is_queue ? "queue" : "channel");
+}
+
+GcService::ContainerList AddressSpace::Containers() {
+  GcService::ContainerList out;
+  ds::MutexLock lock(containers_mu_);
+  out.reserve(containers_.size());
+  for (auto& [slot, container] : containers_) {
+    out.emplace_back(ChannelId(options_.id, slot).bits(), container);
+  }
+  return out;
 }
 
 std::shared_ptr<LocalChannel> AddressSpace::FindChannel(std::uint64_t bits) {
-  const ChannelId cid = ChannelId::FromBits(bits);
-  if (cid.owner() != options_.id) return nullptr;
-  ds::MutexLock lock(containers_mu_);
-  auto it = channels_.find(cid.slot());
-  return it == channels_.end() ? nullptr : it->second;
+  return std::static_pointer_cast<LocalChannel>(
+      FindContainer(bits, /*is_queue=*/false).value_or(nullptr));
 }
 
 std::shared_ptr<LocalQueue> AddressSpace::FindQueue(std::uint64_t bits) {
-  const QueueId qid = QueueId::FromBits(bits);
-  if (qid.owner() != options_.id) return nullptr;
-  ds::MutexLock lock(containers_mu_);
-  auto it = queues_.find(qid.slot());
-  return it == queues_.end() ? nullptr : it->second;
+  return std::static_pointer_cast<LocalQueue>(
+      FindContainer(bits, /*is_queue=*/true).value_or(nullptr));
 }
 
 // --- plumbing ----------------------------------------------------------------
 
 Result<Connection> AddressSpace::Connect(ChannelId ch, ConnMode mode,
                                          std::string label) {
-  m_api_attaches_->Add();
-  if (label.empty()) label = "thread@AS" + std::to_string(AsIndex(options_.id));
-  if (ch.owner() == options_.id) {
-    auto channel = FindChannel(ch.bits());
-    if (!channel) return NotFoundError("channel");
-    return Connection(ch.bits(), false, mode, ch.owner(),
-                      channel->Attach(mode, std::move(label)));
-  }
-  AttachReq req;
-  req.container_bits = ch.bits();
-  req.is_queue = false;
-  req.mode = mode;
-  req.label = label;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kAttach, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(ch.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  DS_ASSIGN_OR_RETURN(std::uint32_t slot, dec.GetU32());
-  return Connection(ch.bits(), false, mode, ch.owner(), slot);
+  return ConnectTo(ch.bits(), /*is_queue=*/false, mode, std::move(label));
 }
 
 Result<Connection> AddressSpace::Connect(QueueId q, ConnMode mode,
                                          std::string label) {
+  return ConnectTo(q.bits(), /*is_queue=*/true, mode, std::move(label));
+}
+
+Result<Connection> AddressSpace::ConnectTo(std::uint64_t bits, bool is_queue,
+                                           ConnMode mode, std::string label) {
   m_api_attaches_->Add();
   if (label.empty()) label = "thread@AS" + std::to_string(AsIndex(options_.id));
-  if (q.owner() == options_.id) {
-    auto queue = FindQueue(q.bits());
-    if (!queue) return NotFoundError("queue");
-    return Connection(q.bits(), true, mode, q.owner(),
-                      queue->Attach(mode, std::move(label)));
+  const AsId owner = OwnerOf(bits);
+  if (owner == options_.id) {
+    DS_ASSIGN_OR_RETURN(auto container, FindContainer(bits, is_queue));
+    return Connection(bits, is_queue, mode, owner,
+                      container->Attach(mode, std::move(label)));
   }
   AttachReq req;
-  req.container_bits = q.bits();
-  req.is_queue = true;
+  req.container_bits = bits;
+  req.is_queue = is_queue;
   req.mode = mode;
   req.label = label;
   marshal::XdrEncoder enc;
   EncodeRequestHeader(enc, Op::kAttach, next_request_id_.fetch_add(1));
   req.Encode(enc);
   DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(q.owner(), enc.Take(), InternalDeadline()));
+                      Call(owner, enc.Take(), InternalDeadline()));
   marshal::XdrDecoder dec(reply);
   DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
   if (!hdr.status.ok()) return hdr.status;
   DS_ASSIGN_OR_RETURN(std::uint32_t slot, dec.GetU32());
-  return Connection(q.bits(), true, mode, q.owner(), slot);
+  return Connection(bits, is_queue, mode, owner, slot);
 }
 
 Status AddressSpace::Disconnect(const Connection& conn) {
   if (!conn.valid()) return InvalidArgumentError("invalid connection");
   m_api_detaches_->Add();
   if (conn.owner() == options_.id) {
-    if (conn.is_queue()) {
-      auto q = FindQueue(conn.container_bits());
-      return q ? q->Detach(conn.slot()) : NotFoundError("queue");
-    }
-    auto ch = FindChannel(conn.container_bits());
-    return ch ? ch->Detach(conn.slot()) : NotFoundError("channel");
+    DS_ASSIGN_OR_RETURN(auto container,
+                        FindContainer(conn.container_bits(), conn.is_queue()));
+    return container->Detach(conn.slot());
   }
   DetachReq req;
   req.container_bits = conn.container_bits();
@@ -1142,15 +1062,9 @@ Status AddressSpace::Put(const Connection& conn, Timestamp ts, Buffer payload,
     // put (channel at capacity) its duration is the block time.
     // Inactive (a TLS read) when the calling context is unsampled.
     trace::ScopedSpan serve(&span_sink_, "owner.serve");
-    SharedBuffer shared(std::move(payload));
-    if (conn.is_queue()) {
-      auto q = FindQueue(conn.container_bits());
-      return q ? q->Put(ts, std::move(shared), deadline)
-               : NotFoundError("queue");
-    }
-    auto ch = FindChannel(conn.container_bits());
-    return ch ? ch->Put(ts, std::move(shared), deadline)
-              : NotFoundError("channel");
+    DS_ASSIGN_OR_RETURN(auto container,
+                        FindContainer(conn.container_bits(), conn.is_queue()));
+    return container->Put(ts, SharedBuffer(std::move(payload)), deadline);
   }
   PutReq req;
   req.container_bits = conn.container_bits();
@@ -1177,16 +1091,9 @@ Result<ItemView> AddressSpace::Get(const Connection& conn, GetSpec spec,
     // Owner-side serving span; for a blocking get the duration is the
     // time parked waiting for the producer.
     trace::ScopedSpan serve(&span_sink_, "owner.serve");
-    Result<ItemView> item = InternalError("unset");
-    if (conn.is_queue()) {
-      auto q = FindQueue(conn.container_bits());
-      if (!q) return NotFoundError("queue");
-      item = q->Get(conn.slot(), deadline);
-    } else {
-      auto ch = FindChannel(conn.container_bits());
-      if (!ch) return NotFoundError("channel");
-      item = ch->Get(conn.slot(), spec, deadline);
-    }
+    DS_ASSIGN_OR_RETURN(auto container,
+                        FindContainer(conn.container_bits(), conn.is_queue()));
+    Result<ItemView> item = container->Get(conn.slot(), spec, deadline);
     if (item.ok()) {
       m_api_bytes_got_->Add(item->payload.size());
     }
@@ -1222,12 +1129,9 @@ Status AddressSpace::Consume(const Connection& conn, Timestamp ts) {
   if (!conn.valid()) return InvalidArgumentError("invalid connection");
   m_api_consumes_->Add();
   if (conn.owner() == options_.id) {
-    if (conn.is_queue()) {
-      auto q = FindQueue(conn.container_bits());
-      return q ? q->Consume(conn.slot(), ts) : NotFoundError("queue");
-    }
-    auto ch = FindChannel(conn.container_bits());
-    return ch ? ch->Consume(conn.slot(), ts) : NotFoundError("channel");
+    DS_ASSIGN_OR_RETURN(auto container,
+                        FindContainer(conn.container_bits(), conn.is_queue()));
+    return container->Consume(conn.slot(), ts);
   }
   ConsumeReq req;
   req.container_bits = conn.container_bits();
@@ -1303,22 +1207,21 @@ Status AddressSpace::SetFilter(const Connection& conn,
 // --- handler functions -----------------------------------------------------------
 
 Status AddressSpace::SetChannelGcHandler(ChannelId ch, GcHandler handler) {
-  auto channel = FindChannel(ch.bits());
-  if (!channel) {
-    return FailedPreconditionError(
-        "GC handlers install at the owner address space");
-  }
-  channel->set_gc_handler(std::move(handler));
-  return OkStatus();
+  return SetGcHandler(ch.bits(), /*is_queue=*/false, std::move(handler));
 }
 
 Status AddressSpace::SetQueueGcHandler(QueueId q, GcHandler handler) {
-  auto queue = FindQueue(q.bits());
-  if (!queue) {
+  return SetGcHandler(q.bits(), /*is_queue=*/true, std::move(handler));
+}
+
+Status AddressSpace::SetGcHandler(std::uint64_t bits, bool is_queue,
+                                  GcHandler handler) {
+  auto container = FindContainer(bits, is_queue);
+  if (!container.ok()) {
     return FailedPreconditionError(
         "GC handlers install at the owner address space");
   }
-  queue->set_gc_handler(std::move(handler));
+  (*container)->set_gc_handler(std::move(handler));
   return OkStatus();
 }
 
@@ -1563,7 +1466,7 @@ Result<std::vector<NsEntry>> AddressSpace::NsList(const std::string& prefix) {
   marshal::XdrDecoder dec(*reply);
   DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
   if (!hdr.status.ok()) return hdr.status;
-  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetU32());
+  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetCount(kMinNsEntryBytes));
   std::vector<NsEntry> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -1647,42 +1550,10 @@ Status AddressSpace::SessionTick(std::uint64_t session_id,
 
 // --- observability ---------------------------------------------------------------
 
-namespace {
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string AddressSpace::MetricsJson() {
-  // Snapshot container pointers under containers_mu_, then query each
-  // container outside it (each query takes only the container's own
-  // leaf lock).
-  std::vector<std::pair<std::uint32_t, std::shared_ptr<LocalChannel>>> channels;
-  std::vector<std::pair<std::uint32_t, std::shared_ptr<LocalQueue>>> queues;
-  {
-    ds::MutexLock lock(containers_mu_);
-    channels.assign(channels_.begin(), channels_.end());
-    queues.assign(queues_.begin(), queues_.end());
-  }
+  // Copy the container table, then query each container outside
+  // containers_mu_ (each query takes only the container's own lock).
+  const GcService::ContainerList containers = Containers();
 
   std::string out;
   out += "{\"as\":" + std::to_string(AsIndex(options_.id));
@@ -1690,37 +1561,37 @@ std::string AddressSpace::MetricsJson() {
   registry_.WriteJson(out);
   out += ",\"spans\":";
   span_sink_.WriteJson(out);
-  out += ",\"channels\":[";
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    const auto& [slot, ch] = channels[i];
-    if (i != 0) out += ',';
-    out += "{\"id\":" + std::to_string(ChannelId(options_.id, slot).bits());
-    out += ",\"name\":";
-    AppendJsonString(out, ch->attr().debug_name);
-    out += ",\"live_items\":" + std::to_string(ch->live_items());
-    const Timestamp frontier = ch->timestamp_frontier();
-    out += ",\"frontier\":" +
-           std::to_string(frontier == kInvalidTimestamp ? -1 : frontier);
-    out += ",\"parked_gets\":" + std::to_string(ch->parked_get_waiters());
-    out += ",\"parked_puts\":" + std::to_string(ch->parked_put_waiters());
-    out += ",\"total_puts\":" + std::to_string(ch->total_puts());
-    out += ",\"reclaimed\":" + std::to_string(ch->total_reclaimed());
-    out += '}';
-  }
-  out += "],\"queues\":[";
-  for (std::size_t i = 0; i < queues.size(); ++i) {
-    const auto& [slot, q] = queues[i];
-    if (i != 0) out += ',';
-    out += "{\"id\":" + std::to_string(QueueId(options_.id, slot).bits());
-    out += ",\"name\":";
-    AppendJsonString(out, q->attr().debug_name);
-    out += ",\"queued_items\":" + std::to_string(q->queued_items());
-    out += ",\"in_flight\":" + std::to_string(q->in_flight_items());
-    out += ",\"parked_gets\":" + std::to_string(q->parked_get_waiters());
-    out += ",\"parked_puts\":" + std::to_string(q->parked_put_waiters());
-    out += ",\"total_puts\":" + std::to_string(q->total_puts());
-    out += ",\"reclaimed\":" + std::to_string(q->total_consumed());
-    out += '}';
+  // Each kind keeps its own array and occupancy fields.
+  for (const bool queues : {false, true}) {
+    out += queues ? "],\"queues\":[" : ",\"channels\":[";
+    bool first = true;
+    for (const auto& [bits, container] : containers) {
+      if (container->is_queue() != queues) continue;
+      if (!first) out += ',';
+      first = false;
+      out += "{\"id\":" + std::to_string(bits);
+      out += ",\"name\":";
+      if (queues) {
+        const auto& q = static_cast<const LocalQueue&>(*container);
+        json::AppendQuoted(out, q.attr().debug_name);
+        out += ",\"queued_items\":" + std::to_string(q.queued_items());
+        out += ",\"in_flight\":" + std::to_string(q.in_flight_items());
+      } else {
+        const auto& ch = static_cast<const LocalChannel&>(*container);
+        json::AppendQuoted(out, ch.attr().debug_name);
+        out += ",\"live_items\":" + std::to_string(ch.live_items());
+        const Timestamp frontier = ch.timestamp_frontier();
+        out += ",\"frontier\":" +
+               std::to_string(frontier == kInvalidTimestamp ? -1 : frontier);
+      }
+      out += ",\"parked_gets\":" +
+             std::to_string(container->parked_get_waiters());
+      out += ",\"parked_puts\":" +
+             std::to_string(container->parked_put_waiters());
+      out += ",\"total_puts\":" + std::to_string(container->total_puts());
+      out += ",\"reclaimed\":" + std::to_string(container->total_reclaimed());
+      out += '}';
+    }
   }
   out += "]}";
   return out;

@@ -228,7 +228,8 @@ class AddressSpace {
   // (ns_replicas.size() > 1) deployment.
   RepLog* replication() { return replog_.get(); }
 
-  // Owner-side lookup, used by surrogates and tests.
+  // Owner-side lookup, used by surrogates and tests; null unless this
+  // space holds a container of that kind under `bits`.
   std::shared_ptr<LocalChannel> FindChannel(std::uint64_t bits);
   std::shared_ptr<LocalQueue> FindQueue(std::uint64_t bits);
 
@@ -264,6 +265,24 @@ class AddressSpace {
     bool is_queue = false;
     std::uint32_t slot = 0;
   };
+
+  // --- the container table ----------------------------------------------
+  // The container this space holds under `bits` if it is of the named
+  // kind; otherwise kNotFound ("channel"/"queue"), so a handle that
+  // names a queue's slot as a channel (or the reverse) finds nothing.
+  Result<std::shared_ptr<LocalContainer>> FindContainer(std::uint64_t bits,
+                                                        bool is_queue);
+  // Every container with its id bits, copied under containers_mu_ so
+  // callers can close, cancel, sweep or query them without holding it.
+  GcService::ContainerList Containers();
+  // Creates a container of either kind on `owner` (here, or over CLF)
+  // and returns its id bits.
+  Result<std::uint64_t> CreateOn(AsId owner, bool is_queue,
+                                 std::size_t capacity,
+                                 const std::string& debug_name);
+  Result<Connection> ConnectTo(std::uint64_t bits, bool is_queue,
+                               ConnMode mode, std::string label);
+  Status SetGcHandler(std::uint64_t bits, bool is_queue, GcHandler handler);
 
   // Sends an encoded request to a peer AS and waits for the reply.
   Result<Buffer> Call(AsId target, Buffer request, Deadline deadline);
@@ -414,13 +433,13 @@ class AddressSpace {
   std::unordered_map<std::uint32_t, std::vector<RemoteAttach>>
       remote_attachments_ DS_GUARDED_BY(remote_attach_mu_);
 
-  // May be held while taking a container's own lock (Shutdown closes
-  // every container under it); never while calling into CLF.
+  // A leaf: held only to look up, add or copy out containers, never
+  // while calling into one or into CLF.
   ds::Mutex containers_mu_{"as.containers_mu"};
-  std::unordered_map<std::uint32_t, std::shared_ptr<LocalChannel>> channels_
-      DS_GUARDED_BY(containers_mu_);
-  std::unordered_map<std::uint32_t, std::shared_ptr<LocalQueue>> queues_
-      DS_GUARDED_BY(containers_mu_);
+  // Both kinds, keyed by the slot of their id; each container knows
+  // its kind (LocalContainer::is_queue).
+  std::unordered_map<std::uint32_t, std::shared_ptr<LocalContainer>>
+      containers_ DS_GUARDED_BY(containers_mu_);
   std::uint32_t next_container_slot_ DS_GUARDED_BY(containers_mu_) = 1;
 
   // Never held while locking a PendingCall's mu (Call, OnMessage and

@@ -2,17 +2,10 @@
 //
 // A channel is a system-wide container of time-sequenced items with
 // random access by timestamp (paper §3.1). This class implements the
-// storage, blocking get semantics, per-connection consume state and
-// the reclamation rule; AddressSpace layers location transparency and
-// the wire protocol on top.
-//
-// Blocking is event-driven: every would-block operation is expressed
-// through the two-phase async API (try, else register a continuation
-// waiter), and every state change re-evaluates the parked waiters and
-// completes the ones it satisfied — outside the channel lock, on the
-// thread that made the progress. The classic blocking Get/Put are thin
-// wrappers that park the *caller's* thread on a SyncWaiter; no shared
-// dispatcher thread ever parks inside the channel.
+// storage, the get selectors, per-connection consume state and the
+// reclamation rule on top of the waiter engine it shares with queues
+// (LocalContainer); AddressSpace layers location transparency and the
+// wire protocol on top.
 //
 // Reclamation rule (the heart of the paper's automatic distributed GC):
 // an item is garbage once *every currently attached input connection*
@@ -21,111 +14,54 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "dstampede/common/clock.hpp"
 #include "dstampede/common/ids.hpp"
 #include "dstampede/common/status.hpp"
 #include "dstampede/common/sync.hpp"
 #include "dstampede/common/waiter.hpp"
+#include "dstampede/core/container.hpp"
 #include "dstampede/core/item.hpp"
 
 namespace dstampede::core {
 
-// Invoked (outside the channel lock) for every reclaimed item. This is
-// the paper's user-defined GC handler (§3.1): applications free any
-// user-space state associated with the item here.
-using GcHandler = std::function<void(Timestamp, const SharedBuffer&)>;
-
-// Continuations for the two-phase async container API. They run
-// exactly once, with no container lock held, on whichever thread
-// resolved the wait: the inline caller, a putter/consumer, the GC
-// sweeper, the timer wheel, or a lifecycle path (close, peer death).
-using GetCompletion = std::function<void(Result<ItemView>)>;
-using PutCompletion = std::function<void(Status)>;
-
-class LocalChannel {
+class LocalChannel final : public LocalContainer {
  public:
-  // `wheel` (optional, must outlive the channel) enforces deadlines of
-  // parked async waiters. Without one, finite-deadline async waiters
-  // only resolve through progress or an explicit CancelWaiter — the
-  // sync wrappers are unaffected (they enforce their own deadline).
+  // `wheel`: see LocalContainer.
   explicit LocalChannel(ChannelAttr attr, TimerWheel* wheel = nullptr)
-      : attr_(std::move(attr)), wheel_(wheel) {}
+      : LocalContainer(/*is_queue=*/false, wheel), attr_(std::move(attr)) {}
 
   const ChannelAttr& attr() const { return attr_; }
 
   // --- connections ---------------------------------------------------
-  // Returns the connection slot used for all subsequent calls.
-  // `label` identifies the connector in stats/debugging (thread name,
-  // surrogate id, remote AS).
-  std::uint32_t Attach(ConnMode mode, std::string label);
+  std::uint32_t Attach(ConnMode mode, std::string label) override;
   // Detaching recomputes garbage: items only the detached connection
   // was holding up become reclaimable.
-  Status Detach(std::uint32_t slot);
+  Status Detach(std::uint32_t slot) override;
 
-  // --- I/O -------------------------------------------------------------
-  // Fails with kAlreadyExists for a duplicate live timestamp and
+  // --- I/O (Put/Get and the async pair are LocalContainer's) --------
+  // A put fails with kAlreadyExists for a duplicate live timestamp and
   // kGarbageCollected for a timestamp at or below the reclaim horizon.
-  // Blocks (up to deadline) while the channel is at capacity.
-  Status Put(Timestamp ts, SharedBuffer payload, Deadline deadline);
-
-  // Blocking get according to spec. kExact waits for the timestamp to
-  // be produced; the selectors wait for any eligible item.
-  Result<ItemView> Get(std::uint32_t slot, GetSpec spec, Deadline deadline);
-
-  // --- two-phase (try-else-register) API -------------------------------
-  // Phase one runs under the lock: if the operation can complete (or
-  // terminally fail) right now, `done` runs inline on this thread and
-  // 0 is returned. Otherwise a waiter is registered and its id (> 0)
-  // returned; `done` later runs exactly once on the completing thread.
-  // `origin` tags the waiter for CancelWaitersOf (peer death).
-  // `use_timer=false` skips the wheel for callers that enforce the
-  // deadline themselves (the sync wrappers).
-  std::uint64_t GetAsync(std::uint32_t slot, GetSpec spec, Deadline deadline,
-                         GetCompletion done,
-                         std::uint32_t origin = kNoWaiterOrigin,
-                         bool use_timer = true);
-  std::uint64_t PutAsync(Timestamp ts, SharedBuffer payload, Deadline deadline,
-                         PutCompletion done,
-                         std::uint32_t origin = kNoWaiterOrigin,
-                         bool use_timer = true);
-  // Completes a parked waiter with `status` (inline, on this thread).
-  // Returns false when the waiter already completed — the caller lost
-  // the race and the genuine completion stands.
-  bool CancelWaiter(std::uint64_t waiter_id, const Status& status);
-  // Completes every parked waiter tagged with `origin`; returns how
-  // many. Used when the peer the reply would go to is dead.
-  std::size_t CancelWaitersOf(std::uint32_t origin, const Status& status);
+  // A kExact get waits for the timestamp to be produced; the selectors
+  // wait for any eligible item.
 
   // Installs a declarative filter on an input connection ("selective
   // attention", §6 future work): the connection's gets only see
   // matching items, and non-matching items carry no GC claim from it.
   Status SetFilter(std::uint32_t slot, const ItemFilter& filter);
 
-  // Marks one timestamp consumed by this connection.
-  Status Consume(std::uint32_t slot, Timestamp ts);
+  // Marks one timestamp consumed by this connection. Consume,
+  // ConsumeUntil and Detach reclaim newly-garbage items inline, so
+  // back-pressured producers unblock immediately.
+  Status Consume(std::uint32_t slot, Timestamp ts) override;
   // Marks every timestamp <= ts consumed by this connection ("selective
   // attention": the connection declares it will never look back).
   Status ConsumeUntil(std::uint32_t slot, Timestamp ts);
-
-  // --- garbage collection ---------------------------------------------
-  void set_gc_handler(GcHandler handler);
-  // Consume/ConsumeUntil/Detach reclaim newly-garbage items inline (so
-  // back-pressured producers unblock immediately); Sweep additionally
-  // re-scans everything and drains the accumulated notices for the GC
-  // service to fan out. Handlers have already run for drained notices.
-  std::vector<GcNotice> Sweep(std::uint64_t channel_bits);
-
-  // Completes every parked waiter with kCancelled and fails subsequent
-  // blocking calls; used when the owning address space shuts down.
-  void Close();
 
   // --- introspection ---------------------------------------------------
   std::size_t live_items() const;
@@ -136,24 +72,6 @@ class LocalChannel {
   Timestamp timestamp_frontier() const {
     ds::MutexLock lock(mu_);
     return frontier_;
-  }
-  std::size_t parked_get_waiters() const;
-  std::size_t parked_put_waiters() const;
-  std::uint64_t total_puts() const {
-    ds::MutexLock lock(mu_);
-    return total_puts_;
-  }
-  std::uint64_t total_reclaimed() const {
-    ds::MutexLock lock(mu_);
-    return total_reclaimed_;
-  }
-
-  // Wires registry instruments (owner AS calls this once, before the
-  // container is published). Also turns on reclaim-lag measurement:
-  // puts stamp a birth time, reclaims observe the lag.
-  void set_metrics(const StmMetrics& m) {
-    ds::MutexLock lock(mu_);
-    metrics_ = m;
   }
 
  private:
@@ -179,37 +97,6 @@ class LocalChannel {
     void Compact();
   };
 
-  // A blocked get staged as data instead of a parked thread (the
-  // tuple-space pending-match-record move). Owned by get_waiters_;
-  // completion-by-removal under mu_ is what makes delivery
-  // exactly-once even with racing completers.
-  struct GetWaiter {
-    std::uint32_t slot;
-    GetSpec spec;
-    GetCompletion done;
-    std::uint32_t origin;
-    TimerWheel::TimerId timer = 0;
-  };
-  // A back-pressured put: the payload waits in the record, not in a
-  // blocked thread's stack frame.
-  struct PutWaiter {
-    Timestamp ts;
-    SharedBuffer payload;
-    PutCompletion done;
-    std::uint32_t origin;
-    TimerWheel::TimerId timer = 0;
-  };
-
-  // Work discovered under mu_ that must run only after it is released:
-  // reclaimed payloads for the GC handler, waiter completions, and
-  // timer cancellations for waiters that completed early.
-  struct Wakeups {
-    std::vector<std::pair<Timestamp, SharedBuffer>> freed;
-    GcHandler handler;
-    std::vector<std::function<void()>> completions;
-    std::vector<TimerWheel::TimerId> timers;
-  };
-
   bool IsGarbageLocked(Timestamp ts, std::size_t bytes) const
       DS_REQUIRES(mu_);
   Result<ItemView> SelectLocked(const ConnState& conn, GetSpec spec) const
@@ -217,51 +104,25 @@ class LocalChannel {
   // True when a Get(spec) could never be satisfied without new puts.
   Status CheckGetPreconditionsLocked(const ConnState& conn, GetSpec spec) const
       DS_REQUIRES(mu_);
-  // Phase-one attempts. nullopt means "would block: park"; a value is
-  // the operation's final result (success or terminal error).
   std::optional<Result<ItemView>> TryGetLocked(std::uint32_t slot,
-                                               GetSpec spec) const
-      DS_REQUIRES(mu_);
+                                               GetSpec spec)
+      DS_REQUIRES(mu_) override;
+  // An item that is garbage on arrival is reclaimed into `out`.
   std::optional<Status> TryPutLocked(Timestamp ts, SharedBuffer& payload,
-                                     Wakeups& out) DS_REQUIRES(mu_);
-  // Re-runs phase one for every parked waiter, to fixpoint: an admitted
-  // put can satisfy parked gets, and the reclaim it triggers can admit
-  // further puts. Completed waiters move into `out`.
-  void EvaluateWaitersLocked(Wakeups& out) DS_REQUIRES(mu_);
-  // Removes garbage items, queues notices, collects freed payloads
-  // (and the handler to run on them) into `out`.
-  void ReclaimLocked(Wakeups& out) DS_REQUIRES(mu_);
-  // Post-mutation tail shared by every path: cancels obsolete timers,
-  // runs the GC handler, then the waiter completions — all outside the
-  // lock (handlers and completions may call back into the channel).
-  void Finish(Wakeups wakeups) DS_EXCLUDES(mu_);
+                                     Wakeups& out)
+      DS_REQUIRES(mu_) override;
+  void ReclaimLocked(Wakeups& out) DS_REQUIRES(mu_) override;
 
   ChannelAttr attr_;
-  TimerWheel* const wheel_;
-  mutable ds::Mutex mu_{"channel.mu"};
 
-  bool closed_ DS_GUARDED_BY(mu_) = false;
   std::map<Timestamp, SharedBuffer> items_ DS_GUARDED_BY(mu_);
   std::map<std::uint32_t, ConnState> conns_ DS_GUARDED_BY(mu_);
   std::uint32_t next_slot_ DS_GUARDED_BY(mu_) = 1;
   Timestamp max_reclaimed_ DS_GUARDED_BY(mu_) = kInvalidTimestamp;
 
-  // Waiter id order is registration order: the maps double as FIFO
-  // queues, so back-pressured puts are admitted first-come-first-served.
-  std::map<std::uint64_t, GetWaiter> get_waiters_ DS_GUARDED_BY(mu_);
-  std::map<std::uint64_t, PutWaiter> put_waiters_ DS_GUARDED_BY(mu_);
-  std::uint64_t next_waiter_id_ DS_GUARDED_BY(mu_) = 1;
-
-  GcHandler gc_handler_ DS_GUARDED_BY(mu_);
-  // Drained by Sweep.
-  std::vector<GcNotice> pending_notices_ DS_GUARDED_BY(mu_);
-  std::uint64_t total_puts_ DS_GUARDED_BY(mu_) = 0;
-  std::uint64_t total_reclaimed_ DS_GUARDED_BY(mu_) = 0;
-
-  // Observability (see StmMetrics). put_times_ shadows items_ with each
-  // item's birth time; only maintained when metrics_.reclaim_lag_us is
-  // wired, so uninstrumented channels skip the clock read per put.
-  StmMetrics metrics_ DS_GUARDED_BY(mu_);
+  // put_times_ shadows items_ with each item's birth time; only
+  // maintained when metrics_.reclaim_lag_us is wired, so uninstrumented
+  // channels skip the clock read per put.
   std::map<Timestamp, TimePoint> put_times_ DS_GUARDED_BY(mu_);
   Timestamp frontier_ DS_GUARDED_BY(mu_) = kInvalidTimestamp;
 };

@@ -2,28 +2,6 @@
 
 namespace dstampede::core {
 
-void GcService::RegisterChannel(std::uint64_t bits,
-                                std::shared_ptr<LocalChannel> ch) {
-  ds::MutexLock lock(mu_);
-  channels_[bits] = std::move(ch);
-}
-
-void GcService::UnregisterChannel(std::uint64_t bits) {
-  ds::MutexLock lock(mu_);
-  channels_.erase(bits);
-}
-
-void GcService::RegisterQueue(std::uint64_t bits,
-                              std::shared_ptr<LocalQueue> q) {
-  ds::MutexLock lock(mu_);
-  queues_[bits] = std::move(q);
-}
-
-void GcService::UnregisterQueue(std::uint64_t bits) {
-  ds::MutexLock lock(mu_);
-  queues_.erase(bits);
-}
-
 std::uint64_t GcService::AddSink(NoticeSink sink) {
   ds::MutexLock lock(mu_);
   const std::uint64_t token = next_sink_token_++;
@@ -32,34 +10,24 @@ std::uint64_t GcService::AddSink(NoticeSink sink) {
 }
 
 void GcService::RemoveSink(std::uint64_t token) {
+  ds::MutexLock fanout(fanout_mu_);
   ds::MutexLock lock(mu_);
   sinks_.erase(token);
 }
 
 std::vector<GcNotice> GcService::SweepOnce() {
-  // Copy the registries so sweeping (which takes per-container locks
-  // and runs user GC handlers) happens outside the service lock.
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<LocalChannel>>> chans;
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<LocalQueue>>> queues;
-  {
-    ds::MutexLock lock(mu_);
-    chans.assign(channels_.begin(), channels_.end());
-    queues.assign(queues_.begin(), queues_.end());
-  }
-
+  // Sweeping takes per-container locks and runs user GC handlers, so
+  // it happens outside the service lock.
   std::vector<GcNotice> all;
-  for (auto& [bits, ch] : chans) {
-    auto notices = ch->Sweep(bits);
-    all.insert(all.end(), notices.begin(), notices.end());
-  }
-  for (auto& [bits, q] : queues) {
-    auto notices = q->Sweep(bits);
+  for (auto& [bits, container] : source_()) {
+    auto notices = container->Sweep(bits);
     all.insert(all.end(), notices.begin(), notices.end());
   }
   sweeps_.fetch_add(1, std::memory_order_relaxed);
 
   if (!all.empty()) {
     notices_total_.fetch_add(all.size(), std::memory_order_relaxed);
+    ds::MutexLock fanout(fanout_mu_);
     std::vector<NoticeSink> sink_copies;
     {
       ds::MutexLock lock(mu_);

@@ -1,10 +1,11 @@
 // Garbage collection service (paper §3.1, §3.2.2): one per address
 // space, running "concurrent with application execution". It
-// periodically sweeps every local channel (reclaiming items all input
-// connections have consumed) and drains queue consume notices, then
-// fans the resulting GcNotices out to registered sinks. Surrogate
-// threads register a sink per end device and forward the notices at an
-// opportune time (§3.2.4) so the device can free user-space buffers.
+// periodically sweeps every container its source lists (channels
+// reclaim items all input connections have consumed; queues report
+// their consume notices), then fans the resulting GcNotices out to
+// registered sinks. Surrogate threads register a sink per end device
+// and forward the notices at an opportune time (§3.2.4) so the device
+// can free user-space buffers.
 #pragma once
 
 #include <atomic>
@@ -12,13 +13,13 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dstampede/common/clock.hpp"
 #include "dstampede/common/sync.hpp"
 #include "dstampede/common/thread.hpp"
-#include "dstampede/core/channel.hpp"
-#include "dstampede/core/queue.hpp"
+#include "dstampede/core/container.hpp"
 
 namespace dstampede::core {
 
@@ -27,19 +28,25 @@ class GcService {
   // Sink: receives every notice batch produced by a sweep.
   using NoticeSink = std::function<void(const std::vector<GcNotice>&)>;
 
-  explicit GcService(Duration interval) : interval_(interval) {}
+  // The containers to sweep, each with the id bits its notices carry.
+  using ContainerList =
+      std::vector<std::pair<std::uint64_t, std::shared_ptr<LocalContainer>>>;
+  // Called at every sweep for a fresh list (the owner's container
+  // table), with no service lock held.
+  using ContainerSource = std::function<ContainerList()>;
+
+  GcService(Duration interval, ContainerSource source)
+      : interval_(interval), source_(std::move(source)) {}
   ~GcService() { Stop(); }
 
   GcService(const GcService&) = delete;
   GcService& operator=(const GcService&) = delete;
 
-  void RegisterChannel(std::uint64_t bits, std::shared_ptr<LocalChannel> ch);
-  void UnregisterChannel(std::uint64_t bits);
-  void RegisterQueue(std::uint64_t bits, std::shared_ptr<LocalQueue> q);
-  void UnregisterQueue(std::uint64_t bits);
-
   // Returns a token for RemoveSink.
   std::uint64_t AddSink(NoticeSink sink);
+  // Waits out a fan-out in flight, so once this returns the sink never
+  // runs again and its captures may be destroyed. Not for use from
+  // inside a sink.
   void RemoveSink(std::uint64_t token);
 
   void Start();
@@ -56,13 +63,13 @@ class GcService {
   void Loop();
 
   Duration interval_;
-  // Never held while calling into a container's Sweep or a sink: both
-  // may call back into this service (see SweepOnce).
+  const ContainerSource source_;
+  // Held while sinks run, and by RemoveSink: a sink is never called
+  // after its removal returns.
+  ds::Mutex fanout_mu_{"gc_service.fanout_mu"};
+  // Never held while calling the source, a container's Sweep or a
+  // sink: each may call back into this service (see SweepOnce).
   ds::Mutex mu_{"gc_service.mu"};
-  std::unordered_map<std::uint64_t, std::shared_ptr<LocalChannel>> channels_
-      DS_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, std::shared_ptr<LocalQueue>> queues_
-      DS_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, NoticeSink> sinks_ DS_GUARDED_BY(mu_);
   std::uint64_t next_sink_token_ DS_GUARDED_BY(mu_) = 1;
 

@@ -30,83 +30,24 @@ Status LocalQueue::Detach(std::uint32_t slot) {
     // slot complete with kNotFound.
     EvaluateWaitersLocked(wakeups);
   }
-  Finish(std::move(wakeups));
+  Finish(wakeups);
   return OkStatus();
 }
 
-void LocalQueue::Close() {
-  Wakeups wakeups;
-  {
-    ds::MutexLock lock(mu_);
-    closed_ = true;
-    EvaluateWaitersLocked(wakeups);
-  }
-  Finish(std::move(wakeups));
-}
-
 std::optional<Status> LocalQueue::TryPutLocked(Timestamp ts,
-                                               SharedBuffer& payload) {
-  if (closed_) return CancelledError("queue closed");
+                                               SharedBuffer& payload,
+                                               Wakeups& /*out*/) {
   if (attr_.capacity_items != 0 && items_.size() >= attr_.capacity_items) {
     return std::nullopt;  // back-pressure: park
   }
   Entry entry{ts, std::move(payload), next_order_++};
   if (metrics_.reclaim_lag_us != nullptr) entry.put_at = Now();
   items_.push_back(std::move(entry));
-  ++total_puts_;
-  if (metrics_.puts != nullptr) metrics_.puts->Add();
   return OkStatus();
 }
 
-Status LocalQueue::Put(Timestamp ts, SharedBuffer payload, Deadline deadline) {
-  SyncWaiter<Status> sync;
-  const std::uint64_t id = PutAsync(
-      ts, std::move(payload), deadline,
-      [&sync](Status st) { sync.Complete(std::move(st)); }, kNoWaiterOrigin,
-      /*use_timer=*/false);
-  if (!sync.AwaitUntil(deadline) && id != 0) {
-    CancelWaiter(id, TimeoutError("queue at capacity"));
-  }
-  return sync.TakeResult();
-}
-
-std::uint64_t LocalQueue::PutAsync(Timestamp ts, SharedBuffer payload,
-                                   Deadline deadline, PutCompletion done,
-                                   std::uint32_t origin, bool use_timer) {
-  if (ts == kInvalidTimestamp) {
-    done(InvalidArgumentError("bad timestamp"));
-    return 0;
-  }
-  Wakeups wakeups;
-  std::optional<Status> inline_result;
-  std::uint64_t id = 0;
-  {
-    ds::MutexLock lock(mu_);
-    inline_result = TryPutLocked(ts, payload);
-    if (inline_result.has_value()) {
-      // The new item can feed parked gets (whose pops can in turn
-      // admit parked puts).
-      if (inline_result->ok()) EvaluateWaitersLocked(wakeups);
-    } else if (deadline.expired()) {
-      inline_result = TimeoutError("queue at capacity");
-    } else {
-      id = next_waiter_id_++;
-      PutWaiter waiter{ts, std::move(payload), std::move(done), origin, 0};
-      if (use_timer && wheel_ != nullptr) {
-        waiter.timer = wheel_->Schedule(deadline, [this, id] {
-          CancelWaiter(id, TimeoutError("queue at capacity"));
-        });
-      }
-      put_waiters_.emplace(id, std::move(waiter));
-    }
-  }
-  Finish(std::move(wakeups));
-  if (inline_result.has_value()) done(std::move(*inline_result));
-  return id;
-}
-
-std::optional<Result<ItemView>> LocalQueue::TryGetLocked(std::uint32_t slot) {
-  if (closed_) return Result<ItemView>(CancelledError("queue closed"));
+std::optional<Result<ItemView>> LocalQueue::TryGetLocked(std::uint32_t slot,
+                                                         GetSpec /*spec*/) {
   auto it = conns_.find(slot);
   if (it == conns_.end()) return Result<ItemView>(NotFoundError("connection"));
   if (!CanInput(it->second.mode)) {
@@ -117,157 +58,11 @@ std::optional<Result<ItemView>> LocalQueue::TryGetLocked(std::uint32_t slot) {
   items_.pop_front();
   ItemView view{entry.ts, entry.payload};
   it->second.in_flight.push_back(std::move(entry));
-  if (metrics_.gets != nullptr) metrics_.gets->Add();
   return Result<ItemView>(std::move(view));
 }
 
-Result<ItemView> LocalQueue::Get(std::uint32_t slot, Deadline deadline) {
-  SyncWaiter<Result<ItemView>> sync;
-  const std::uint64_t id = GetAsync(
-      slot, deadline,
-      [&sync](Result<ItemView> item) { sync.Complete(std::move(item)); },
-      kNoWaiterOrigin, /*use_timer=*/false);
-  if (!sync.AwaitUntil(deadline) && id != 0) {
-    CancelWaiter(id, TimeoutError("queue get"));
-  }
-  return sync.TakeResult();
-}
-
-std::uint64_t LocalQueue::GetAsync(std::uint32_t slot, Deadline deadline,
-                                   GetCompletion done, std::uint32_t origin,
-                                   bool use_timer) {
-  Wakeups wakeups;
-  std::optional<Result<ItemView>> inline_result;
-  std::uint64_t id = 0;
-  {
-    ds::MutexLock lock(mu_);
-    inline_result = TryGetLocked(slot);
-    if (inline_result.has_value()) {
-      // The pop freed capacity: a put may have been waiting on it.
-      if (inline_result->ok()) EvaluateWaitersLocked(wakeups);
-    } else if (deadline.expired()) {
-      inline_result = Result<ItemView>(TimeoutError("queue get"));
-    } else {
-      id = next_waiter_id_++;
-      GetWaiter waiter{slot, std::move(done), origin, 0};
-      if (use_timer && wheel_ != nullptr) {
-        waiter.timer = wheel_->Schedule(deadline, [this, id] {
-          CancelWaiter(id, TimeoutError("queue get"));
-        });
-      }
-      get_waiters_.emplace(id, std::move(waiter));
-    }
-  }
-  Finish(std::move(wakeups));
-  if (inline_result.has_value()) done(std::move(*inline_result));
-  return id;
-}
-
-bool LocalQueue::CancelWaiter(std::uint64_t waiter_id, const Status& status) {
-  std::function<void()> completion;
-  TimerWheel::TimerId timer = 0;
-  {
-    ds::MutexLock lock(mu_);
-    if (auto it = get_waiters_.find(waiter_id); it != get_waiters_.end()) {
-      timer = it->second.timer;
-      completion = [done = std::move(it->second.done), st = status]() mutable {
-        done(Result<ItemView>(std::move(st)));
-      };
-      get_waiters_.erase(it);
-    } else if (auto pit = put_waiters_.find(waiter_id);
-               pit != put_waiters_.end()) {
-      timer = pit->second.timer;
-      completion = [done = std::move(pit->second.done),
-                    st = status]() mutable { done(std::move(st)); };
-      put_waiters_.erase(pit);
-    } else {
-      return false;  // already completed (or never existed)
-    }
-  }
-  if (timer != 0 && wheel_ != nullptr) wheel_->Cancel(timer);
-  completion();
-  return true;
-}
-
-std::size_t LocalQueue::CancelWaitersOf(std::uint32_t origin,
-                                        const Status& status) {
-  Wakeups wakeups;
-  {
-    ds::MutexLock lock(mu_);
-    for (auto it = get_waiters_.begin(); it != get_waiters_.end();) {
-      if (it->second.origin != origin) {
-        ++it;
-        continue;
-      }
-      if (it->second.timer != 0) wakeups.timers.push_back(it->second.timer);
-      wakeups.completions.push_back(
-          [done = std::move(it->second.done), st = status]() mutable {
-            done(Result<ItemView>(std::move(st)));
-          });
-      it = get_waiters_.erase(it);
-    }
-    for (auto it = put_waiters_.begin(); it != put_waiters_.end();) {
-      if (it->second.origin != origin) {
-        ++it;
-        continue;
-      }
-      if (it->second.timer != 0) wakeups.timers.push_back(it->second.timer);
-      wakeups.completions.push_back(
-          [done = std::move(it->second.done), st = status]() mutable {
-            done(std::move(st));
-          });
-      it = put_waiters_.erase(it);
-    }
-  }
-  const std::size_t cancelled = wakeups.completions.size();
-  Finish(std::move(wakeups));
-  return cancelled;
-}
-
-void LocalQueue::EvaluateWaitersLocked(Wakeups& out) {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = put_waiters_.begin(); it != put_waiters_.end();) {
-      auto tried = TryPutLocked(it->second.ts, it->second.payload);
-      if (!tried.has_value()) {
-        ++it;
-        continue;
-      }
-      if (it->second.timer != 0) out.timers.push_back(it->second.timer);
-      out.completions.push_back(
-          [done = std::move(it->second.done),
-           st = std::move(*tried)]() mutable { done(std::move(st)); });
-      it = put_waiters_.erase(it);
-      progress = true;
-    }
-    for (auto it = get_waiters_.begin(); it != get_waiters_.end();) {
-      auto tried = TryGetLocked(it->second.slot);
-      if (!tried.has_value()) {
-        ++it;
-        continue;
-      }
-      if (it->second.timer != 0) out.timers.push_back(it->second.timer);
-      out.completions.push_back(
-          [done = std::move(it->second.done),
-           item = std::move(*tried)]() mutable { done(std::move(item)); });
-      it = get_waiters_.erase(it);
-      progress = true;
-    }
-  }
-}
-
-void LocalQueue::Finish(Wakeups wakeups) {
-  for (TimerWheel::TimerId timer : wakeups.timers) {
-    if (wheel_ != nullptr) wheel_->Cancel(timer);
-  }
-  for (auto& completion : wakeups.completions) completion();
-}
-
 Status LocalQueue::Consume(std::uint32_t slot, Timestamp ts) {
-  GcHandler handler_copy;
-  Timestamp freed_ts = kInvalidTimestamp;
-  SharedBuffer freed_payload;
+  Wakeups wakeups;
   {
     ds::MutexLock lock(mu_);
     auto it = conns_.find(slot);
@@ -279,34 +74,12 @@ Status LocalQueue::Consume(std::uint32_t slot, Timestamp ts) {
     if (entry_it == in_flight.end()) {
       return NotFoundError("no in-flight item with this timestamp");
     }
-    freed_ts = entry_it->ts;
-    freed_payload = entry_it->payload;
-    pending_notices_.push_back(
-        GcNotice{0, /*is_queue=*/true, freed_ts, freed_payload.size()});
-    if (metrics_.reclaimed != nullptr) metrics_.reclaimed->Add();
-    if (metrics_.reclaim_lag_us != nullptr &&
-        entry_it->put_at != TimePoint{}) {
-      metrics_.reclaim_lag_us->Observe(ToMicros(Now() - entry_it->put_at));
-    }
+    ReclaimedLocked(entry_it->ts, std::move(entry_it->payload),
+                    entry_it->put_at, wakeups);
     in_flight.erase(entry_it);
-    ++total_consumed_;
-    handler_copy = gc_handler_;
   }
-  if (handler_copy) handler_copy(freed_ts, freed_payload);
+  Finish(wakeups);
   return OkStatus();
-}
-
-void LocalQueue::set_gc_handler(GcHandler handler) {
-  ds::MutexLock lock(mu_);
-  gc_handler_ = std::move(handler);
-}
-
-std::vector<GcNotice> LocalQueue::Sweep(std::uint64_t queue_bits) {
-  ds::MutexLock lock(mu_);
-  std::vector<GcNotice> out = std::move(pending_notices_);
-  pending_notices_.clear();
-  for (auto& notice : out) notice.container_bits = queue_bits;
-  return out;
 }
 
 std::size_t LocalQueue::queued_items() const {
@@ -319,16 +92,6 @@ std::size_t LocalQueue::in_flight_items() const {
   std::size_t n = 0;
   for (const auto& [slot, conn] : conns_) n += conn.in_flight.size();
   return n;
-}
-
-std::size_t LocalQueue::parked_get_waiters() const {
-  ds::MutexLock lock(mu_);
-  return get_waiters_.size();
-}
-
-std::size_t LocalQueue::parked_put_waiters() const {
-  ds::MutexLock lock(mu_);
-  return put_waiters_.size();
 }
 
 }  // namespace dstampede::core

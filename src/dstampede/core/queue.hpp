@@ -5,11 +5,9 @@
 // frame-fragments sharing one timestamp; multiple worker threads get
 // items, each item going to exactly one worker.
 //
-// Like channels, blocking is event-driven: a get that finds the queue
-// empty (or a put that hits capacity) registers a continuation waiter
-// instead of parking the calling thread, and the put/get/detach that
-// resolves it runs the continuation. Get waiters are served in
-// registration order, so delivery stays FIFO across blocked getters.
+// Blocking is LocalContainer's waiter engine, shared with channels.
+// Get waiters are served in registration order, so delivery stays
+// FIFO across blocked getters, and each pop can admit a parked put.
 //
 // An item a worker has taken stays accounted to that worker's
 // connection until the worker consumes it; consuming fires the GC
@@ -20,7 +18,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,81 +29,52 @@
 #include "dstampede/common/status.hpp"
 #include "dstampede/common/sync.hpp"
 #include "dstampede/common/waiter.hpp"
-#include "dstampede/core/channel.hpp"  // GcHandler, Get/PutCompletion
+#include "dstampede/core/container.hpp"
 #include "dstampede/core/item.hpp"
 
 namespace dstampede::core {
 
-class LocalQueue {
+class LocalQueue final : public LocalContainer {
  public:
-  // `wheel` (optional, must outlive the queue) enforces deadlines of
-  // parked async waiters; see LocalChannel.
+  // `wheel`: see LocalContainer.
   explicit LocalQueue(QueueAttr attr, TimerWheel* wheel = nullptr)
-      : attr_(std::move(attr)), wheel_(wheel) {}
+      : LocalContainer(/*is_queue=*/true, wheel), attr_(std::move(attr)) {}
 
   const QueueAttr& attr() const { return attr_; }
 
-  std::uint32_t Attach(ConnMode mode, std::string label);
-  Status Detach(std::uint32_t slot);
+  std::uint32_t Attach(ConnMode mode, std::string label) override;
+  Status Detach(std::uint32_t slot) override;
 
-  // FIFO put. Unlike channels, duplicate timestamps are legal: all
-  // fragments of one frame share the frame's timestamp.
-  Status Put(Timestamp ts, SharedBuffer payload, Deadline deadline);
-
-  // Pops the head item; each item is delivered to exactly one getter.
-  Result<ItemView> Get(std::uint32_t slot, Deadline deadline);
-
-  // --- two-phase (try-else-register) API -------------------------------
-  // Same contract as LocalChannel: `done` runs inline (return 0) when
-  // the op resolves now, otherwise exactly once from the completing
-  // thread (waiter id > 0 returned). Because a queue get is
-  // destructive, exactly-once matters doubly here: the popped item is
-  // delivered to the one continuation that owned the waiter record.
+  // Puts (LocalContainer's) append in FIFO order. Unlike channels,
+  // duplicate timestamps are legal: all fragments of one frame share
+  // the frame's timestamp.
+  //
+  // A get pops the head item; each item is delivered to exactly one
+  // getter. Because a queue get is destructive, exactly-once matters
+  // doubly here: the popped item is delivered to the one continuation
+  // that owned the waiter record. These overloads take no GetSpec.
+  using LocalContainer::Get;
+  using LocalContainer::GetAsync;
+  Result<ItemView> Get(std::uint32_t slot, Deadline deadline) {
+    return Get(slot, GetSpec::Oldest(), deadline);
+  }
   std::uint64_t GetAsync(std::uint32_t slot, Deadline deadline,
                          GetCompletion done,
                          std::uint32_t origin = kNoWaiterOrigin,
-                         bool use_timer = true);
-  std::uint64_t PutAsync(Timestamp ts, SharedBuffer payload, Deadline deadline,
-                         PutCompletion done,
-                         std::uint32_t origin = kNoWaiterOrigin,
-                         bool use_timer = true);
-  bool CancelWaiter(std::uint64_t waiter_id, const Status& status);
-  std::size_t CancelWaitersOf(std::uint32_t origin, const Status& status);
+                         bool use_timer = true) {
+    return GetAsync(slot, GetSpec::Oldest(), deadline, std::move(done), origin,
+                    use_timer);
+  }
 
   // Acknowledges an in-flight item previously got by this connection;
   // the GC handler fires for it. Consumes the oldest in-flight item
   // with this timestamp (fragments share timestamps).
-  Status Consume(std::uint32_t slot, Timestamp ts);
-
-  void set_gc_handler(GcHandler handler);
-  // Queue items are reclaimed by consume, not by sweeping; Sweep only
-  // reports (and clears) accumulated notices for the GC service.
-  std::vector<GcNotice> Sweep(std::uint64_t queue_bits);
-
-  // Completes every parked waiter with kCancelled and fails subsequent
-  // blocking calls; used when the owning address space shuts down.
-  void Close();
+  Status Consume(std::uint32_t slot, Timestamp ts) override;
 
   std::size_t queued_items() const;
   std::size_t in_flight_items() const;
-  std::size_t parked_get_waiters() const;
-  std::size_t parked_put_waiters() const;
-  std::uint64_t total_puts() const {
-    ds::MutexLock lock(mu_);
-    return total_puts_;
-  }
-  std::uint64_t total_consumed() const {
-    ds::MutexLock lock(mu_);
-    return total_consumed_;
-  }
-
-  // Wires registry instruments (owner AS calls this once, before the
-  // container is published). Also turns on reclaim-lag measurement:
-  // puts stamp a birth time, consumes observe put->consume lag.
-  void set_metrics(const StmMetrics& m) {
-    ds::MutexLock lock(mu_);
-    metrics_ = m;
-  }
+  // A queue item is reclaimed when its getter consumes it.
+  std::uint64_t total_consumed() const { return total_reclaimed(); }
 
  private:
   struct Entry {
@@ -123,57 +91,20 @@ class LocalQueue {
     std::string label;
     std::vector<Entry> in_flight;
   };
-  struct GetWaiter {
-    std::uint32_t slot;
-    GetCompletion done;
-    std::uint32_t origin;
-    TimerWheel::TimerId timer = 0;
-  };
-  struct PutWaiter {
-    Timestamp ts;
-    SharedBuffer payload;
-    PutCompletion done;
-    std::uint32_t origin;
-    TimerWheel::TimerId timer = 0;
-  };
-  // Deferred work collected under mu_, run by Finish() after release.
-  struct Wakeups {
-    std::vector<std::function<void()>> completions;
-    std::vector<TimerWheel::TimerId> timers;
-  };
 
-  // Phase-one attempts; nullopt = would block (park).
-  std::optional<Result<ItemView>> TryGetLocked(std::uint32_t slot)
-      DS_REQUIRES(mu_);
-  std::optional<Status> TryPutLocked(Timestamp ts, SharedBuffer& payload)
-      DS_REQUIRES(mu_);
-  // Re-runs phase one for parked waiters to fixpoint: an admitted put
-  // feeds parked gets, and a completed get frees capacity for parked
-  // puts. Get waiters are scanned in id (registration) order: FIFO.
-  void EvaluateWaitersLocked(Wakeups& out) DS_REQUIRES(mu_);
-  void Finish(Wakeups wakeups) DS_EXCLUDES(mu_);
+  std::optional<Result<ItemView>> TryGetLocked(std::uint32_t slot,
+                                               GetSpec spec)
+      DS_REQUIRES(mu_) override;
+  std::optional<Status> TryPutLocked(Timestamp ts, SharedBuffer& payload,
+                                     Wakeups& out)
+      DS_REQUIRES(mu_) override;
 
   QueueAttr attr_;
-  TimerWheel* const wheel_;
-  mutable ds::Mutex mu_{"queue.mu"};
 
-  bool closed_ DS_GUARDED_BY(mu_) = false;
   std::deque<Entry> items_ DS_GUARDED_BY(mu_);
   std::map<std::uint32_t, ConnState> conns_ DS_GUARDED_BY(mu_);
   std::uint32_t next_slot_ DS_GUARDED_BY(mu_) = 1;
   std::uint64_t next_order_ DS_GUARDED_BY(mu_) = 0;
-
-  std::map<std::uint64_t, GetWaiter> get_waiters_ DS_GUARDED_BY(mu_);
-  std::map<std::uint64_t, PutWaiter> put_waiters_ DS_GUARDED_BY(mu_);
-  std::uint64_t next_waiter_id_ DS_GUARDED_BY(mu_) = 1;
-
-  GcHandler gc_handler_ DS_GUARDED_BY(mu_);
-  std::vector<GcNotice> pending_notices_ DS_GUARDED_BY(mu_);
-  std::uint64_t total_puts_ DS_GUARDED_BY(mu_) = 0;
-  std::uint64_t total_consumed_ DS_GUARDED_BY(mu_) = 0;
-
-  // Observability (see StmMetrics). Null instruments = uninstrumented.
-  StmMetrics metrics_ DS_GUARDED_BY(mu_);
 };
 
 }  // namespace dstampede::core

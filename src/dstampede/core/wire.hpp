@@ -234,6 +234,9 @@ void EncodeNsEntry(Enc& enc, const NsEntry& entry) {
   enc.PutU32(AsIndex(entry.owner_as));
 }
 Result<NsEntry> DecodeNsEntry(marshal::XdrDecoder& dec);
+// Smallest encoding of one entry (empty strings), the bound for a
+// decoded entry count: 4 + 4 + 8 + 4 + 4.
+inline constexpr std::size_t kMinNsEntryBytes = 24;
 
 // SessionRecord codec, used both in kSessionPut requests and in
 // kSessionGet / client-Resume replies.
@@ -441,5 +444,8 @@ void EncodeGcNotice(Enc& enc, const GcNotice& notice) {
   enc.PutU64(notice.payload_size);
 }
 Result<GcNotice> DecodeGcNotice(marshal::XdrDecoder& dec);
+// Encoded size of one notice, the bound for a decoded notice count:
+// 8 + 4 + 8 + 8.
+inline constexpr std::size_t kGcNoticeBytes = 28;
 
 }  // namespace dstampede::core

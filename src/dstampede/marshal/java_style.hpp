@@ -115,6 +115,8 @@ class JavaStyleDecoder {
   Result<double> GetF64();
   Result<Buffer> GetOpaque();
   Result<std::string> GetString();
+  // Same contract as XdrDecoder::GetCount.
+  Result<std::uint32_t> GetCount(std::size_t min_element_bytes);
 
   std::size_t remaining() const { return data_.size() - pos_; }
 

@@ -56,6 +56,14 @@ Result<std::uint32_t> XdrDecoder::GetU32() {
   return v;
 }
 
+Result<std::uint32_t> XdrDecoder::GetCount(std::size_t min_element_bytes) {
+  DS_ASSIGN_OR_RETURN(std::uint32_t count, GetU32());
+  if (count > remaining() / min_element_bytes) {
+    return InternalError("XDR count exceeds the remaining bytes");
+  }
+  return count;
+}
+
 Result<std::int32_t> XdrDecoder::GetI32() {
   DS_ASSIGN_OR_RETURN(std::uint32_t v, GetU32());
   return static_cast<std::int32_t>(v);

@@ -55,6 +55,10 @@ class XdrDecoder {
   // Zero-copy view of an opaque field (valid while the input lives).
   Result<std::span<const std::uint8_t>> GetOpaqueView();
   Result<std::string> GetString();
+  // An element count (u32) that the remaining bytes can hold, given
+  // that one element encodes to at least `min_element_bytes` (> 0). A
+  // hostile count fails here instead of reaching reserve().
+  Result<std::uint32_t> GetCount(std::size_t min_element_bytes);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }

@@ -159,6 +159,66 @@ TEST_F(RuntimeTest, ConnectToUnknownPeerFails) {
   EXPECT_EQ(conn.status().code(), StatusCode::kNotFound);
 }
 
+// Both kinds draw slots from one counter and live in one table at the
+// owner, so a handle that names a queue's slot as a channel (or the
+// reverse) must still find nothing: every op answers kNotFound, on the
+// owner and from a peer.
+TEST_F(RuntimeTest, HandleOfTheOtherKindIsNotFound) {
+  AddressSpace& owner = rt_->as(1);
+  auto ch = owner.CreateChannel();
+  auto q = owner.CreateQueue();
+  ASSERT_TRUE(ch.ok());
+  ASSERT_TRUE(q.ok());
+  // Slot 1 of each container is live, so a lookup that ignored the
+  // kind would land on a real connection of the other container.
+  auto ch_conn = owner.Connect(*ch, ConnMode::kInputOutput);
+  auto q_conn = owner.Connect(*q, ConnMode::kInputOutput);
+  ASSERT_TRUE(ch_conn.ok());
+  ASSERT_TRUE(q_conn.ok());
+  ASSERT_EQ(ch_conn->slot(), q_conn->slot());
+
+  for (AddressSpace* as : {&owner, &rt_->as(0)}) {
+    SCOPED_TRACE(as == &owner ? "on the owner" : "from a peer");
+    EXPECT_EQ(as->Connect(QueueId::FromBits(ch->bits()), ConnMode::kInput)
+                  .status()
+                  .code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(as->Connect(ChannelId::FromBits(q->bits()), ConnMode::kInput)
+                  .status()
+                  .code(),
+              StatusCode::kNotFound);
+    for (const Connection& forged :
+         {Connection(ch->bits(), /*is_queue=*/true, ConnMode::kInputOutput,
+                     owner.id(), ch_conn->slot()),
+          Connection(q->bits(), /*is_queue=*/false, ConnMode::kInputOutput,
+                     owner.id(), q_conn->slot())}) {
+      SCOPED_TRACE(forged.is_queue() ? "channel named as queue"
+                                     : "queue named as channel");
+      EXPECT_EQ(as->Put(forged, 1, Bytes("x"), Deadline::AfterMillis(5000))
+                    .code(),
+                StatusCode::kNotFound);
+      EXPECT_EQ(as->Get(forged, GetSpec::Oldest(), Deadline::AfterMillis(5000))
+                    .status()
+                    .code(),
+                StatusCode::kNotFound);
+      EXPECT_EQ(as->Consume(forged, 1).code(), StatusCode::kNotFound);
+      EXPECT_EQ(as->Disconnect(forged).code(), StatusCode::kNotFound);
+      if (!forged.is_queue()) {
+        EXPECT_EQ(as->ConsumeUntil(forged, 1).code(), StatusCode::kNotFound);
+        EXPECT_EQ(as->SetFilter(forged, ItemFilter{}).code(),
+                  StatusCode::kNotFound);
+      }
+    }
+  }
+  EXPECT_EQ(owner.FindQueue(ch->bits()), nullptr);
+  EXPECT_EQ(owner.FindChannel(q->bits()), nullptr);
+  // Nothing reached the real containers.
+  EXPECT_EQ(owner.FindChannel(ch->bits())->total_puts(), 0u);
+  EXPECT_EQ(owner.FindQueue(q->bits())->total_puts(), 0u);
+  EXPECT_TRUE(owner.Disconnect(*ch_conn).ok());
+  EXPECT_TRUE(owner.Disconnect(*q_conn).ok());
+}
+
 TEST_F(RuntimeTest, DisconnectRemoteConnectionReleasesGcHold) {
   auto ch = rt_->as(1).CreateChannel();
   ASSERT_TRUE(ch.ok());

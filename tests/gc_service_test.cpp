@@ -1,23 +1,29 @@
-// GcService: periodic sweeping across registered containers, notice
-// fan-out to sinks, registration lifecycle.
+// GcService: periodic sweeping across the containers its source lists,
+// notice fan-out to sinks, start/stop lifecycle.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "dstampede/core/channel.hpp"
 #include "dstampede/core/gc.hpp"
+#include "dstampede/core/queue.hpp"
 
 namespace dstampede::core {
 namespace {
 
 SharedBuffer Payload(std::string_view s) { return SharedBuffer::FromString(s); }
 
+// A source over a test-owned list, standing in for a space's table.
+GcService::ContainerSource ListSource(const GcService::ContainerList& list) {
+  return [&list] { return list; };
+}
+
 TEST(GcServiceTest, SweepOnceCollectsFromChannelsAndQueues) {
-  GcService gc(Millis(1000));  // not started; manual sweeps
   auto ch = std::make_shared<LocalChannel>(ChannelAttr{});
   auto q = std::make_shared<LocalQueue>(QueueAttr{});
-  gc.RegisterChannel(1, ch);
-  gc.RegisterQueue(2, q);
+  const GcService::ContainerList list = {{1, ch}, {2, q}};
+  GcService gc(Millis(1000), ListSource(list));  // not started; manual sweeps
 
   std::uint32_t cc = ch->Attach(ConnMode::kInput, "t");
   ASSERT_TRUE(ch->Put(10, Payload("c"), Deadline::Infinite()).ok());
@@ -46,9 +52,9 @@ TEST(GcServiceTest, SweepOnceCollectsFromChannelsAndQueues) {
 }
 
 TEST(GcServiceTest, SinksReceiveNoticeBatches) {
-  GcService gc(Millis(1000));
   auto ch = std::make_shared<LocalChannel>(ChannelAttr{});
-  gc.RegisterChannel(7, ch);
+  const GcService::ContainerList list = {{7, ch}};
+  GcService gc(Millis(1000), ListSource(list));
   std::vector<GcNotice> received;
   const std::uint64_t token = gc.AddSink(
       [&](const std::vector<GcNotice>& batch) {
@@ -69,23 +75,52 @@ TEST(GcServiceTest, SinksReceiveNoticeBatches) {
   EXPECT_EQ(received.size(), 1u) << "removed sink must not receive";
 }
 
-TEST(GcServiceTest, UnregisteredContainerNotSwept) {
-  GcService gc(Millis(1000));
+// A sink's owner (a surrogate) destroys what the sink captured right
+// after RemoveSink, so RemoveSink must wait out a fan-out in flight.
+TEST(GcServiceTest, RemoveSinkWaitsOutARunningSink) {
   auto ch = std::make_shared<LocalChannel>(ChannelAttr{});
-  gc.RegisterChannel(3, ch);
-  gc.UnregisterChannel(3);
+  const GcService::ContainerList list = {{1, ch}};
+  GcService gc(Millis(1000), ListSource(list));
+  std::atomic<bool> in_sink{false}, release{false}, removed{false};
+  const std::uint64_t token = gc.AddSink([&](const std::vector<GcNotice>&) {
+    in_sink = true;
+    while (!release.load()) std::this_thread::sleep_for(Millis(1));
+  });
+  std::uint32_t conn = ch->Attach(ConnMode::kInput, "t");
+  ASSERT_TRUE(ch->Put(1, Payload("x"), Deadline::Infinite()).ok());
+  ASSERT_TRUE(ch->Consume(conn, 1).ok());
+
+  std::thread sweeper([&] { gc.SweepOnce(); });
+  while (!in_sink.load()) std::this_thread::sleep_for(Millis(1));
+  std::thread remover([&] {
+    gc.RemoveSink(token);
+    removed = true;
+  });
+  std::this_thread::sleep_for(Millis(50));
+  EXPECT_FALSE(removed.load()) << "RemoveSink returned while its sink ran";
+  release = true;
+  sweeper.join();
+  remover.join();
+  EXPECT_TRUE(removed.load());
+}
+
+TEST(GcServiceTest, UnregisteredContainerNotSwept) {
+  auto ch = std::make_shared<LocalChannel>(ChannelAttr{});
+  GcService::ContainerList list = {{3, ch}};
+  GcService gc(Millis(1000), ListSource(list));
+  list.clear();  // the source no longer lists the channel
   std::uint32_t conn = ch->Attach(ConnMode::kInput, "t");
   ASSERT_TRUE(ch->Put(1, Payload("x"), Deadline::Infinite()).ok());
   ASSERT_TRUE(ch->Consume(conn, 1).ok());
   // Inline reclaim already freed the item, but the service reports
-  // nothing because the channel is no longer registered.
+  // nothing because its source no longer lists the channel.
   EXPECT_TRUE(gc.SweepOnce().empty());
 }
 
 TEST(GcServiceTest, BackgroundLoopSweepsConcurrently) {
-  GcService gc(Millis(5));
   auto ch = std::make_shared<LocalChannel>(ChannelAttr{});
-  gc.RegisterChannel(1, ch);
+  const GcService::ContainerList list = {{1, ch}};
+  GcService gc(Millis(5), ListSource(list));
   std::atomic<std::size_t> noticed{0};
   gc.AddSink([&](const std::vector<GcNotice>& batch) {
     noticed.fetch_add(batch.size());
@@ -107,7 +142,8 @@ TEST(GcServiceTest, BackgroundLoopSweepsConcurrently) {
 }
 
 TEST(GcServiceTest, StartStopIdempotent) {
-  GcService gc(Millis(5));
+  const GcService::ContainerList none;
+  GcService gc(Millis(5), ListSource(none));
   gc.Start();
   gc.Start();
   gc.Stop();

@@ -4,6 +4,7 @@
 // participants make progress.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <thread>
 
 #include "dstampede/client/client.hpp"
@@ -83,10 +84,23 @@ class ReaperTest : public ::testing::Test {
   }
 
   void WaitForState(Surrogate::State state, std::size_t count = 1) {
-    for (int i = 0; i < 300 && listener_->surrogates_in(state) < count; ++i) {
+    WaitForAnyState({state}, count);
+  }
+
+  // Polls until `count` surrogates are in one of `states`.
+  void WaitForAnyState(std::initializer_list<Surrogate::State> states,
+                       std::size_t count = 1) {
+    auto in_states = [&] {
+      std::size_t n = 0;
+      for (Surrogate::State state : states) {
+        n += listener_->surrogates_in(state);
+      }
+      return n;
+    };
+    for (int i = 0; i < 300 && in_states() < count; ++i) {
       std::this_thread::sleep_for(Millis(10));
     }
-    ASSERT_EQ(listener_->surrogates_in(state), count);
+    ASSERT_EQ(in_states(), count);
   }
 
   std::unique_ptr<core::Runtime> rt_;
@@ -130,7 +144,11 @@ TEST_F(ReaperTest, AutoReapAfterTimeout) {
   auto ch = rt_->as(0).CreateChannel();
   ASSERT_TRUE(ch.ok());
   RunDoomedDevice(*ch);
-  WaitForState(Surrogate::State::kParked);
+  // The parked window is only 50 ms, which a 10 ms poll can miss under
+  // load, so first wait for parked-or-reaped. Only the janitor's Reap
+  // can set kReaped here, and Reap succeeds only from kParked, so
+  // reaching kReaped still proves the surrogate parked first.
+  WaitForAnyState({Surrogate::State::kParked, Surrogate::State::kReaped});
   // The janitor reaps without any manual call.
   WaitForState(Surrogate::State::kReaped);
   EXPECT_EQ(rt_->as(0).NsLookup("doomed/name").status().code(),

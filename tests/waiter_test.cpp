@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dstampede/common/waiter.hpp"
@@ -93,42 +95,161 @@ TEST(TimerWheelTest, ShutdownDropsPendingEntriesWithoutFiring) {
             0u);
 }
 
-// --- two-phase container API -----------------------------------------
+// --- the waiter engine, over both container kinds ---------------------
 
-TEST(ChannelAsyncTest, CompletesInlineWhenItemIsPresent) {
-  LocalChannel ch{ChannelAttr{}};
-  std::uint32_t conn = ch.Attach(ConnMode::kInputOutput, "t");
-  ASSERT_TRUE(ch.Put(3, Payload("x"), Deadline::Poll()).ok());
+// Channels and queues share one waiter engine (LocalContainer), so
+// every case here runs against both kinds. A queue ignores the
+// GetSpec: its gets pop the head item.
+template <typename Container>
+class ContainerWaiterTest : public ::testing::Test {
+ protected:
+  using Attr = std::decay_t<decltype(std::declval<Container>().attr())>;
+
+  static Attr Capacity(std::size_t items) {
+    Attr attr;
+    attr.capacity_items = items;
+    return attr;
+  }
+};
+
+using ContainerKinds = ::testing::Types<LocalChannel, LocalQueue>;
+TYPED_TEST_SUITE(ContainerWaiterTest, ContainerKinds);
+
+TYPED_TEST(ContainerWaiterTest, CompletesInlineWhenItemIsPresent) {
+  TypeParam c{this->Capacity(0)};
+  std::uint32_t conn = c.Attach(ConnMode::kInputOutput, "t");
+  ASSERT_TRUE(c.Put(3, Payload("x"), Deadline::Poll()).ok());
   bool ran = false;
-  std::uint64_t id = ch.GetAsync(
-      conn, GetSpec::Exact(3), Deadline::Infinite(),
-      [&](Result<ItemView> item) {
-        ran = true;
-        ASSERT_TRUE(item.ok());
-        EXPECT_EQ(item->timestamp, 3);
-      });
+  std::uint64_t id = c.GetAsync(conn, GetSpec::Exact(3), Deadline::Infinite(),
+                                [&](Result<ItemView> item) {
+                                  ran = true;
+                                  ASSERT_TRUE(item.ok());
+                                  EXPECT_EQ(item->timestamp, 3);
+                                });
   EXPECT_EQ(id, 0u);  // inline completion: no waiter registered
   EXPECT_TRUE(ran);
-  EXPECT_EQ(ch.parked_get_waiters(), 0u);
+  EXPECT_EQ(c.parked_get_waiters(), 0u);
 }
 
-TEST(ChannelAsyncTest, ParkedGetCompletesOnPutFromThePuttingThread) {
-  LocalChannel ch{ChannelAttr{}};
-  std::uint32_t conn = ch.Attach(ConnMode::kInput, "t");
+TYPED_TEST(ContainerWaiterTest, ParkedGetCompletesOnPutFromThePuttingThread) {
+  TypeParam c{this->Capacity(0)};
+  std::uint32_t conn = c.Attach(ConnMode::kInput, "t");
   std::atomic<bool> done{false};
-  std::uint64_t id = ch.GetAsync(conn, GetSpec::Exact(7), Deadline::Infinite(),
-                                 [&](Result<ItemView> item) {
-                                   EXPECT_TRUE(item.ok());
-                                   done = true;
-                                 });
+  std::uint64_t id = c.GetAsync(conn, GetSpec::Exact(7), Deadline::Infinite(),
+                                [&](Result<ItemView> item) {
+                                  EXPECT_TRUE(item.ok());
+                                  done = true;
+                                });
   EXPECT_GT(id, 0u);
-  EXPECT_EQ(ch.parked_get_waiters(), 1u);
+  EXPECT_EQ(c.parked_get_waiters(), 1u);
   EXPECT_FALSE(done.load());
-  ASSERT_TRUE(ch.Put(7, Payload("y"), Deadline::Poll()).ok());
+  ASSERT_TRUE(c.Put(7, Payload("y"), Deadline::Poll()).ok());
   // The put itself ran the continuation; no other thread exists here.
   EXPECT_TRUE(done.load());
-  EXPECT_EQ(ch.parked_get_waiters(), 0u);
+  EXPECT_EQ(c.parked_get_waiters(), 0u);
 }
+
+TYPED_TEST(ContainerWaiterTest, CancelWaiterLosesAgainstGenuineCompletion) {
+  TypeParam c{this->Capacity(0)};
+  std::uint32_t conn = c.Attach(ConnMode::kInput, "t");
+  std::atomic<int> completions{0};
+  std::uint64_t id = c.GetAsync(conn, GetSpec::Exact(1), Deadline::Infinite(),
+                                [&](Result<ItemView>) { completions++; });
+  ASSERT_TRUE(c.Put(1, Payload("x"), Deadline::Poll()).ok());
+  // The put already completed the waiter; a late cancel must not run
+  // the continuation a second time.
+  EXPECT_FALSE(c.CancelWaiter(id, TimeoutError("late")));
+  EXPECT_EQ(completions.load(), 1);
+}
+
+TYPED_TEST(ContainerWaiterTest, DeadlineExpiryWhileParkedCompletesWithTimeout) {
+  TimerWheel wheel;
+  TypeParam c{this->Capacity(0), &wheel};
+  std::uint32_t conn = c.Attach(ConnMode::kInput, "t");
+  std::atomic<bool> done{false};
+  std::atomic<StatusCode> observed{StatusCode::kOk};
+  std::uint64_t id = c.GetAsync(conn, GetSpec::Exact(9),
+                                Deadline::AfterMillis(40),
+                                [&](Result<ItemView> item) {
+                                  observed = item.status().code();
+                                  done = true;
+                                });
+  EXPECT_GT(id, 0u);
+  // Nothing is ever put: only the wheel can resolve this waiter.
+  ASSERT_TRUE(WaitFor([&] { return done.load(); }, Millis(5000)));
+  EXPECT_EQ(observed.load(), StatusCode::kTimeout);
+  EXPECT_EQ(c.parked_get_waiters(), 0u);
+}
+
+TYPED_TEST(ContainerWaiterTest, CancelWaitersOfCompletesOnlyThatOrigin) {
+  // Gets park on an empty container, puts on a full one; a queue
+  // cannot hold both at once, so each runs on its own instance.
+  TypeParam empty{this->Capacity(0)};
+  std::uint32_t in = empty.Attach(ConnMode::kInput, "in");
+  TypeParam full{this->Capacity(1)};
+  (void)full.Attach(ConnMode::kOutput, "out");
+  ASSERT_TRUE(full.Put(0, Payload("fills it"), Deadline::Poll()).ok());
+
+  std::vector<StatusCode> gets, puts;
+  for (Timestamp ts = 1; ts <= 3; ++ts) {
+    const std::uint32_t origin = ts == 2 ? 2 : 1;
+    empty.GetAsync(in, GetSpec::Exact(ts), Deadline::Infinite(),
+                   [&](Result<ItemView> item) {
+                     gets.push_back(item.status().code());
+                   },
+                   origin);
+    full.PutAsync(ts, Payload("parked"), Deadline::Infinite(),
+                  [&](Status st) { puts.push_back(st.code()); }, origin);
+  }
+  const Status gone = UnavailableError("peer declared dead");
+  EXPECT_EQ(empty.CancelWaitersOf(1, gone), 2u);
+  EXPECT_EQ(full.CancelWaitersOf(1, gone), 2u);
+  const std::vector<StatusCode> two_gone(2, StatusCode::kUnavailable);
+  EXPECT_EQ(gets, two_gone);
+  EXPECT_EQ(puts, two_gone);
+  // Origin 2's waiters are untouched, and origin 1 has none left.
+  EXPECT_EQ(empty.parked_get_waiters(), 1u);
+  EXPECT_EQ(full.parked_put_waiters(), 1u);
+  EXPECT_EQ(empty.CancelWaitersOf(1, gone), 0u);
+  EXPECT_EQ(full.CancelWaitersOf(1, gone), 0u);
+}
+
+TYPED_TEST(ContainerWaiterTest, CloseWakesEveryParkedWaiter) {
+  // Getters park on an empty instance, putters on a full one (a queue
+  // cannot hold both at once).
+  TypeParam empty{this->Capacity(0)};
+  std::uint32_t in = empty.Attach(ConnMode::kInput, "in");
+  TypeParam full{this->Capacity(1)};
+  (void)full.Attach(ConnMode::kOutput, "out");
+  ASSERT_TRUE(full.Put(0, Payload("fills it"), Deadline::Poll()).ok());
+  std::atomic<int> cancelled{0};
+  for (int i = 0; i < 4; ++i) {
+    empty.GetAsync(in, GetSpec::Exact(100 + i), Deadline::Infinite(),
+                   [&](Result<ItemView> item) {
+                     EXPECT_EQ(item.status().code(), StatusCode::kCancelled);
+                     cancelled++;
+                   });
+    full.PutAsync(200 + i, Payload("parked"), Deadline::Infinite(),
+                  [&](Status st) {
+                    EXPECT_EQ(st.code(), StatusCode::kCancelled);
+                    cancelled++;
+                  });
+  }
+  EXPECT_EQ(empty.parked_get_waiters(), 4u);
+  EXPECT_EQ(full.parked_put_waiters(), 4u);
+  empty.Close();
+  full.Close();
+  EXPECT_EQ(cancelled.load(), 8);
+  EXPECT_EQ(empty.parked_get_waiters(), 0u);
+  EXPECT_EQ(full.parked_put_waiters(), 0u);
+  // Later calls fail at once instead of parking.
+  EXPECT_EQ(empty.Get(in, GetSpec::Exact(1), Deadline::Infinite())
+                .status()
+                .code(),
+            StatusCode::kCancelled);
+}
+
+// --- two-phase container API: kind-specific cases ----------------------
 
 TEST(ChannelAsyncTest, BackpressuredPutAdmittedWhenConsumeReclaims) {
   ChannelAttr attr;
@@ -150,19 +271,6 @@ TEST(ChannelAsyncTest, BackpressuredPutAdmittedWhenConsumeReclaims) {
   EXPECT_TRUE(admitted.load());
   EXPECT_EQ(ch.parked_put_waiters(), 0u);
   EXPECT_TRUE(ch.Get(conn, GetSpec::Exact(1), Deadline::Poll()).ok());
-}
-
-TEST(ChannelAsyncTest, CancelWaiterLosesAgainstGenuineCompletion) {
-  LocalChannel ch{ChannelAttr{}};
-  std::uint32_t conn = ch.Attach(ConnMode::kInput, "t");
-  std::atomic<int> completions{0};
-  std::uint64_t id = ch.GetAsync(conn, GetSpec::Exact(1), Deadline::Infinite(),
-                                 [&](Result<ItemView>) { completions++; });
-  ASSERT_TRUE(ch.Put(1, Payload("x"), Deadline::Poll()).ok());
-  // The put already completed the waiter; a late cancel must not run
-  // the continuation a second time.
-  EXPECT_FALSE(ch.CancelWaiter(id, TimeoutError("late")));
-  EXPECT_EQ(completions.load(), 1);
 }
 
 TEST(QueueAsyncTest, BlockedGettersServedFifo) {
@@ -188,25 +296,6 @@ TEST(QueueAsyncTest, BlockedGettersServedFifo) {
 }
 
 // --- waiter cancellation: deadline expiry -----------------------------
-
-TEST(WaiterCancellationTest, DeadlineExpiryWhileParkedCompletesWithTimeout) {
-  TimerWheel wheel;
-  LocalChannel ch{ChannelAttr{}, &wheel};
-  std::uint32_t conn = ch.Attach(ConnMode::kInput, "t");
-  std::atomic<bool> done{false};
-  StatusCode observed = StatusCode::kOk;
-  std::uint64_t id = ch.GetAsync(conn, GetSpec::Exact(9),
-                                 Deadline::AfterMillis(40),
-                                 [&](Result<ItemView> item) {
-                                   observed = item.status().code();
-                                   done = true;
-                                 });
-  EXPECT_GT(id, 0u);
-  // Nothing is ever put: only the wheel can resolve this waiter.
-  ASSERT_TRUE(WaitFor([&] { return done.load(); }, Millis(5000)));
-  EXPECT_EQ(observed, StatusCode::kTimeout);
-  EXPECT_EQ(ch.parked_get_waiters(), 0u);
-}
 
 TEST(WaiterCancellationTest, BackpressureDeadlineExpiryTimesOutThePut) {
   TimerWheel wheel;
@@ -288,68 +377,6 @@ TEST(WaiterCancellationTest, PeerDownCompletesRemoteWaiterUnavailable) {
   blocked.join();
   EXPECT_EQ(observed, StatusCode::kUnavailable);
   (*rt)->Shutdown();
-}
-
-// --- waiter cancellation: container close -----------------------------
-
-TEST(WaiterCancellationTest, CloseWakesEveryParkedWaiter) {
-  ChannelAttr attr;
-  attr.capacity_items = 1;
-  LocalChannel ch{attr};
-  std::uint32_t conn = ch.Attach(ConnMode::kInputOutput, "t");
-  ASSERT_TRUE(ch.Put(0, Payload("full"), Deadline::Poll()).ok());
-  std::atomic<int> cancelled{0};
-  for (int i = 0; i < 4; ++i) {
-    ch.GetAsync(conn, GetSpec::Exact(100 + i), Deadline::Infinite(),
-                [&](Result<ItemView> item) {
-                  EXPECT_EQ(item.status().code(), StatusCode::kCancelled);
-                  cancelled++;
-                });
-    ch.PutAsync(200 + i, Payload("parked"), Deadline::Infinite(),
-                [&](Status st) {
-                  EXPECT_EQ(st.code(), StatusCode::kCancelled);
-                  cancelled++;
-                });
-  }
-  EXPECT_EQ(ch.parked_get_waiters(), 4u);
-  EXPECT_EQ(ch.parked_put_waiters(), 4u);
-  ch.Close();
-  EXPECT_EQ(cancelled.load(), 8);
-  EXPECT_EQ(ch.parked_get_waiters(), 0u);
-  EXPECT_EQ(ch.parked_put_waiters(), 0u);
-}
-
-TEST(WaiterCancellationTest, QueueCloseWakesEveryParkedWaiter) {
-  // A queue can't have parked getters and parked putters at once
-  // (getters park on empty, putters on full), so exercise each kind
-  // on its own instance.
-  LocalQueue empty{QueueAttr{}};
-  std::uint32_t in = empty.Attach(ConnMode::kInput, "in");
-  std::atomic<int> cancelled{0};
-  for (int i = 0; i < 3; ++i) {
-    empty.GetAsync(in, Deadline::Infinite(), [&](Result<ItemView> item) {
-      EXPECT_EQ(item.status().code(), StatusCode::kCancelled);
-      cancelled++;
-    });
-  }
-  EXPECT_EQ(empty.parked_get_waiters(), 3u);
-  empty.Close();
-  EXPECT_EQ(cancelled.load(), 3);
-  EXPECT_EQ(empty.parked_get_waiters(), 0u);
-
-  QueueAttr bounded;
-  bounded.capacity_items = 1;
-  LocalQueue full{bounded};
-  (void)full.Attach(ConnMode::kOutput, "out");
-  ASSERT_TRUE(full.Put(0, Payload("fills it"), Deadline::Poll()).ok());
-  full.PutAsync(1, Payload("parked"), Deadline::Infinite(), [&](Status st) {
-    EXPECT_EQ(st.code(), StatusCode::kCancelled);
-    cancelled++;
-  });
-  EXPECT_EQ(full.parked_put_waiters(), 1u);
-  full.Close();
-  EXPECT_EQ(cancelled.load(), 4);
-  EXPECT_EQ(full.parked_put_waiters(), 0u);
 }
 
 // --- waiter cancellation: clean shutdown ------------------------------

@@ -8,6 +8,8 @@
 #include <limits>
 #include <random>
 
+#include "dstampede/client/client.hpp"
+#include "dstampede/client/protocol.hpp"
 #include "dstampede/core/runtime.hpp"
 #include "dstampede/core/wire.hpp"
 
@@ -138,6 +140,75 @@ TEST(WireTest, GcNoticeRoundTrip) {
   EXPECT_TRUE(decoded->is_queue);
   EXPECT_EQ(decoded->timestamp, -42);
   EXPECT_EQ(decoded->payload_size, notice.payload_size);
+}
+
+// --- bounded counts --------------------------------------------------------
+//
+// A decoded count is a u32 the peer chose, and reserve() on a hostile
+// one throws bad_alloc, which kills the process. GetCount refuses a
+// count the remaining bytes cannot hold, given the smallest encoding of
+// one element; these tests pin those minimums to the encoders and
+// drive the client's reply decoders with both codecs.
+
+TEST(WireTest, CountBoundsMatchTheSmallestEncodings) {
+  marshal::XdrEncoder entry;
+  EncodeNsEntry(entry, NsEntry{});
+  EXPECT_EQ(entry.size(), kMinNsEntryBytes);
+  marshal::XdrEncoder notice;
+  EncodeGcNotice(notice, GcNotice{});
+  EXPECT_EQ(notice.size(), kGcNoticeBytes);
+  client::ResumeResp resp;
+  marshal::XdrEncoder without;
+  client::EncodeResumeResp(without, resp);
+  resp.remaps.push_back(client::SlotRemap{});
+  marshal::XdrEncoder with;
+  client::EncodeResumeResp(with, resp);
+  EXPECT_EQ(with.size() - without.size(), client::kSlotRemapBytes);
+}
+
+TEST(WireTest, GetCountRefusesWhatTheRemainingBytesCannotHold) {
+  marshal::XdrEncoder enc;
+  enc.PutU32(2);
+  enc.PutU64(0);  // 8 bytes left: room for two 4-byte elements, not 3
+  const Buffer frame = enc.Take();
+  marshal::XdrDecoder fits(frame);
+  EXPECT_EQ(fits.GetCount(4).value_or(0), 2u);
+  marshal::XdrDecoder too_big(frame);
+  EXPECT_FALSE(too_big.GetCount(5).ok());
+}
+
+template <typename Codec>
+class HostileCountTest : public ::testing::Test {};
+using ClientCodecs = ::testing::Types<client::CCodec, client::JavaCodec>;
+TYPED_TEST_SUITE(HostileCountTest, ClientCodecs);
+
+TYPED_TEST(HostileCountTest, NoticeTrailerCountIsAStatus) {
+  const Buffer frame = {0xff, 0xff, 0xff, 0xff};
+  typename TypeParam::Decoder dec(frame);
+  EXPECT_FALSE(client::DecodeNoticeTrailerT(dec).ok());
+}
+
+TYPED_TEST(HostileCountTest, ResumeRemapCountIsAStatus) {
+  typename TypeParam::Encoder enc;
+  enc.PutU32(1);  // host_as
+  enc.PutU64(7);  // session_id
+  enc.PutU64(0);  // last_executed_ticket
+  enc.PutU32(0xffffffffu);
+  const Buffer frame = enc.Take();
+  typename TypeParam::Decoder dec(frame);
+  EXPECT_FALSE(client::DecodeResumeRespT(dec).ok());
+}
+
+TYPED_TEST(HostileCountTest, CountsThatFitStillDecode) {
+  typename TypeParam::Encoder enc;
+  client::EncodeNoticeTrailer(enc, {GcNotice{1, false, 2, 3},
+                                    GcNotice{4, true, 5, 6}});
+  const Buffer frame = enc.Take();
+  typename TypeParam::Decoder dec(frame);
+  auto notices = client::DecodeNoticeTrailerT(dec);
+  ASSERT_TRUE(notices.ok()) << notices.status();
+  ASSERT_EQ(notices->size(), 2u);
+  EXPECT_EQ((*notices)[1].timestamp, 5);
 }
 
 // --- fuzzing the request executor ------------------------------------------
