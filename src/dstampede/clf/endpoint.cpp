@@ -125,9 +125,7 @@ void Endpoint::Shutdown() {
   // so no datagram is stranded by shutdown ordering.
   if (injector_.active() || injector_.delayed_pending() > 0) {
     if (auto held = injector_.Flush()) {
-      if (held->to.has_value()) {
-        (void)socket_.SendTo(*held->to, held->datagram);
-      }
+      (void)socket_.SendTo(held->to, held->datagram);
     }
     DrainModeledNetwork(TimePoint::max());
   }
@@ -544,9 +542,7 @@ void Endpoint::RetransmitScan() {
   // deliver them instead of dropping them on the floor.
   if (injector_.active()) {
     if (auto held = injector_.Flush()) {
-      if (held->to.has_value()) {
-        (void)socket_.SendTo(*held->to, held->datagram);
-      }
+      (void)socket_.SendTo(held->to, held->datagram);
     }
     // Release modeled-network packets whose (virtual) delivery time has
     // arrived. ReceiverLoop calls RetransmitScan at least every

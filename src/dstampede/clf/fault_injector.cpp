@@ -16,15 +16,6 @@ bool FaultInjector::Chance(double p) {
   return unit_(rng_) < p;
 }
 
-std::vector<Buffer> FaultInjector::Filter(Buffer datagram) {
-  ds::MutexLock lock(mu_);
-  std::vector<Buffer> out;
-  for (Delivery& d : FilterLocked(std::nullopt, std::move(datagram))) {
-    out.push_back(std::move(d.datagram));
-  }
-  return out;
-}
-
 std::vector<FaultInjector::Delivery> FaultInjector::Filter(
     const transport::SockAddr& to, Buffer datagram) {
   ds::MutexLock lock(mu_);
@@ -42,15 +33,10 @@ std::vector<FaultInjector::Delivery> FaultInjector::Filter(
 }
 
 std::vector<FaultInjector::Delivery> FaultInjector::FilterLocked(
-    std::optional<transport::SockAddr> to, Buffer datagram) {
-  // The destination a released hold falls back to when it was captured
-  // without one (destination-less overload feeding the aware one never
-  // happens today, but keep the fallback total).
-  const transport::SockAddr fallback = to.value_or(transport::SockAddr{});
+    const transport::SockAddr& to, Buffer datagram) {
   auto release_held = [&](std::vector<Delivery>& out) {
     if (!held_) return;
-    out.push_back(Delivery{held_->to.value_or(fallback),
-                           std::move(held_->datagram)});
+    out.push_back(std::move(*held_));
     held_.reset();
   };
 
@@ -66,15 +52,15 @@ std::vector<FaultInjector::Delivery> FaultInjector::FilterLocked(
   if (Chance(config_.reorder_probability) && !held_) {
     // Hold this one back; it will ship after the next packet.
     ++counters_.reordered;
-    held_ = HeldPacket{to, std::move(datagram)};
+    held_ = Delivery{to, std::move(datagram)};
     return out;
   }
 
   const bool dup = Chance(config_.duplicate_probability);
-  out.push_back(Delivery{fallback, datagram});  // copy kept if duplicating
+  out.push_back(Delivery{to, datagram});  // copy kept if duplicating
   if (dup) {
     ++counters_.duplicated;
-    out.push_back(Delivery{fallback, datagram});
+    out.push_back(Delivery{to, datagram});
   }
   release_held(out);
   return out;
@@ -135,9 +121,9 @@ std::optional<FaultInjector::Delivery> FaultInjector::ModelLinkLocked(
   return std::nullopt;
 }
 
-std::optional<FaultInjector::HeldPacket> FaultInjector::Flush() {
+std::optional<FaultInjector::Delivery> FaultInjector::Flush() {
   ds::MutexLock lock(mu_);
-  std::optional<HeldPacket> out = std::move(held_);
+  std::optional<Delivery> out = std::move(held_);
   held_.reset();
   return out;
 }

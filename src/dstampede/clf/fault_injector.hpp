@@ -66,18 +66,11 @@ class FaultInjector {
     }
   };
 
-  // A datagram bound for a specific destination. Filter/TakeDue return
-  // these so a released reorder-hold or a matured delayed packet keeps
-  // its own destination instead of inheriting the caller's.
+  // A datagram bound for a specific destination. Filter/TakeDue/Flush
+  // return these so a released reorder-hold or a matured delayed packet
+  // keeps its own destination instead of inheriting the caller's.
   struct Delivery {
     transport::SockAddr to;
-    Buffer datagram;
-  };
-
-  // A reorder-held packet surfaced by Flush(). `to` is empty when the
-  // packet came through the destination-less Filter overload.
-  struct HeldPacket {
-    std::optional<transport::SockAddr> to;
     Buffer datagram;
   };
 
@@ -100,22 +93,18 @@ class FaultInjector {
   FaultInjector() : FaultInjector(Config{}) {}
   explicit FaultInjector(const Config& config);
 
-  // Given one datagram about to go on the wire, returns the datagrams
-  // that should actually be sent now (possibly none, possibly several:
-  // duplicates or a previously held-back packet). Destination-less:
-  // probabilistic faults only, no partition check, no link model.
-  // Thread-safe.
-  std::vector<Buffer> Filter(Buffer datagram);
-
-  // Destination-aware variant used by the endpoint: datagrams toward a
-  // partitioned peer are blackholed before the probabilistic faults
-  // run, and the link model may park survivors in the delayed-delivery
-  // queue (drain with TakeDue) instead of returning them.
+  // Given one datagram about to go on the wire to `to`, returns the
+  // datagrams that should actually be sent now (possibly none, possibly
+  // several: duplicates or a previously held-back packet). Datagrams
+  // toward a partitioned peer are blackholed before the probabilistic
+  // faults run, and the link model may park survivors in the
+  // delayed-delivery queue (drain with TakeDue) instead of returning
+  // them. Thread-safe.
   std::vector<Delivery> Filter(const transport::SockAddr& to, Buffer datagram);
 
   // Releases any held-back packet (the endpoint's idle/shutdown path
   // calls this so reordered packets are not stranded forever).
-  std::optional<HeldPacket> Flush();
+  std::optional<Delivery> Flush();
 
   // --- modeled network -------------------------------------------------
   void SetLinkProfile(const transport::SockAddr& peer,
@@ -206,8 +195,8 @@ class FaultInjector {
   bool IsPartitionedLocked(const transport::SockAddr& peer) DS_REQUIRES(mu_);
   // Probabilistic drop/duplicate/reorder stage. Emits surviving
   // packets with their own destinations (a released held packet keeps
-  // the destination it was captured with, falling back to `to`).
-  std::vector<Delivery> FilterLocked(std::optional<transport::SockAddr> to,
+  // the destination it was captured with).
+  std::vector<Delivery> FilterLocked(const transport::SockAddr& to,
                                      Buffer datagram) DS_REQUIRES(mu_);
   // Link-model stage: loss, then delivery-time assignment. Returns the
   // packet if it should ship immediately, nullopt if dropped or parked.
@@ -221,7 +210,7 @@ class FaultInjector {
   mutable ds::Mutex mu_{"fault_injector.mu"};
   std::mt19937_64 rng_ DS_GUARDED_BY(mu_);
   std::uniform_real_distribution<double> unit_ DS_GUARDED_BY(mu_){0.0, 1.0};
-  std::optional<HeldPacket> held_ DS_GUARDED_BY(mu_);
+  std::optional<Delivery> held_ DS_GUARDED_BY(mu_);
   std::unordered_map<transport::SockAddr, TimePoint> partitions_
       DS_GUARDED_BY(mu_);
   // Mirrors partitions_.size() so active() stays lock-free.

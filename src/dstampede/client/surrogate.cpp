@@ -304,7 +304,8 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   // a second item. Host-owned queues die with the host, so they skip
   // the journal like MirrorTicket skips the high-water mark.
   bool journal_redo = false;
-  core::ConsumeReq journal_commit;  // the dequeue to commit, iff journal_redo
+  core::Connection journal_conn;  // the dequeue to commit, iff journal_redo
+  Timestamp journal_ts = 0;
   if (durable_ && op == core::Op::kGet) {
     marshal::XdrDecoder body(effective);
     (void)core::DecodeRequestHeader(body);
@@ -318,11 +319,10 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
     if (journal_redo) {
       auto ts = reply_dec.GetI64();
       if (ts.ok()) {
-        journal_commit.container_bits = get_req->container_bits;
-        journal_commit.is_queue = true;
-        journal_commit.mode = get_req->mode;
-        journal_commit.slot = get_req->slot;
-        journal_commit.ts = *ts;
+        journal_conn = core::Connection(
+            get_req->container_bits, /*is_queue=*/true, get_req->mode,
+            QueueId::FromBits(get_req->container_bits).owner(), get_req->slot);
+        journal_ts = *ts;
       } else {
         journal_redo = false;
       }
@@ -357,17 +357,10 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
     // would deliver it a second time. Commit the dequeue now; if the
     // commit fails the item may be redelivered after a host death
     // (at-least-once, logged), which beats silently losing it.
-    marshal::XdrEncoder cenc(64);
-    core::EncodeRequestHeader(cenc, core::Op::kConsume, 0);
-    journal_commit.Encode(cenc);
-    Buffer commit_frame = cenc.Take();
-    Buffer commit_reply = host_.ExecuteWireRequest(commit_frame);
-    marshal::XdrDecoder cdec(commit_reply);
-    auto chdr = core::DecodeResponseHeader(cdec);
-    if (!chdr.ok() || !chdr->status.ok()) {
+    const Status committed = host_.Consume(journal_conn, journal_ts);
+    if (!committed.ok()) {
       DS_LOG(kWarn) << "surrogate " << session_id_
-                    << ": journaled-read dequeue commit failed: "
-                    << (chdr.ok() ? chdr->status : chdr.status());
+                    << ": journaled-read dequeue commit failed: " << committed;
     }
   } else {
     MirrorTicket(ticket, op, [&] {

@@ -60,8 +60,7 @@ class DeferredReply {
  public:
   using Sender = std::function<void(Buffer)>;
 
-  DeferredReply(std::uint64_t request_id, Sender sender)
-      : request_id_(request_id), sender_(std::move(sender)) {}
+  explicit DeferredReply(Sender sender) : sender_(std::move(sender)) {}
 
   DeferredReply(const DeferredReply&) = delete;
   DeferredReply& operator=(const DeferredReply&) = delete;
@@ -74,11 +73,7 @@ class DeferredReply {
     return true;
   }
 
-  bool completed() const { return completed_.load(std::memory_order_acquire); }
-  std::uint64_t request_id() const { return request_id_; }
-
  private:
-  const std::uint64_t request_id_;
   std::atomic<bool> completed_{false};
   Sender sender_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 
 #include "dstampede/common/json.hpp"
@@ -35,52 +36,20 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
       "AS" + std::to_string(AsIndex(options.id)));
   as->gc_ = std::make_unique<GcService>(options.gc_interval,
                                         [raw] { return raw->Containers(); });
-  const bool is_ns_replica =
-      std::find(options.ns_replicas.begin(), options.ns_replicas.end(),
-                options.id) != options.ns_replicas.end();
-  if (options.host_name_server || is_ns_replica) {
-    as->name_server_ = std::make_unique<NameServer>();
-  }
-  if (!options.ns_replicas.empty()) {
-    as->ns_as_ = options.ns_replicas.front();
-  } else if (options.host_name_server) {
-    as->ns_as_ = options.id;
-  }
-  if (is_ns_replica && options.ns_replicas.size() > 1) {
-    RepLog::Options ro;
-    ro.self = options.id;
-    ro.replicas = options.ns_replicas;
-    std::sort(ro.replicas.begin(), ro.replicas.end());
-    ro.lease = options.ns_lease;
-    ro.heartbeat = options.ns_heartbeat;
-    ro.rpc_deadline = std::max<Duration>(options.ns_heartbeat * 2, Millis(50));
-    as->replog_ = std::make_unique<RepLog>(
-        ro,
-        /*apply=*/
-        [raw](const Buffer& entry) {
-          auto m = DecodeNsMutation(entry);
-          if (!m.ok()) {
-            DS_LOG(kWarn) << "undecodable replicated ns mutation: "
-                          << m.status().message();
-            return;
-          }
-          // Re-applied entries may report their usual app error
-          // (duplicate register, tick of a dropped session); state
-          // still converges, so only the appender cares.
-          (void)raw->name_server_->Apply(*m);
-        },
-        /*send=*/
-        [raw](AsId target, Op op,
-              const std::function<void(marshal::XdrEncoder&)>& body,
-              Deadline deadline) -> Result<Buffer> {
-          marshal::XdrEncoder enc;
-          EncodeRequestHeader(enc, op, raw->next_request_id_.fetch_add(1));
-          body(enc);
-          return raw->Call(target, enc.Take(), deadline);
-        },
-        /*peer_dead=*/[raw](AsId peer) { return raw->IsPeerDown(peer); });
-    as->replog_->set_on_became_leader([raw] { raw->OnBecameNsLeader(); });
-  }
+  NameService::Options ns;
+  ns.self = options.id;
+  ns.host_name_server = options.host_name_server;
+  ns.replicas = options.ns_replicas;
+  ns.lease = options.ns_lease;
+  ns.heartbeat = options.ns_heartbeat;
+  ns.rpc_deadline = options.internal_rpc_deadline;
+  as->ns_ = std::make_unique<NameService>(
+      ns, as->registry_,
+      /*send=*/
+      [raw](AsId target, Op op, const BodyFn& body, Deadline deadline) {
+        return raw->Call(target, op, body, deadline);
+      },
+      /*peer_dead=*/[raw](AsId peer) { return raw->IsPeerDown(peer); });
   // Delivery starts as soon as the socket binds, so this comes after
   // everything OnMessage and the peer upcalls touch.
   clf::Endpoint::Options ep_opts;
@@ -102,7 +71,7 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
   as->InitObservability();
   as->gc_->Start();
   as->dispatcher_->Start();
-  if (as->replog_) as->replog_->Start();
+  as->ns_->Start();
   return as;
 }
 
@@ -163,39 +132,6 @@ void AddressSpace::InitObservability() {
   registry_.AddProvider("clf.fault.delayed_pending", [faults] {
     return static_cast<std::int64_t>(faults->delayed_pending());
   });
-
-  if (name_server_) {
-    NameServer* ns = name_server_.get();
-    registry_.AddProvider("ns.entries", [ns] {
-      return static_cast<std::int64_t>(ns->size());
-    });
-    registry_.AddProvider("ns.sessions", [ns] {
-      return static_cast<std::int64_t>(ns->session_count());
-    });
-    registry_.AddProvider("ns.lookups", [ns] {
-      return static_cast<std::int64_t>(ns->total_lookups());
-    });
-    registry_.AddProvider("ns.purged_entries", [ns] {
-      return static_cast<std::int64_t>(ns->total_purged());
-    });
-  }
-  if (replog_) {
-    RepLog* rl = replog_.get();
-    registry_.AddProvider("ns.leader_changes", [rl] {
-      return static_cast<std::int64_t>(rl->leader_changes());
-    });
-    registry_.AddProvider("ns.log_appends", [rl] {
-      return static_cast<std::int64_t>(rl->log_appends());
-    });
-    registry_.AddProvider("ns.replica_lag", [rl] {
-      return static_cast<std::int64_t>(rl->replica_lag());
-    });
-    registry_.AddProvider("ns.replog.is_leader",
-                          [rl] { return rl->IsLeader() ? 1 : 0; });
-    registry_.AddProvider("ns.replog.term", [rl] {
-      return static_cast<std::int64_t>(rl->term());
-    });
-  }
 }
 
 AddressSpace::AddressSpace(const Options& options) : options_(options) {}
@@ -224,21 +160,11 @@ void AddressSpace::Shutdown() {
   if (endpoint_) endpoint_->Shutdown();
 
   // Fail calls still waiting for replies.
-  std::vector<std::shared_ptr<PendingCall>> orphans;
-  {
-    ds::MutexLock lock(calls_mu_);
-    for (auto& [id, call] : calls_) orphans.push_back(call);
-    calls_.clear();
-  }
-  for (auto& call : orphans) {
-    ds::MutexLock lock(call->mu);
-    call->done = true;
-    call->status = CancelledError("address space shut down");
-    call->cv.NotifyAll();
-  }
+  FailCalls([](AsId) { return true; },
+            CancelledError("address space shut down"));
   // After the orphan sweep so a ticker blocked in Call wakes promptly
   // instead of riding out its RPC deadline.
-  if (replog_) replog_->Stop();
+  ns_->Stop();
 }
 
 // --- topology -------------------------------------------------------------
@@ -275,24 +201,8 @@ void AddressSpace::OnPeerDown(const transport::SockAddr& addr) {
 
   // 1. Fail calls already waiting on a reply from the dead peer — the
   // reply is never coming.
-  std::vector<std::shared_ptr<PendingCall>> doomed;
-  {
-    ds::MutexLock lock(calls_mu_);
-    for (auto it = calls_.begin(); it != calls_.end();) {
-      if (it->second->target == dead) {
-        doomed.push_back(it->second);
-        it = calls_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& call : doomed) {
-    ds::MutexLock lock(call->mu);
-    call->done = true;
-    call->status = UnavailableError("peer address space declared dead");
-    call->cv.NotifyAll();
-  }
+  FailCalls([dead](AsId target) { return target == dead; },
+            UnavailableError("peer address space declared dead"));
 
   // 2. Complete the dead space's parked waiters with kUnavailable —
   // their replies are undeliverable, and the records would otherwise
@@ -331,35 +241,8 @@ void AddressSpace::OnPeerDown(const transport::SockAddr& addr) {
     }
   }
 
-  // 4. If we host the name server, the dead space's names must not
-  // satisfy later lookups. (Session records are NOT purged: a session
-  // hosted on the dead space is exactly what a listener needs to
-  // migrate that session to a live space.) Replicated deployments feed
-  // the liveness signal to the replication log (election input) and
-  // let the leader drive the purge through the log, so every replica
-  // converges on the same post-recovery state; the purge runs on the
-  // dispatcher pool because appending blocks on replica RPCs and this
-  // callback runs on the CLF receiver thread.
-  if (replog_) {
-    replog_->OnPeerDown(dead);
-    (void)dispatcher_->Submit([this, dead] {
-      if (!replog_->IsLeader()) return;  // the leader's own signal purges
-      NsMutation purge;
-      purge.kind = NsMutation::Kind::kPurgeOwner;
-      purge.owner = dead;
-      Status s = replog_->Append(EncodeNsMutation(purge));
-      if (!s.ok()) {
-        DS_LOG(kWarn) << "replicated purge of AS" << AsIndex(dead)
-                      << " names failed: " << s.message();
-      }
-    });
-  } else if (name_server_) {
-    const std::size_t purged = name_server_->PurgeOwner(dead);
-    if (purged != 0) {
-      DS_LOG(kInfo) << "purged " << purged << " name-server entries of AS"
-                    << AsIndex(dead);
-    }
-  }
+  // 4. The dead space's names must not satisfy later lookups.
+  ns_->OnPeerDown(dead, *dispatcher_);
 
   // 5. Tell higher layers (listeners, federation) so they can react
   // without polling IsPeerDown.
@@ -400,7 +283,7 @@ void AddressSpace::OnPeerUp(const transport::SockAddr& addr) {
   for (auto& observer : observers) observer(peer);
 }
 
-void AddressSpace::SetNameServerAs(AsId ns) { ns_as_ = ns; }
+void AddressSpace::SetNameServerAs(AsId ns) { ns_->set_name_server_as(ns); }
 
 Result<transport::SockAddr> AddressSpace::PeerAddr(AsId peer) const {
   ds::MutexLock lock(peers_mu_);
@@ -413,8 +296,8 @@ Result<transport::SockAddr> AddressSpace::PeerAddr(AsId peer) const {
 
 // --- RPC plumbing ----------------------------------------------------------
 
-Result<Buffer> AddressSpace::Call(AsId target, Buffer request,
-                                  Deadline deadline) {
+Result<Buffer> AddressSpace::Call(AsId target, Op op, const BodyFn& body,
+                                  Deadline deadline, std::size_t size_hint) {
   // A Call blocks on the CLF round-trip; entering it with any ds::Mutex
   // held is the invariant violation behind the PR 2 Resume-reply
   // deadlock, so fail loudly under the runtime detector.
@@ -426,20 +309,19 @@ Result<Buffer> AddressSpace::Call(AsId target, Buffer request,
     return UnavailableError("peer address space declared dead");
   }
 
-  // The request id sits after the 4-byte op field.
-  marshal::XdrDecoder peek(request);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeRequestHeader(peek));
-
-  auto pending = std::make_shared<PendingCall>();
-  pending->target = target;
+  const std::uint64_t id = next_request_id_.fetch_add(1);
+  marshal::XdrEncoder enc(size_hint);
+  EncodeRequestHeader(enc, op, id);
+  body(enc);
+  auto reply = std::make_shared<SyncWaiter<Result<Buffer>>>();
   {
     ds::MutexLock lock(calls_mu_);
-    calls_[hdr.request_id] = pending;
+    calls_.emplace(id, OutstandingCall{target, reply});
   }
-  Status sent = endpoint_->Send(addr, request);
+  Status sent = endpoint_->Send(addr, enc.Take());
   if (!sent.ok()) {
     ds::MutexLock lock(calls_mu_);
-    calls_.erase(hdr.request_id);
+    calls_.erase(id);
     return sent;
   }
 
@@ -448,17 +330,29 @@ Result<Buffer> AddressSpace::Call(AsId target, Buffer request,
   Deadline wait = deadline.infinite()
                       ? deadline
                       : Deadline::After(deadline.remaining() + Millis(5000));
-  ds::MutexLock lock(pending->mu);
-  while (!pending->done) {
-    if (!pending->cv.WaitUntil(pending->mu, wait) && !pending->done) {
-      lock.Unlock();
-      ds::MutexLock erase_lock(calls_mu_);
-      calls_.erase(hdr.request_id);
-      return TimeoutError("rpc call");
+  if (!reply->AwaitUntil(wait)) {
+    ds::MutexLock lock(calls_mu_);
+    calls_.erase(id);
+    return TimeoutError("rpc call");
+  }
+  return reply->TakeResult();
+}
+
+void AddressSpace::FailCalls(const std::function<bool(AsId)>& doomed,
+                             const Status& status) {
+  std::vector<std::shared_ptr<SyncWaiter<Result<Buffer>>>> failed;
+  {
+    ds::MutexLock lock(calls_mu_);
+    for (auto it = calls_.begin(); it != calls_.end();) {
+      if (doomed(it->second.target)) {
+        failed.push_back(std::move(it->second.reply));
+        it = calls_.erase(it);
+      } else {
+        ++it;
+      }
     }
   }
-  if (!pending->status.ok()) return pending->status;
-  return std::move(pending->response);
+  for (auto& reply : failed) reply->Complete(status);
 }
 
 void AddressSpace::OnMessage(const transport::SockAddr& from,
@@ -471,58 +365,53 @@ void AddressSpace::OnMessage(const transport::SockAddr& from,
     return;
   }
   if (hdr->op != Op::kReply) {
-    DispatchRequest(from, *hdr, std::move(message));
+    const std::size_t body_offset = message.size() - peek.remaining();
+    DispatchRequest(from, *hdr, std::move(message), body_offset);
     return;
   }
-  std::shared_ptr<PendingCall> call;
+  std::shared_ptr<SyncWaiter<Result<Buffer>>> reply;
   {
     ds::MutexLock lock(calls_mu_);
     auto node = calls_.extract(hdr->request_id);
     if (node.empty()) return;  // late: the call timed out or failed
-    call = std::move(node.mapped());
+    reply = std::move(node.mapped().reply);
   }
-  ds::MutexLock lock(call->mu);
-  call->done = true;
-  call->response = std::move(message);
-  call->cv.NotifyAll();
+  reply->Complete(std::move(message));
 }
 
 void AddressSpace::DispatchRequest(const transport::SockAddr& from,
-                                   const RequestHeader& hdr, Buffer message) {
+                                   const RequestHeader& hdr, Buffer message,
+                                   std::size_t body_offset) {
   // Attribute the request to the sending address space (for attachment
   // bookkeeping); requests from unknown addresses stay anonymous.
-  AsId origin = kInvalidAsId;
+  Peer peer{from, kInvalidAsId};
   {
     ds::MutexLock lock(peers_mu_);
     auto it = peer_by_addr_.find(from);
-    if (it != peer_by_addr_.end()) origin = it->second;
+    if (it != peer_by_addr_.end()) peer.id = it->second;
   }
-  const std::uint64_t request_id = hdr.request_id;
-  const trace::TraceContext tctx = hdr.trace;
   m_dispatch_requests_->Add();
-  auto task = [this, from, origin, request_id, tctx,
-               msg = std::move(message)]() {
+  auto task = [this, peer, hdr, body_offset, msg = std::move(message)]() {
     // The caller's context rides the whole execution of this request:
     // spans opened below parent onto it and every outgoing
     // EncodeRequestHeader re-emits it (trace propagation).
-    trace::ScopedContext tracing(tctx);
+    trace::ScopedContext tracing(hdr.trace);
     if (stopping_.load()) {
       m_dropped_or_expired_->Add();
-      DS_LOG(kWarn) << "dropping request " << request_id
+      DS_LOG(kWarn) << "dropping request " << hdr.request_id
                     << " (address space shutting down), trace="
-                    << TraceTag(tctx);
+                    << TraceTag(hdr.trace);
       (void)endpoint_->Send(
-          from, EncodeStatusReply(
-                    request_id,
-                    UnavailableError("address space shutting down")));
+          peer.addr, EncodeStatusReply(
+                         hdr.request_id,
+                         UnavailableError("address space shutting down")));
       return;
     }
-    // Blocking container ops suspend into a waiter instead of parking
-    // this worker; everything else is served synchronously.
-    if (ServeDeferred(msg, origin, from)) return;
-    Buffer reply = ProcessRequest(msg, origin);
+    marshal::XdrDecoder body(
+        std::span<const std::uint8_t>(msg).subspan(body_offset));
+    Buffer reply = Serve(hdr, body, &peer);
     if (!reply.empty()) {
-      (void)endpoint_->Send(from, reply);
+      (void)endpoint_->Send(peer.addr, reply);
     }
   };
   if (!dispatcher_->Submit(std::move(task))) {
@@ -530,12 +419,20 @@ void AddressSpace::DispatchRequest(const transport::SockAddr& from,
     // delivery path allows, and Endpoint::Shutdown releases it.
     m_dropped_or_expired_->Add();
     DS_LOG(kWarn) << "AS" << AsIndex(options_.id)
-                  << ": dispatcher rejected request " << request_id
-                  << " (shutting down), trace=" << TraceTag(tctx);
+                  << ": dispatcher rejected request " << hdr.request_id
+                  << " (shutting down), trace=" << TraceTag(hdr.trace);
     (void)endpoint_->Send(
-        from, EncodeStatusReply(
-                  request_id, UnavailableError("dispatcher shutting down")));
+        from, EncodeStatusReply(hdr.request_id,
+                                UnavailableError("dispatcher shutting down")));
   }
+}
+
+Buffer AddressSpace::ExecuteWireRequest(
+    std::span<const std::uint8_t> message) {
+  marshal::XdrDecoder body(message);
+  auto hdr = DecodeRequestHeader(body);
+  if (!hdr.ok()) return Buffer();  // cannot even address a reply
+  return Serve(*hdr, body, /*peer=*/nullptr);
 }
 
 namespace {
@@ -548,171 +445,151 @@ AsId OwnerOf(std::uint64_t container_bits) {
 
 }  // namespace
 
-bool AddressSpace::ServeDeferred(std::span<const std::uint8_t> message,
-                                 AsId origin, const transport::SockAddr& from) {
-  marshal::XdrDecoder dec(message);
-  auto hdr = DecodeRequestHeader(dec);
-  if (!hdr.ok()) return false;
-  if (hdr->op != Op::kGet && hdr->op != Op::kPut) return false;
-  const std::uint64_t id = hdr->request_id;
-
-  // Tag remote waiters with the caller's AS index so OnPeerDown can
-  // cancel them; anonymous callers (end devices via a surrogate that is
-  // not a registered peer) share the no-origin sentinel and are only
-  // completed by deadline, container close, or shutdown.
-  const std::uint32_t origin_tag =
-      origin == kInvalidAsId ? kNoWaiterOrigin : AsIndex(origin);
+template <typename Req>
+Buffer AddressSpace::Park(const RequestHeader& hdr, Req& req,
+                          const Peer& peer) {
+  const std::uint64_t id = hdr.request_id;
+  auto container = FindContainer(req.container_bits, req.is_queue);
+  if (!container.ok()) return EncodeStatusReply(id, container.status());
   // Reply exactly once from whichever thread resolves the waiter
   // (putter, consumer, timer wheel, peer-death, close, shutdown).
-  auto reply = std::make_shared<DeferredReply>(
-      id, [this, from](Buffer encoded) {
-        if (!encoded.empty()) (void)endpoint_->Send(from, encoded);
+  auto reply =
+      std::make_shared<DeferredReply>([this, to = peer.addr](Buffer encoded) {
+        if (!encoded.empty()) (void)endpoint_->Send(to, encoded);
       });
-
-  if (hdr->op == Op::kGet) {
-    auto req = GetReq::Decode(dec);
-    if (!req.ok()) return false;  // sync path emits the decode error
-    if (OwnerOf(req->container_bits) != options_.id) return false;
-    m_dispatch_deferred_->Add();
-    // The suspension itself is a span: it starts here (request arrives,
-    // try phase may park it) and ends — possibly on the producer's or
-    // the timer wheel's thread — when the continuation fires. Shared
-    // because GetCompletion is a copyable std::function.
-    auto parked = std::make_shared<trace::PendingSpan>(
-        &span_sink_, "owner.parked", hdr->trace);
-    auto done = [this, id, reply, parked,
-                 tctx = hdr->trace](Result<ItemView> item) {
-      parked->Finish();
-      if (!item.ok()) {
-        if (item.status().code() == StatusCode::kTimeout) {
-          m_dropped_or_expired_->Add();
-          DS_LOG(kWarn) << "parked get " << id
-                        << " expired at deadline, trace=" << TraceTag(tctx);
-        }
-        (void)reply->Complete(EncodeStatusReply(id, item.status()));
-        return;
-      }
-      (void)reply->Complete(EncodeItemReply(id, *item));
-    };
-    auto container = FindContainer(req->container_bits, req->is_queue);
-    if (!container.ok()) {
-      (void)reply->Complete(EncodeStatusReply(id, container.status()));
-      return true;
-    }
-    (*container)->GetAsync(req->slot, req->spec,
-                           DecodeDeadline(req->deadline_ms), std::move(done),
-                           origin_tag);
-    return true;
-  }
-
-  auto req = PutReq::Decode(dec);
-  if (!req.ok()) return false;
-  if (OwnerOf(req->container_bits) != options_.id) return false;
-  m_dispatch_deferred_->Add();
-  if (!CanOutput(req->mode)) {
-    (void)reply->Complete(EncodeStatusReply(
-        id, PermissionDeniedError("connection is input-only")));
-    return true;
-  }
+  // The suspension itself is a span: it starts here (request arrives,
+  // try phase may park it) and ends — possibly on the producer's or
+  // the timer wheel's thread — when the continuation fires. Shared
+  // because the completions are copyable std::functions.
   auto parked = std::make_shared<trace::PendingSpan>(
-      &span_sink_, "owner.parked", hdr->trace);
-  auto done = [this, id, reply, parked, tctx = hdr->trace](Status st) {
+      &span_sink_, "owner.parked", hdr.trace);
+  auto finish = [this, id, reply, parked, op = hdr.op, tctx = hdr.trace](
+                    const Status& status, Buffer encoded) {
     parked->Finish();
-    if (st.code() == StatusCode::kTimeout) {
+    if (status.code() == StatusCode::kTimeout) {
       m_dropped_or_expired_->Add();
-      DS_LOG(kWarn) << "parked put " << id
+      DS_LOG(kWarn) << "parked " << (op == Op::kPut ? "put " : "get ") << id
                     << " expired at deadline, trace=" << TraceTag(tctx);
     }
-    (void)reply->Complete(EncodeStatusReply(id, st));
+    (void)reply->Complete(std::move(encoded));
   };
-  auto container = FindContainer(req->container_bits, req->is_queue);
-  if (!container.ok()) {
-    (void)reply->Complete(EncodeStatusReply(id, container.status()));
-    return true;
+  // The waiter carries the caller's AS index, so OnPeerDown can cancel
+  // it; a request from an unknown address carries the no-origin
+  // sentinel and completes only by deadline, close or shutdown.
+  std::uint64_t waiter = 0;
+  if constexpr (std::is_same_v<Req, PutReq>) {
+    waiter = (*container)->PutAsync(
+        req.ts, SharedBuffer(std::move(req.payload)),
+        DecodeDeadline(req.deadline_ms),
+        [finish, id](Status st) { finish(st, EncodeStatusReply(id, st)); },
+        AsIndex(peer.id));
+  } else {
+    waiter = (*container)->GetAsync(
+        req.slot, req.spec, DecodeDeadline(req.deadline_ms),
+        [finish, id](Result<ItemView> item) {
+          finish(item.status(), item.ok()
+                                    ? EncodeItemReply(id, *item)
+                                    : EncodeStatusReply(id, item.status()));
+        },
+        AsIndex(peer.id));
   }
-  (*container)->PutAsync(req->ts, SharedBuffer(std::move(req->payload)),
-                         DecodeDeadline(req->deadline_ms), std::move(done),
-                         origin_tag);
-  return true;
+  if (waiter != 0) m_dispatch_deferred_->Add();
+  return Buffer();
 }
 
-Buffer AddressSpace::ProcessRequest(std::span<const std::uint8_t> message,
-                                    AsId origin) {
-  marshal::XdrDecoder dec(message);
-  auto hdr = DecodeRequestHeader(dec);
-  if (!hdr.ok()) return Buffer();  // cannot even address a reply
-  const std::uint64_t id = hdr->request_id;
-
-  switch (hdr->op) {
+Buffer AddressSpace::Serve(const RequestHeader& hdr, marshal::XdrDecoder& body,
+                           const Peer* peer) {
+  // Who asked picks the handler, by this one rule. A peer's request is
+  // served on this space's own state — its containers, name-server
+  // replica, replication log and registry — or refused: it is never
+  // re-issued through the public API, so it is never forwarded and
+  // never counts in api.*. An end device's frame goes through the
+  // location-transparent public API, which routes it to whichever
+  // space owns the state; the replica-internal ops have no public API,
+  // so a device is refused them.
+  const std::uint64_t id = hdr.request_id;
+  switch (hdr.op) {
     case Op::kCreateChannel:
     case Op::kCreateQueue: {
-      auto req = CreateReq::Decode(dec);
+      auto req = CreateReq::Decode(body);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
-      auto created =
-          CreateOn(options_.id, hdr->op == Op::kCreateQueue,
-                   static_cast<std::size_t>(req->capacity), req->debug_name);
-      if (!created.ok()) return EncodeStatusReply(id, created.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutU64(*created);
-      return enc.Take();
+      return EncodeReply(
+          id,
+          CreateOn(options_.id, hdr.op == Op::kCreateQueue,
+                   static_cast<std::size_t>(req->capacity), req->debug_name),
+          [](marshal::XdrEncoder& enc, std::uint64_t bits) {
+            enc.PutU64(bits);
+          });
     }
     case Op::kAttach: {
-      auto req = AttachReq::Decode(dec);
+      auto req = AttachReq::Decode(body);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
-      Result<Connection> conn = ConnectTo(req->container_bits, req->is_queue,
-                                          req->mode, req->label);
-      if (!conn.ok()) return EncodeStatusReply(id, conn.status());
+      auto encode_slot = [](marshal::XdrEncoder& enc, const Connection& conn) {
+        enc.PutU32(conn.slot());
+      };
+      if (peer == nullptr) {
+        return EncodeReply(id,
+                           ConnectTo(req->container_bits, req->is_queue,
+                                     req->mode, req->label),
+                           encode_slot);
+      }
+      auto container = FindContainer(req->container_bits, req->is_queue);
+      if (!container.ok()) return EncodeStatusReply(id, container.status());
+      const Connection conn(req->container_bits, req->is_queue, req->mode,
+                            options_.id,
+                            (*container)->Attach(req->mode, req->label));
       // Remember which peer holds the slot so its connections can be
       // detached (and its items reclaimed) if it dies.
-      if (origin != kInvalidAsId && conn->owner() == options_.id) {
+      if (peer->id != kInvalidAsId) {
         ds::MutexLock lock(remote_attach_mu_);
-        remote_attachments_[AsIndex(origin)].push_back(
-            {req->container_bits, req->is_queue, conn->slot()});
+        remote_attachments_[AsIndex(peer->id)].push_back(
+            {req->container_bits, req->is_queue, conn.slot()});
       }
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutU32(conn->slot());
-      return enc.Take();
+      return EncodeReply(id, Result<Connection>(conn), encode_slot);
     }
     case Op::kDetach: {
-      auto req = DetachReq::Decode(dec);
+      auto req = DetachReq::Decode(body);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
-      const Connection conn(req->container_bits, req->is_queue,
-                            ConnMode::kInputOutput,
-                            OwnerOf(req->container_bits), req->slot);
-      Status status = Disconnect(conn);
-      if (status.ok() && origin != kInvalidAsId) {
+      if (peer == nullptr) {
+        return EncodeStatusReply(
+            id, Disconnect(Connection(req->container_bits, req->is_queue,
+                                      ConnMode::kInputOutput,
+                                      OwnerOf(req->container_bits),
+                                      req->slot)));
+      }
+      auto container = FindContainer(req->container_bits, req->is_queue);
+      if (!container.ok()) return EncodeStatusReply(id, container.status());
+      const Status status = (*container)->Detach(req->slot);
+      if (status.ok() && peer->id != kInvalidAsId) {
         ds::MutexLock lock(remote_attach_mu_);
-        auto it = remote_attachments_.find(AsIndex(origin));
-        if (it != remote_attachments_.end()) {
-          auto& atts = it->second;
-          for (auto att = atts.begin(); att != atts.end(); ++att) {
-            if (att->container_bits == req->container_bits &&
-                att->is_queue == req->is_queue && att->slot == req->slot) {
-              atts.erase(att);
-              break;
-            }
-          }
-        }
+        std::erase_if(remote_attachments_[AsIndex(peer->id)],
+                      [&](const RemoteAttach& att) {
+                        return att.container_bits == req->container_bits &&
+                               att.is_queue == req->is_queue &&
+                               att.slot == req->slot;
+                      });
       }
       return EncodeStatusReply(id, status);
     }
     case Op::kPut: {
-      auto req = PutReq::Decode(dec);
+      auto req = PutReq::Decode(body);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
-      // Rebuild the caller's connection and run through the public,
-      // location-transparent API: surrogates route client calls to
-      // containers owned by any address space this way.
+      if (peer != nullptr) {
+        if (!CanOutput(req->mode)) {
+          return EncodeStatusReply(
+              id, PermissionDeniedError("connection is input-only"));
+        }
+        return Park(hdr, *req, *peer);
+      }
       const Connection conn(req->container_bits, req->is_queue, req->mode,
                             OwnerOf(req->container_bits), req->slot);
-      Status status = Put(conn, req->ts, std::move(req->payload),
-                          DecodeDeadline(req->deadline_ms));
-      return EncodeStatusReply(id, status);
+      return EncodeStatusReply(id, Put(conn, req->ts, std::move(req->payload),
+                                       DecodeDeadline(req->deadline_ms)));
     }
     case Op::kGet: {
-      auto req = GetReq::Decode(dec);
+      auto req = GetReq::Decode(body);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
+      if (peer != nullptr) return Park(hdr, *req, *peer);
       const Connection conn(req->container_bits, req->is_queue, req->mode,
                             OwnerOf(req->container_bits), req->slot);
       Result<ItemView> item =
@@ -721,169 +598,62 @@ Buffer AddressSpace::ProcessRequest(std::span<const std::uint8_t> message,
       return EncodeItemReply(id, *item);
     }
     case Op::kConsume: {
-      auto req = ConsumeReq::Decode(dec);
+      auto req = ConsumeReq::Decode(body);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
+      if (peer != nullptr) {
+        return EncodeStatusReply(
+            id, ConsumeHere(req->container_bits, req->is_queue, req->slot,
+                            req->ts, req->until));
+      }
       const Connection conn(req->container_bits, req->is_queue, req->mode,
                             OwnerOf(req->container_bits), req->slot);
-      Status status = req->until ? ConsumeUntil(conn, req->ts)
-                                 : Consume(conn, req->ts);
-      return EncodeStatusReply(id, status);
+      return EncodeStatusReply(id, ConsumeAt(conn, req->ts, req->until));
     }
     case Op::kSetFilter: {
-      auto req = SetFilterReq::Decode(dec);
+      auto req = SetFilterReq::Decode(body);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
+      if (peer != nullptr) {
+        auto ch = FindChannel(req->container_bits);
+        return EncodeStatusReply(id, ch ? ch->SetFilter(req->slot, req->filter)
+                                        : NotFoundError("channel"));
+      }
       const Connection conn(req->container_bits, /*is_queue=*/false,
                             ConnMode::kInput, OwnerOf(req->container_bits),
                             req->slot);
       return EncodeStatusReply(id, SetFilter(conn, req->filter));
     }
-    // Name-server ops. A request from a peer AS (origin known) was
-    // routed here by that peer's failover wrapper, so a replica serves
-    // it or answers with a "leader=<id>" redirect — never forwards
-    // onward (no replica-to-replica chains). A request with no origin
-    // came from an end device via a surrogate on this AS: the public
-    // wrapper routes it, retries and all.
-    case Op::kNsRegister: {
-      auto entry = DecodeNsEntry(dec);
-      if (!entry.ok()) return EncodeStatusReply(id, entry.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kRegister;
-        m.entry = *entry;
-        if (m.entry.owner_as == kInvalidAsId) m.entry.owner_as = options_.id;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, NsRegister(*entry));
-    }
-    case Op::kNsUnregister: {
-      auto req = NsLookupReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kUnregister;
-        m.name = req->name;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, NsUnregister(req->name));
-    }
-    case Op::kNsLookup: {
-      auto req = NsLookupReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId && !replog_->LeaseFresh()) {
-        return EncodeStatusReply(id, StaleNsError());
-      }
-      auto entry = NsLookup(req->name, DecodeDeadline(req->deadline_ms));
-      if (!entry.ok()) return EncodeStatusReply(id, entry.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      EncodeNsEntry(enc, *entry);
-      return enc.Take();
-    }
-    case Op::kNsList: {
-      auto req = NsLookupReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId && !replog_->LeaseFresh()) {
-        return EncodeStatusReply(id, StaleNsError());
-      }
-      auto entries = NsList(req->name);
-      if (!entries.ok()) return EncodeStatusReply(id, entries.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutU32(static_cast<std::uint32_t>(entries->size()));
-      for (const auto& entry : *entries) EncodeNsEntry(enc, entry);
-      return enc.Take();
-    }
-    case Op::kSessionPut: {
-      auto rec = DecodeSessionRecord(dec);
-      if (!rec.ok()) return EncodeStatusReply(id, rec.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kPutSession;
-        m.session = *rec;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, SessionPut(*rec));
-    }
-    case Op::kSessionGet: {
-      auto req = SessionIdReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId && !replog_->LeaseFresh()) {
-        return EncodeStatusReply(id, StaleNsError());
-      }
-      auto rec = SessionGet(req->session_id);
-      if (!rec.ok()) return EncodeStatusReply(id, rec.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      EncodeSessionRecord(enc, *rec);
-      return enc.Take();
-    }
-    case Op::kSessionDrop: {
-      auto req = SessionIdReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kDropSession;
-        m.session_id = req->session_id;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, SessionDrop(req->session_id));
-    }
-    case Op::kSessionTick: {
-      auto req = SessionTickReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (replog_ && origin != kInvalidAsId) {
-        NsMutation m;
-        m.kind = NsMutation::Kind::kTickSession;
-        m.session_id = req->session_id;
-        m.ticket = req->ticket;
-        return EncodeStatusReply(id, ServeNsMutation(m));
-      }
-      return EncodeStatusReply(id, SessionTick(req->session_id, req->ticket));
-    }
-    // Control-plane replication (replica-internal; see core/replog.hpp).
-    case Op::kRepAppend: {
-      auto req = RepAppendReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (!replog_) {
-        return EncodeStatusReply(id,
-                                 FailedPreconditionError("not an ns replica"));
-      }
-      RepAppendAck ack;
-      const Status st = replog_->HandleAppend(*req, ack);
-      // The ack body rides along even on rejection: it carries this
-      // replica's term, which is how a deposed leader learns to step
-      // down.
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, st);
-      ack.Encode(enc);
-      return enc.Take();
-    }
-    case Op::kRepFetch: {
-      auto req = RepFetchReq::Decode(dec);
-      if (!req.ok()) return EncodeStatusReply(id, req.status());
-      if (!replog_) {
-        return EncodeStatusReply(id,
-                                 FailedPreconditionError("not an ns replica"));
-      }
-      const RepFetchResp resp = replog_->HandleFetch(*req);
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      resp.Encode(enc);
-      return enc.Take();
-    }
     case Op::kMetrics: {
-      auto req = MetricsReq::Decode(dec);
+      auto req = MetricsReq::Decode(body);
       if (!req.ok()) return EncodeStatusReply(id, req.status());
-      // Serve locally or forward to the target space (same pattern as
-      // the NS ops), so a surrogate can introspect any space for its
-      // end device and dsctl can fan out from one peer.
-      auto snapshot = MetricsSnapshot(static_cast<AsId>(req->target_as));
-      if (!snapshot.ok()) return EncodeStatusReply(id, snapshot.status());
-      marshal::XdrEncoder enc;
-      EncodeResponseHeader(enc, id, OkStatus());
-      enc.PutString(*snapshot);
-      return enc.Take();
+      const AsId target = static_cast<AsId>(req->target_as);
+      Result<std::string> snapshot =
+          FailedPreconditionError("not this space's metrics");
+      if (peer == nullptr) {
+        snapshot = MetricsSnapshot(target);  // local, or from the target
+      } else if (target == options_.id) {
+        snapshot = MetricsJson();
+      }
+      return EncodeReply(id, snapshot,
+                         [](marshal::XdrEncoder& enc, const std::string& json) {
+                           enc.PutString(json);
+                         });
     }
+    case Op::kRepAppend:
+    case Op::kRepFetch:
+      if (peer == nullptr) {
+        return EncodeStatusReply(
+            id, PermissionDeniedError("replica-internal op"));
+      }
+      [[fallthrough]];
+    case Op::kNsRegister:
+    case Op::kNsUnregister:
+    case Op::kNsLookup:
+    case Op::kNsList:
+    case Op::kSessionPut:
+    case Op::kSessionGet:
+    case Op::kSessionDrop:
+    case Op::kSessionTick:
+      return ns_->Serve(hdr, body, /*from_peer=*/peer != nullptr);
     case Op::kReply:
       break;
   }
@@ -937,16 +707,11 @@ Result<std::uint64_t> AddressSpace::CreateOn(AsId owner, bool is_queue,
   CreateReq req;
   req.capacity = capacity;
   req.debug_name = debug_name;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, is_queue ? Op::kCreateQueue : Op::kCreateChannel,
-                      next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(owner, enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  return dec.GetU64();
+  return DecodeReply(
+      Call(owner, is_queue ? Op::kCreateQueue : Op::kCreateChannel,
+           [&req](marshal::XdrEncoder& enc) { req.Encode(enc); },
+           InternalDeadline()),
+      [](marshal::XdrDecoder& dec) { return dec.GetU64(); });
 }
 
 Result<std::shared_ptr<LocalContainer>> AddressSpace::FindContainer(
@@ -1011,16 +776,13 @@ Result<Connection> AddressSpace::ConnectTo(std::uint64_t bits, bool is_queue,
   req.container_bits = bits;
   req.is_queue = is_queue;
   req.mode = mode;
-  req.label = label;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kAttach, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(owner, enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  DS_ASSIGN_OR_RETURN(std::uint32_t slot, dec.GetU32());
+  req.label = std::move(label);
+  DS_ASSIGN_OR_RETURN(
+      std::uint32_t slot,
+      DecodeReply(Call(owner, Op::kAttach,
+                       [&req](marshal::XdrEncoder& enc) { req.Encode(enc); },
+                       InternalDeadline()),
+                  [](marshal::XdrDecoder& dec) { return dec.GetU32(); }));
   return Connection(bits, is_queue, mode, owner, slot);
 }
 
@@ -1036,15 +798,9 @@ Status AddressSpace::Disconnect(const Connection& conn) {
   req.container_bits = conn.container_bits();
   req.is_queue = conn.is_queue();
   req.slot = conn.slot();
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kDetach, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(
-      Buffer reply,
-      Call(conn.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  return ReplyStatus(Call(conn.owner(), Op::kDetach,
+                          [&req](marshal::XdrEncoder& enc) { req.Encode(enc); },
+                          InternalDeadline()));
 }
 
 // --- I/O ------------------------------------------------------------------------
@@ -1074,64 +830,60 @@ Status AddressSpace::Put(const Connection& conn, Timestamp ts, Buffer payload,
   req.ts = ts;
   req.deadline_ms = EncodeDeadline(deadline);
   req.payload = std::move(payload);
-  marshal::XdrEncoder enc(req.payload.size() + 96);
-  EncodeRequestHeader(enc, Op::kPut, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply, Call(conn.owner(), enc.Take(), deadline));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  return ReplyStatus(Call(conn.owner(), Op::kPut,
+                          [&req](marshal::XdrEncoder& enc) { req.Encode(enc); },
+                          deadline, req.payload.size() + 96));
 }
 
 Result<ItemView> AddressSpace::Get(const Connection& conn, GetSpec spec,
                                    Deadline deadline) {
   if (!conn.valid()) return InvalidArgumentError("invalid connection");
   m_api_gets_->Add();
+  Result<ItemView> item = InternalError("unset");
   if (conn.owner() == options_.id) {
     // Owner-side serving span; for a blocking get the duration is the
     // time parked waiting for the producer.
     trace::ScopedSpan serve(&span_sink_, "owner.serve");
     DS_ASSIGN_OR_RETURN(auto container,
                         FindContainer(conn.container_bits(), conn.is_queue()));
-    Result<ItemView> item = container->Get(conn.slot(), spec, deadline);
-    if (item.ok()) {
-      m_api_bytes_got_->Add(item->payload.size());
-    }
-    return item;
+    item = container->Get(conn.slot(), spec, deadline);
+  } else {
+    GetReq req;
+    req.container_bits = conn.container_bits();
+    req.is_queue = conn.is_queue();
+    req.mode = conn.mode();
+    req.slot = conn.slot();
+    req.spec = spec;
+    req.deadline_ms = EncodeDeadline(deadline);
+    item = DecodeReply(
+        Call(conn.owner(), Op::kGet,
+             [&req](marshal::XdrEncoder& enc) { req.Encode(enc); }, deadline),
+        [](marshal::XdrDecoder& dec) -> Result<ItemView> {
+          ItemView view;
+          DS_ASSIGN_OR_RETURN(view.timestamp, dec.GetI64());
+          DS_ASSIGN_OR_RETURN(Buffer payload, dec.GetOpaque());
+          view.payload = SharedBuffer(std::move(payload));
+          return view;
+        });
   }
-  GetReq req;
-  req.container_bits = conn.container_bits();
-  req.is_queue = conn.is_queue();
-  req.mode = conn.mode();
-  req.slot = conn.slot();
-  req.spec = spec;
-  req.deadline_ms = EncodeDeadline(deadline);
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kGet, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply, Call(conn.owner(), enc.Take(), deadline));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  ItemView view;
-  DS_ASSIGN_OR_RETURN(view.timestamp, dec.GetI64());
-  DS_ASSIGN_OR_RETURN(Buffer payload, dec.GetOpaque());
-  view.payload = SharedBuffer(std::move(payload));
-  m_api_bytes_got_->Add(view.payload.size());
-  return view;
+  if (item.ok()) m_api_bytes_got_->Add(item->payload.size());
+  return item;
 }
 
 Result<ItemView> AddressSpace::Get(const Connection& conn, Deadline deadline) {
   return Get(conn, GetSpec::Oldest(), deadline);
 }
 
-Status AddressSpace::Consume(const Connection& conn, Timestamp ts) {
+Status AddressSpace::ConsumeAt(const Connection& conn, Timestamp ts,
+                               bool until) {
   if (!conn.valid()) return InvalidArgumentError("invalid connection");
   m_api_consumes_->Add();
+  if (until && conn.is_queue()) {
+    return InvalidArgumentError("consume-until is channel-only");
+  }
   if (conn.owner() == options_.id) {
-    DS_ASSIGN_OR_RETURN(auto container,
-                        FindContainer(conn.container_bits(), conn.is_queue()));
-    return container->Consume(conn.slot(), ts);
+    return ConsumeHere(conn.container_bits(), conn.is_queue(), conn.slot(), ts,
+                       until);
   }
   ConsumeReq req;
   req.container_bits = conn.container_bits();
@@ -1139,44 +891,21 @@ Status AddressSpace::Consume(const Connection& conn, Timestamp ts) {
   req.mode = conn.mode();
   req.slot = conn.slot();
   req.ts = ts;
-  req.until = false;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kConsume, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(
-      Buffer reply,
-      Call(conn.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  req.until = until;
+  return ReplyStatus(Call(conn.owner(), Op::kConsume,
+                          [&req](marshal::XdrEncoder& enc) { req.Encode(enc); },
+                          InternalDeadline()));
 }
 
-Status AddressSpace::ConsumeUntil(const Connection& conn, Timestamp ts) {
-  if (!conn.valid()) return InvalidArgumentError("invalid connection");
-  m_api_consumes_->Add();
-  if (conn.is_queue()) {
+Status AddressSpace::ConsumeHere(std::uint64_t bits, bool is_queue,
+                                 std::uint32_t slot, Timestamp ts,
+                                 bool until) {
+  if (until && is_queue) {
     return InvalidArgumentError("consume-until is channel-only");
   }
-  if (conn.owner() == options_.id) {
-    auto ch = FindChannel(conn.container_bits());
-    return ch ? ch->ConsumeUntil(conn.slot(), ts) : NotFoundError("channel");
-  }
-  ConsumeReq req;
-  req.container_bits = conn.container_bits();
-  req.is_queue = false;
-  req.mode = conn.mode();
-  req.slot = conn.slot();
-  req.ts = ts;
-  req.until = true;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kConsume, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(
-      Buffer reply,
-      Call(conn.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  DS_ASSIGN_OR_RETURN(auto container, FindContainer(bits, is_queue));
+  if (!until) return container->Consume(slot, ts);
+  return static_cast<LocalChannel&>(*container).ConsumeUntil(slot, ts);
 }
 
 Status AddressSpace::SetFilter(const Connection& conn,
@@ -1193,15 +922,9 @@ Status AddressSpace::SetFilter(const Connection& conn,
   req.container_bits = conn.container_bits();
   req.slot = conn.slot();
   req.filter = filter;
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kSetFilter, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(
-      Buffer reply,
-      Call(conn.owner(), enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
+  return ReplyStatus(Call(conn.owner(), Op::kSetFilter,
+                          [&req](marshal::XdrEncoder& enc) { req.Encode(enc); },
+                          InternalDeadline()));
 }
 
 // --- handler functions -----------------------------------------------------------
@@ -1223,329 +946,6 @@ Status AddressSpace::SetGcHandler(std::uint64_t bits, bool is_queue,
   }
   (*container)->set_gc_handler(std::move(handler));
   return OkStatus();
-}
-
-// --- name server ------------------------------------------------------------------
-
-namespace {
-
-// A follower's routing redirect (as opposed to a definitive
-// kUnavailable like "replication lost quorum", which must surface).
-bool IsNsRedirect(const Status& s) {
-  return s.code() == StatusCode::kUnavailable &&
-         s.message().rfind("not leader", 0) == 0;
-}
-
-Op MutationOp(NsMutation::Kind kind) {
-  switch (kind) {
-    case NsMutation::Kind::kRegister: return Op::kNsRegister;
-    case NsMutation::Kind::kUnregister: return Op::kNsUnregister;
-    case NsMutation::Kind::kPutSession: return Op::kSessionPut;
-    case NsMutation::Kind::kDropSession: return Op::kSessionDrop;
-    case NsMutation::Kind::kTickSession: return Op::kSessionTick;
-    case NsMutation::Kind::kPurgeOwner: break;  // log-only, never routed
-  }
-  return Op::kReply;
-}
-
-void EncodeMutationBody(marshal::XdrEncoder& enc, const NsMutation& m) {
-  switch (m.kind) {
-    case NsMutation::Kind::kRegister:
-      EncodeNsEntry(enc, m.entry);
-      return;
-    case NsMutation::Kind::kUnregister: {
-      NsLookupReq req;
-      req.name = m.name;
-      req.Encode(enc);
-      return;
-    }
-    case NsMutation::Kind::kPutSession:
-      EncodeSessionRecord(enc, m.session);
-      return;
-    case NsMutation::Kind::kDropSession: {
-      SessionIdReq req;
-      req.session_id = m.session_id;
-      req.Encode(enc);
-      return;
-    }
-    case NsMutation::Kind::kTickSession: {
-      SessionTickReq req;
-      req.session_id = m.session_id;
-      req.ticket = m.ticket;
-      req.Encode(enc);
-      return;
-    }
-    case NsMutation::Kind::kPurgeOwner:
-      return;
-  }
-}
-
-}  // namespace
-
-std::vector<AsId> AddressSpace::NsTargets() const {
-  if (!options_.ns_replicas.empty()) return options_.ns_replicas;
-  if (ns_as_ != kInvalidAsId) return {ns_as_};
-  return {};
-}
-
-void AddressSpace::NoteNsLeader(AsId leader) {
-  ds::MutexLock lock(ns_route_mu_);
-  ns_leader_hint_ = leader;
-}
-
-Status AddressSpace::StaleNsError() const {
-  const AsId leader = replog_->leader();
-  return UnavailableError(
-      "ns lease stale; leader=" +
-      (leader == kInvalidAsId ? std::string("none")
-                              : std::to_string(AsIndex(leader))));
-}
-
-Status AddressSpace::ServeNsMutation(const NsMutation& m) {
-  if (!replog_) {
-    return name_server_ ? name_server_->Apply(m)
-                        : FailedPreconditionError("not an ns replica");
-  }
-  return replog_->Append(EncodeNsMutation(m));
-}
-
-Result<Buffer> AddressSpace::CallNsService(
-    const std::function<Buffer(std::uint64_t request_id)>& make_request,
-    Deadline deadline) {
-  std::vector<AsId> targets = NsTargets();
-  if (targets.empty()) {
-    return FailedPreconditionError("no name-server address space set");
-  }
-  // The last replica that answered definitively (usually the leader)
-  // goes first; the rest keep replica order for deterministic rotation.
-  {
-    ds::MutexLock lock(ns_route_mu_);
-    auto it = std::find(targets.begin(), targets.end(), ns_leader_hint_);
-    if (it != targets.end()) std::rotate(targets.begin(), it, it + 1);
-  }
-  Status last = UnavailableError("name service unavailable");
-  constexpr int kRounds = 3;
-  for (int round = 0; round < kRounds; ++round) {
-    for (AsId target : targets) {
-      if (target == options_.id) continue;  // local paths already failed
-      if (IsPeerDown(target)) {
-        last = UnavailableError("ns replica declared dead");
-        continue;
-      }
-      auto reply =
-          Call(target, make_request(next_request_id_.fetch_add(1)), deadline);
-      if (!reply.ok()) {
-        last = reply.status();
-        continue;  // transport failure: rotate
-      }
-      marshal::XdrDecoder dec(*reply);
-      auto hdr = DecodeResponseHeader(dec);
-      if (!hdr.ok()) {
-        last = hdr.status();
-        continue;
-      }
-      if (hdr->status.code() == StatusCode::kUnavailable) {
-        // Redirect ("not leader"), stale lease, or lost quorum: note
-        // any leader hint for future calls and keep rotating.
-        last = hdr->status;
-        const AsId hint = RepLog::LeaderHintFromMessage(hdr->status.message());
-        if (hint != kInvalidAsId) NoteNsLeader(hint);
-        continue;
-      }
-      // Definitive answer — ok or an application error (kNotFound,
-      // kAlreadyExists, ...) that retrying elsewhere would not change.
-      NoteNsLeader(target);
-      return reply;
-    }
-    if (!deadline.infinite() && deadline.expired()) break;
-    if (round + 1 < kRounds) SleepFor(Millis(100));  // let an election settle
-  }
-  return last;
-}
-
-Status AddressSpace::MutateNs(const NsMutation& m) {
-  if (replog_) {
-    Status s = replog_->Append(EncodeNsMutation(m));
-    if (!IsNsRedirect(s)) return s;
-    // This replica is a follower: fall through and route to the leader.
-  } else if (name_server_) {
-    return name_server_->Apply(m);
-  }
-  auto reply = CallNsService(
-      [&m](std::uint64_t request_id) {
-        marshal::XdrEncoder enc;
-        EncodeRequestHeader(enc, MutationOp(m.kind), request_id);
-        EncodeMutationBody(enc, m);
-        return enc.Take();
-      },
-      InternalDeadline());
-  if (!reply.ok()) return reply.status();
-  marshal::XdrDecoder dec(*reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  return hdr.status;
-}
-
-Status AddressSpace::NsRegister(const NsEntry& entry) {
-  m_api_ns_ops_->Add();
-  // Stamp ownership before the entry crosses the wire: recovery purges
-  // a dead space's names by this field. Entries arriving with ownership
-  // already set (forwarded registrations) keep it; entries from end
-  // devices get their host AS, since the host is what can die.
-  NsMutation m;
-  m.kind = NsMutation::Kind::kRegister;
-  m.entry = entry;
-  if (m.entry.owner_as == kInvalidAsId) m.entry.owner_as = options_.id;
-  return MutateNs(m);
-}
-
-Status AddressSpace::NsUnregister(const std::string& name) {
-  m_api_ns_ops_->Add();
-  NsMutation m;
-  m.kind = NsMutation::Kind::kUnregister;
-  m.name = name;
-  return MutateNs(m);
-}
-
-Result<NsEntry> AddressSpace::NsLookup(const std::string& name,
-                                       Deadline deadline) {
-  m_api_ns_ops_->Add();
-  // Reads are served from the local replica while its lease view is
-  // fresh — this is the payoff of replication: lookups keep working on
-  // any survivor without a round trip.
-  if (name_server_ && (!replog_ || replog_->LeaseFresh())) {
-    return name_server_->Lookup(name, deadline);
-  }
-  NsLookupReq req;
-  req.name = name;
-  req.deadline_ms = EncodeDeadline(deadline);
-  auto reply = CallNsService(
-      [&req](std::uint64_t request_id) {
-        marshal::XdrEncoder enc;
-        EncodeRequestHeader(enc, Op::kNsLookup, request_id);
-        req.Encode(enc);
-        return enc.Take();
-      },
-      deadline);
-  if (!reply.ok()) {
-    if (name_server_) {
-      // Degraded read: every peer replica is unreachable (we may be
-      // the only survivor). A possibly-stale local answer beats total
-      // refusal; docs/FAILURES.md spells out the trade.
-      DS_LOG(kWarn) << "AS" << AsIndex(options_.id) << ": ns failover lost ("
-                    << reply.status().message()
-                    << "); serving stale local replica";
-      return name_server_->Lookup(name, deadline);
-    }
-    return reply.status();
-  }
-  marshal::XdrDecoder dec(*reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  return DecodeNsEntry(dec);
-}
-
-Result<std::vector<NsEntry>> AddressSpace::NsList(const std::string& prefix) {
-  m_api_ns_ops_->Add();
-  if (name_server_ && (!replog_ || replog_->LeaseFresh())) {
-    return name_server_->List(prefix);
-  }
-  NsLookupReq req;
-  req.name = prefix;
-  auto reply = CallNsService(
-      [&req](std::uint64_t request_id) {
-        marshal::XdrEncoder enc;
-        EncodeRequestHeader(enc, Op::kNsList, request_id);
-        req.Encode(enc);
-        return enc.Take();
-      },
-      InternalDeadline());
-  if (!reply.ok()) {
-    if (name_server_) return name_server_->List(prefix);  // degraded read
-    return reply.status();
-  }
-  marshal::XdrDecoder dec(*reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetCount(kMinNsEntryBytes));
-  std::vector<NsEntry> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    DS_ASSIGN_OR_RETURN(NsEntry entry, DecodeNsEntry(dec));
-    out.push_back(std::move(entry));
-  }
-  return out;
-}
-
-void AddressSpace::OnBecameNsLeader() {
-  std::vector<AsId> dead;
-  {
-    ds::MutexLock lock(peers_mu_);
-    dead.reserve(dead_peers_.size());
-    for (std::uint32_t idx : dead_peers_) dead.push_back(static_cast<AsId>(idx));
-  }
-  for (AsId peer : dead) {
-    NsMutation purge;
-    purge.kind = NsMutation::Kind::kPurgeOwner;
-    purge.owner = peer;
-    Status s = replog_->Append(EncodeNsMutation(purge));
-    if (!s.ok()) {
-      DS_LOG(kWarn) << "post-election purge of AS" << AsIndex(peer)
-                    << " names failed: " << s.message();
-    }
-  }
-}
-
-// --- end-device session registry -----------------------------------------------
-
-Status AddressSpace::SessionPut(const SessionRecord& record) {
-  m_api_ns_ops_->Add();
-  NsMutation m;
-  m.kind = NsMutation::Kind::kPutSession;
-  m.session = record;
-  return MutateNs(m);
-}
-
-Result<SessionRecord> AddressSpace::SessionGet(std::uint64_t session_id) {
-  m_api_ns_ops_->Add();
-  if (name_server_ && (!replog_ || replog_->LeaseFresh())) {
-    return name_server_->GetSession(session_id);
-  }
-  SessionIdReq req;
-  req.session_id = session_id;
-  auto reply = CallNsService(
-      [&req](std::uint64_t request_id) {
-        marshal::XdrEncoder enc;
-        EncodeRequestHeader(enc, Op::kSessionGet, request_id);
-        req.Encode(enc);
-        return enc.Take();
-      },
-      InternalDeadline());
-  if (!reply.ok()) {
-    if (name_server_) return name_server_->GetSession(session_id);  // degraded
-    return reply.status();
-  }
-  marshal::XdrDecoder dec(*reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  return DecodeSessionRecord(dec);
-}
-
-Status AddressSpace::SessionDrop(std::uint64_t session_id) {
-  m_api_ns_ops_->Add();
-  NsMutation m;
-  m.kind = NsMutation::Kind::kDropSession;
-  m.session_id = session_id;
-  return MutateNs(m);
-}
-
-Status AddressSpace::SessionTick(std::uint64_t session_id,
-                                 std::uint64_t ticket) {
-  m_api_ns_ops_->Add();
-  NsMutation m;
-  m.kind = NsMutation::Kind::kTickSession;
-  m.session_id = session_id;
-  m.ticket = ticket;
-  return MutateNs(m);
 }
 
 // --- observability ---------------------------------------------------------------
@@ -1601,15 +1001,11 @@ Result<std::string> AddressSpace::MetricsSnapshot(AsId target) {
   if (target == options_.id) return MetricsJson();
   MetricsReq req;
   req.target_as = AsIndex(target);
-  marshal::XdrEncoder enc;
-  EncodeRequestHeader(enc, Op::kMetrics, next_request_id_.fetch_add(1));
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(Buffer reply,
-                      Call(target, enc.Take(), InternalDeadline()));
-  marshal::XdrDecoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeader(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  return dec.GetString();
+  return DecodeReply(
+      Call(target, Op::kMetrics,
+           [&req](marshal::XdrEncoder& enc) { req.Encode(enc); },
+           InternalDeadline()),
+      [](marshal::XdrDecoder& dec) { return dec.GetString(); });
 }
 
 Status AddressSpace::AdvertiseMetrics() {
@@ -1624,7 +1020,7 @@ Status AddressSpace::AdvertiseMetrics() {
 }
 
 Status AddressSpace::AdvertiseNsReplica() {
-  if (!name_server_) return OkStatus();
+  if (local_name_server() == nullptr) return OkStatus();
   NsEntry entry;
   entry.name = "sys/ns/" + std::to_string(AsIndex(options_.id));
   entry.kind = NsEntry::Kind::kOther;

@@ -30,9 +30,8 @@
 #include "dstampede/core/channel.hpp"
 #include "dstampede/core/gc.hpp"
 #include "dstampede/core/item.hpp"
-#include "dstampede/core/name_server.hpp"
+#include "dstampede/core/name_service.hpp"
 #include "dstampede/core/queue.hpp"
-#include "dstampede/core/replog.hpp"
 #include "dstampede/core/wire.hpp"
 
 namespace dstampede::core {
@@ -136,8 +135,12 @@ class AddressSpace {
   // Queue get (FIFO). Also works on channels as Get(Oldest).
   Result<ItemView> Get(const Connection& conn,
                        Deadline deadline = Deadline::Infinite());
-  Status Consume(const Connection& conn, Timestamp ts);
-  Status ConsumeUntil(const Connection& conn, Timestamp ts);
+  Status Consume(const Connection& conn, Timestamp ts) {
+    return ConsumeAt(conn, ts, /*until=*/false);
+  }
+  Status ConsumeUntil(const Connection& conn, Timestamp ts) {
+    return ConsumeAt(conn, ts, /*until=*/true);
+  }
 
   // Selective-attention filter on a channel input connection (§6
   // future work, implemented): the connection only sees matching
@@ -149,21 +152,35 @@ class AddressSpace {
   Status SetQueueGcHandler(QueueId q, GcHandler handler);
 
   // --- name server --------------------------------------------------------
-  Status NsRegister(const NsEntry& entry);
-  Status NsUnregister(const std::string& name);
+  Status NsRegister(const NsEntry& entry) { return ns_->Register(entry); }
+  Status NsUnregister(const std::string& name) {
+    return ns_->Unregister(name);
+  }
   Result<NsEntry> NsLookup(const std::string& name,
-                           Deadline deadline = Deadline::Poll());
-  Result<std::vector<NsEntry>> NsList(const std::string& prefix = "");
+                           Deadline deadline = Deadline::Poll()) {
+    return ns_->Lookup(name, deadline);
+  }
+  Result<std::vector<NsEntry>> NsList(const std::string& prefix = "") {
+    return ns_->List(prefix);
+  }
 
   // --- end-device session registry (client resilience layer) -----------
   // Like the Ns* calls: local when this AS hosts the name server,
   // forwarded over CLF otherwise. Surrogates mirror their session state
   // through these so any listener can rehydrate a session whose TCP
   // link dropped or whose host AS died.
-  Status SessionPut(const SessionRecord& record);
-  Result<SessionRecord> SessionGet(std::uint64_t session_id);
-  Status SessionDrop(std::uint64_t session_id);
-  Status SessionTick(std::uint64_t session_id, std::uint64_t ticket);
+  Status SessionPut(const SessionRecord& record) {
+    return ns_->PutSession(record);
+  }
+  Result<SessionRecord> SessionGet(std::uint64_t session_id) {
+    return ns_->GetSession(session_id);
+  }
+  Status SessionDrop(std::uint64_t session_id) {
+    return ns_->DropSession(session_id);
+  }
+  Status SessionTick(std::uint64_t session_id, std::uint64_t ticket) {
+    return ns_->TickSession(session_id, ticket);
+  }
 
   // --- threads -----------------------------------------------------------
   // POSIX-like D-Stampede threads (§3.1). The runtime tracks them so
@@ -191,7 +208,7 @@ class AddressSpace {
   // instead of letting a dying AS answer them with kCancelled.
   bool stopped() const { return stopping_.load(); }
   // Which AS hosts the name server (kInvalidAsId if unset).
-  AsId name_server_as() const { return ns_as_; }
+  AsId name_server_as() const { return ns_->name_server_as(); }
   // The CLF endpoint's outgoing fault injector; tests and the ablation
   // bench install deterministic partitions through it.
   clf::FaultInjector& fault_injector() { return endpoint_->fault_injector(); }
@@ -223,10 +240,10 @@ class AddressSpace {
   // --- services ------------------------------------------------------------
   GcService& gc() { return *gc_; }
   // Null unless this AS hosts the name server.
-  NameServer* local_name_server() { return name_server_.get(); }
+  NameServer* local_name_server() { return ns_->name_server(); }
   // Null unless this AS hosts a NameServer replica in a replicated
   // (ns_replicas.size() > 1) deployment.
-  RepLog* replication() { return replog_.get(); }
+  RepLog* replication() { return ns_->replication(); }
 
   // Owner-side lookup, used by surrogates and tests; null unless this
   // space holds a container of that kind under `bits`.
@@ -238,6 +255,13 @@ class AddressSpace {
   // call JoinThreads() for that.
   void Shutdown();
 
+  // Serves an STM request encoded per wire.hpp for an end device, on
+  // behalf of which a surrogate thread of this space fields client
+  // calls (§3.2.2). It goes through the location-transparent API above,
+  // so it reaches containers and name service wherever they live. The
+  // request span must start at the op field.
+  Buffer ExecuteWireRequest(std::span<const std::uint8_t> message);
+
  private:
   explicit AddressSpace(const Options& options);
 
@@ -245,16 +269,18 @@ class AddressSpace {
   // endpoint/dispatcher/name server exist.
   void InitObservability();
 
-  struct PendingCall {
-    // One node for every in-flight call: a thread completing call A
-    // while holding call B's mu would be an ordering bug worth hearing
-    // about, and the shared name keeps the detector graph bounded.
-    ds::Mutex mu{"as.pending_call.mu"};
-    ds::CondVar cv;
-    bool done DS_GUARDED_BY(mu) = false;
-    Status status DS_GUARDED_BY(mu);    // transport-level failure
-    Buffer response DS_GUARDED_BY(mu);  // encoded reply when status.ok()
-    AsId target = kInvalidAsId;  // immutable after Call registers it
+  // A call waiting for its reply: the peer it went to, and where the
+  // reply frame (or the transport failure) lands.
+  struct OutstandingCall {
+    AsId target = kInvalidAsId;
+    std::shared_ptr<SyncWaiter<Result<Buffer>>> reply;
+  };
+
+  // The space a CLF request came from: where its reply goes, and its id
+  // (kInvalidAsId when the address is no known peer's).
+  struct Peer {
+    transport::SockAddr addr;
+    AsId id = kInvalidAsId;
   };
 
   // A peer thread's attachment to one of our containers, remembered so
@@ -283,38 +309,54 @@ class AddressSpace {
   Result<Connection> ConnectTo(std::uint64_t bits, bool is_queue,
                                ConnMode mode, std::string label);
   Status SetGcHandler(std::uint64_t bits, bool is_queue, GcHandler handler);
+  // Consume or ConsumeUntil, through the API or on a container held here.
+  Status ConsumeAt(const Connection& conn, Timestamp ts, bool until);
+  Status ConsumeHere(std::uint64_t bits, bool is_queue, std::uint32_t slot,
+                     Timestamp ts, bool until);
 
-  // Sends an encoded request to a peer AS and waits for the reply.
-  Result<Buffer> Call(AsId target, Buffer request, Deadline deadline);
+  // Issues one request to a peer AS and waits for its reply frame:
+  // allocates the request id, encodes the header and then the op fields
+  // `body` writes (into a buffer of `size_hint` bytes), sends it and
+  // waits. Same shape as RepLog::SendFn, which it backs.
+  using BodyFn = std::function<void(marshal::XdrEncoder&)>;
+  Result<Buffer> Call(AsId target, Op op, const BodyFn& body,
+                      Deadline deadline, std::size_t size_hint = 0);
+  // Completes, with `status`, every outstanding call whose target
+  // `doomed` selects.
+  void FailCalls(const std::function<bool(AsId)>& doomed,
+                 const Status& status);
   Result<transport::SockAddr> PeerAddr(AsId peer) const;
   Deadline InternalDeadline() const {
     return Deadline::After(options_.internal_rpc_deadline);
   }
 
   // The CLF delivery upcall, on the endpoint's receiver thread (UDP)
-  // or the sender's thread (shm). A reply completes its PendingCall
-  // inline; a request goes to DispatchRequest. Never blocks, except
-  // for DispatchRequest's refusal Send, which Endpoint::Shutdown wakes.
+  // or the sender's thread (shm). It decodes the header once: a reply
+  // completes its call's waiter inline, and a request goes to
+  // DispatchRequest. Never blocks, except for DispatchRequest's refusal
+  // Send, which Endpoint::Shutdown wakes.
   void OnMessage(const transport::SockAddr& from, Buffer message);
-  // Queues a request on the pool, or refuses it once the pool stops.
+  // Queues a request on the pool, which serves its op fields (from
+  // `body_offset` on) under the decoded header; or refuses it once the
+  // pool stops.
   void DispatchRequest(const transport::SockAddr& from,
-                       const RequestHeader& hdr, Buffer message);
-  // Decodes and executes one request; returns the encoded reply.
-  // `origin` is the requesting peer AS when known (CLF dispatch);
-  // kInvalidAsId for surrogate-driven client requests.
-  Buffer ProcessRequest(std::span<const std::uint8_t> message,
-                        AsId origin = kInvalidAsId);
-  // Serves kGet/kPut against locally-owned containers through the
-  // two-phase waiter API: the try phase runs on the dispatcher worker,
-  // and when the op would block, a continuation waiter (carrying a
-  // once-only DeferredReply) is registered and the worker returns to
-  // the pool — the thread that later resolves the wait (putter,
-  // consumer, GC sweep, timer wheel, peer death, close) encodes and
-  // sends the reply. Returns false when the request is not one of
-  // those ops (or targets a container owned elsewhere): the caller
-  // falls back to the synchronous ProcessRequest path.
-  bool ServeDeferred(std::span<const std::uint8_t> message, AsId origin,
-                     const transport::SockAddr& from);
+                       const RequestHeader& hdr, Buffer message,
+                       std::size_t body_offset);
+  // Serves one request: a peer's (`peer` set, from the pool) or an end
+  // device's (`peer` null, from ExecuteWireRequest). `body` is
+  // positioned at the op fields, which each op decodes once. Returns
+  // the encoded reply, or an empty buffer when Park took it over.
+  Buffer Serve(const RequestHeader& hdr, marshal::XdrDecoder& body,
+               const Peer* peer);
+  // A peer's kPut or kGet (`Req`) runs through the two-phase waiter
+  // API: the try phase runs on the dispatcher worker, and when the op
+  // would block, a continuation waiter (carrying a once-only
+  // DeferredReply) is registered and the worker returns to the pool —
+  // the thread that later resolves the wait (putter, consumer, GC
+  // sweep, timer wheel, peer death, close) encodes and sends the reply.
+  // Returns the refusal when the container is not here, else empty.
+  template <typename Req>
+  Buffer Park(const RequestHeader& hdr, Req& req, const Peer& peer);
 
   // Fired by the CLF endpoint (its receiver thread) on peer death /
   // resurrection; translates transport addresses to AS ids and runs
@@ -322,46 +364,6 @@ class AddressSpace {
   void OnPeerDown(const transport::SockAddr& addr);
   void OnPeerUp(const transport::SockAddr& addr);
 
-  // --- replicated name-service plumbing --------------------------------
-  // Local-first mutation entry point behind the public Ns*/Session*
-  // wrappers: leader appends to the log, everyone else routes to the
-  // leader with hint-guided failover.
-  Status MutateNs(const NsMutation& m);
-  // Serving side for mutations arriving over CLF at a replica: append
-  // if leader, else answer with the "not leader; leader=<id>" redirect
-  // (the calling wrapper retries — no forwarding chains between
-  // replicas).
-  Status ServeNsMutation(const NsMutation& m);
-  // kUnavailable carrying this replica's current leader hint, returned
-  // for reads while the local lease view is stale.
-  Status StaleNsError() const;
-  // One bounded failover loop: tries the last known leader first, then
-  // rotates through the replica set, following "leader=<id>" hints and
-  // pausing between rounds so an election can settle. Returns the raw
-  // reply frame of the first definitive answer.
-  Result<Buffer> CallNsService(
-      const std::function<Buffer(std::uint64_t request_id)>& make_request,
-      Deadline deadline);
-  // Replica set when replicated, else the single ns_as_ (may be empty).
-  std::vector<AsId> NsTargets() const;
-  void NoteNsLeader(AsId leader);
-  // Election callback: the new leader re-drives PurgeOwner for every
-  // peer already known dead, so purges the old leader issued (or died
-  // before issuing) are not lost.
-  void OnBecameNsLeader();
-
-  // Typed op executors (shared by the CLF dispatcher and, via public
-  // wrappers, the client surrogates).
- public:
-  // Executes an STM op encoded per wire.hpp against this AS's local
-  // containers/name server. Used by surrogate threads, which field
-  // client calls "on behalf of the end device" (§3.2.2). The request
-  // span must start at the op field.
-  Buffer ExecuteWireRequest(std::span<const std::uint8_t> message) {
-    return ProcessRequest(message);
-  }
-
- private:
   Options options_;
   // Observability state is declared before (so destroyed after) every
   // component that caches instrument pointers into it: containers,
@@ -386,7 +388,6 @@ class AddressSpace {
       &registry_.GetCounter("api.attaches");
   metrics::Counter* const m_api_detaches_ =
       &registry_.GetCounter("api.detaches");
-  metrics::Counter* const m_api_ns_ops_ = &registry_.GetCounter("api.ns_ops");
   metrics::Counter* const m_api_remote_calls_ =
       &registry_.GetCounter("api.remote_calls");
   metrics::Counter* const m_api_bytes_put_ =
@@ -402,15 +403,9 @@ class AddressSpace {
   std::unique_ptr<TimerWheel> wheel_;
   std::unique_ptr<ThreadPool> dispatcher_;
   std::unique_ptr<GcService> gc_;
-  std::unique_ptr<NameServer> name_server_;
-  // Replication log over name_server_ (null unless this AS is one of
-  // options_.ns_replicas in a multi-replica deployment). Declared
-  // after name_server_ so the apply callback's target outlives it.
-  std::unique_ptr<RepLog> replog_;
-  // Route preference: last replica that answered a name-service call
-  // definitively (usually the leader). Leaf lock.
-  mutable ds::Mutex ns_route_mu_{"as.ns_route_mu"};
-  AsId ns_leader_hint_ DS_GUARDED_BY(ns_route_mu_) = kInvalidAsId;
+  // Name server, replication log and name-service routing. Declared
+  // after the endpoint and the pool its callbacks use.
+  std::unique_ptr<NameService> ns_;
 
   mutable ds::Mutex peers_mu_{"as.peers_mu"};
   std::unordered_map<std::uint32_t, transport::SockAddr> peers_
@@ -418,9 +413,6 @@ class AddressSpace {
   std::unordered_map<transport::SockAddr, AsId> peer_by_addr_
       DS_GUARDED_BY(peers_mu_);
   std::unordered_set<std::uint32_t> dead_peers_ DS_GUARDED_BY(peers_mu_);
-  // Set during single-threaded setup (Create/Runtime wiring), read-only
-  // afterwards; deliberately unguarded.
-  AsId ns_as_ = kInvalidAsId;
 
   // Leaf lock: held only to copy the observer list, never while firing.
   ds::Mutex peer_observers_mu_{"as.peer_observers_mu"};
@@ -442,10 +434,10 @@ class AddressSpace {
       containers_ DS_GUARDED_BY(containers_mu_);
   std::uint32_t next_container_slot_ DS_GUARDED_BY(containers_mu_) = 1;
 
-  // Never held while locking a PendingCall's mu (Call, OnMessage and
-  // the recovery paths release one before taking the other).
+  // Never held while completing a call's SyncWaiter (Call, OnMessage
+  // and the recovery paths take the call out of the map first).
   ds::Mutex calls_mu_{"as.calls_mu"};
-  std::unordered_map<std::uint64_t, std::shared_ptr<PendingCall>> calls_
+  std::unordered_map<std::uint64_t, OutstandingCall> calls_
       DS_GUARDED_BY(calls_mu_);
   std::atomic<std::uint64_t> next_request_id_{1};
 

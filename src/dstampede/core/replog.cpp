@@ -221,15 +221,11 @@ void RepLog::BecomeLeader() {
     for (AsId peer : peers) {
       RepFetchReq fetch;
       fetch.from_index = from_index;
-      auto response =
+      auto resp = DecodeReply(
           send_(peer, Op::kRepFetch,
                 [&fetch](marshal::XdrEncoder& enc) { fetch.Encode(enc); },
-                Deadline::After(options_.rpc_deadline));
-      if (!response.ok()) continue;
-      marshal::XdrDecoder dec(*response);
-      auto header = DecodeResponseHeader(dec);
-      if (!header.ok() || !header->status.ok()) continue;
-      auto resp = RepFetchResp::Decode(dec);
+                Deadline::After(options_.rpc_deadline)),
+          RepFetchResp::Decode);
       if (!resp.ok()) continue;
       ds::MutexLock lock(mu_);
       if (resp->term > term_) term_ = resp->term;

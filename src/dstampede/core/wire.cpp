@@ -34,6 +34,13 @@ Buffer EncodeItemReply(std::uint64_t request_id, const ItemView& item) {
   return enc.Take();
 }
 
+Status ReplyStatus(const Result<Buffer>& reply) {
+  if (!reply.ok()) return reply.status();
+  marshal::XdrDecoder dec(*reply);
+  DS_ASSIGN_OR_RETURN(ResponseHeader hdr, DecodeResponseHeader(dec));
+  return hdr.status;
+}
+
 Result<RequestHeader> DecodeRequestHeader(marshal::XdrDecoder& dec) {
   RequestHeader hdr;
   DS_ASSIGN_OR_RETURN(std::uint32_t op, dec.GetU32());
@@ -152,8 +159,8 @@ Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec) {
   DS_ASSIGN_OR_RETURN(std::uint32_t host, dec.GetU32());
   rec.host_as = static_cast<AsId>(host);
   DS_ASSIGN_OR_RETURN(rec.last_executed_ticket, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(std::uint32_t n_attach, dec.GetU32());
-  if (n_attach > 1u << 20) return InternalError("bad attachment count");
+  DS_ASSIGN_OR_RETURN(std::uint32_t n_attach,
+                      dec.GetCount(kMinSessionAttachmentBytes));
   rec.attachments.reserve(n_attach);
   for (std::uint32_t i = 0; i < n_attach; ++i) {
     SessionAttachment a;
@@ -165,8 +172,8 @@ Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec) {
     DS_ASSIGN_OR_RETURN(a.label, dec.GetString());
     rec.attachments.push_back(std::move(a));
   }
-  DS_ASSIGN_OR_RETURN(std::uint32_t n_gc, dec.GetU32());
-  if (n_gc > 1u << 20) return InternalError("bad gc-interest count");
+  DS_ASSIGN_OR_RETURN(std::uint32_t n_gc,
+                      dec.GetCount(kSessionGcInterestBytes));
   rec.gc_interests.reserve(n_gc);
   for (std::uint32_t i = 0; i < n_gc; ++i) {
     SessionGcInterest g;
@@ -174,8 +181,7 @@ Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec) {
     DS_ASSIGN_OR_RETURN(g.is_queue, dec.GetBool());
     rec.gc_interests.push_back(g);
   }
-  DS_ASSIGN_OR_RETURN(std::uint32_t n_names, dec.GetU32());
-  if (n_names > 1u << 20) return InternalError("bad name count");
+  DS_ASSIGN_OR_RETURN(std::uint32_t n_names, dec.GetCount(kMinOpaqueBytes));
   rec.registered_names.reserve(n_names);
   for (std::uint32_t i = 0; i < n_names; ++i) {
     DS_ASSIGN_OR_RETURN(std::string name, dec.GetString());
@@ -215,6 +221,11 @@ Result<NsLookupReq> NsLookupReq::Decode(marshal::XdrDecoder& dec) {
 Buffer EncodeNsMutation(const NsMutation& m) {
   marshal::XdrEncoder enc;
   enc.PutU32(static_cast<std::uint32_t>(m.kind));
+  EncodeNsMutationFields(enc, m);
+  return enc.Take();
+}
+
+void EncodeNsMutationFields(marshal::XdrEncoder& enc, const NsMutation& m) {
   switch (m.kind) {
     case NsMutation::Kind::kRegister:
       EncodeNsEntry(enc, m.entry);
@@ -236,7 +247,6 @@ Buffer EncodeNsMutation(const NsMutation& m) {
       enc.PutU64(m.ticket);
       break;
   }
-  return enc.Take();
 }
 
 Result<NsMutation> DecodeNsMutation(const Buffer& bytes) {
@@ -245,6 +255,11 @@ Result<NsMutation> DecodeNsMutation(const Buffer& bytes) {
   DS_ASSIGN_OR_RETURN(std::uint32_t kind, dec.GetU32());
   if (kind < 1 || kind > 6) return InternalError("bad NsMutation kind");
   m.kind = static_cast<NsMutation::Kind>(kind);
+  DS_RETURN_IF_ERROR(DecodeNsMutationFields(dec, m));
+  return m;
+}
+
+Status DecodeNsMutationFields(marshal::XdrDecoder& dec, NsMutation& m) {
   switch (m.kind) {
     case NsMutation::Kind::kRegister: {
       DS_ASSIGN_OR_RETURN(m.entry, DecodeNsEntry(dec));
@@ -273,7 +288,7 @@ Result<NsMutation> DecodeNsMutation(const Buffer& bytes) {
       break;
     }
   }
-  return m;
+  return OkStatus();
 }
 
 Result<RepAppendReq> RepAppendReq::Decode(marshal::XdrDecoder& dec) {
@@ -282,8 +297,7 @@ Result<RepAppendReq> RepAppendReq::Decode(marshal::XdrDecoder& dec) {
   DS_ASSIGN_OR_RETURN(req.leader_as, dec.GetU32());
   DS_ASSIGN_OR_RETURN(req.leader_last_index, dec.GetU64());
   DS_ASSIGN_OR_RETURN(req.first_index, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetU32());
-  if (count > 1u << 20) return InternalError("bad entry count");
+  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetCount(kMinOpaqueBytes));
   req.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     DS_ASSIGN_OR_RETURN(Buffer entry, dec.GetOpaque());
@@ -310,8 +324,7 @@ Result<RepFetchResp> RepFetchResp::Decode(marshal::XdrDecoder& dec) {
   DS_ASSIGN_OR_RETURN(resp.term, dec.GetU64());
   DS_ASSIGN_OR_RETURN(resp.applied_index, dec.GetU64());
   DS_ASSIGN_OR_RETURN(resp.first_index, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetU32());
-  if (count > 1u << 20) return InternalError("bad entry count");
+  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetCount(kMinOpaqueBytes));
   resp.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     DS_ASSIGN_OR_RETURN(Buffer entry, dec.GetOpaque());

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dstampede/common/clock.hpp"
@@ -60,7 +61,8 @@ enum class Op : std::uint32_t {
   kMetrics = 17,
   // Control-plane replication (core/replog.hpp): leader -> follower
   // log append / heartbeat, and follower/candidate -> peer catch-up
-  // fetch. Replica-internal; never issued by clients.
+  // fetch. Replica-internal: only peer replicas send them, and an end
+  // device's frame carrying one is refused.
   kRepAppend = 18,
   kRepFetch = 19,
   kReply = 100,
@@ -266,6 +268,13 @@ void EncodeSessionRecord(Enc& enc, const SessionRecord& rec) {
   enc.PutOpaque(rec.redo_payload);
 }
 Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec);
+// Smallest encodings of a session record's elements, the bounds for
+// their decoded counts: an attachment with an empty label (8 + 4 + 4 +
+// 4 + 4) and a gc interest (8 + 4). A name, like a replication log
+// entry, is at least its length word (kMinOpaqueBytes).
+inline constexpr std::size_t kMinSessionAttachmentBytes = 24;
+inline constexpr std::size_t kSessionGcInterestBytes = 12;
+inline constexpr std::size_t kMinOpaqueBytes = 4;
 
 struct SessionIdReq {  // kSessionGet / kSessionDrop
   std::uint64_t session_id = 0;
@@ -339,6 +348,11 @@ struct NsMutation {
 };
 Buffer EncodeNsMutation(const NsMutation& m);
 Result<NsMutation> DecodeNsMutation(const Buffer& bytes);
+// A mutation's fields after its kind word. The request that routes a
+// mutation to the leader carries them as its body (kNsUnregister's
+// body adds NsLookupReq's deadline after the name).
+void EncodeNsMutationFields(marshal::XdrEncoder& enc, const NsMutation& m);
+Status DecodeNsMutationFields(marshal::XdrDecoder& dec, NsMutation& m);
 
 struct RepAppendReq {  // kRepAppend (no entries = leader heartbeat)
   std::uint64_t term = 0;
@@ -434,6 +448,33 @@ Result<ResponseHeader> DecodeResponseHeader(marshal::XdrDecoder& dec);
 Buffer EncodeStatusReply(std::uint64_t request_id, const Status& status);
 // Successful kGet reply: status header + timestamp + payload.
 Buffer EncodeItemReply(std::uint64_t request_id, const ItemView& item);
+// The reply that carries `result`: its status alone when it failed,
+// else an ok header and the result fields `encode(enc, value)` writes.
+template <typename T, typename EncodeFields>
+Buffer EncodeReply(std::uint64_t request_id, const Result<T>& result,
+                   EncodeFields encode) {
+  if (!result.ok()) return EncodeStatusReply(request_id, result.status());
+  marshal::XdrEncoder enc;
+  EncodeResponseHeader(enc, request_id, OkStatus());
+  encode(enc, *result);
+  return enc.Take();
+}
+
+// The inverse, on the calling side: `reply` is a reply frame or the
+// transport failure that stands in for one. Returns the failure or the
+// reply's error status; for an ok reply, what `read(dec)` decodes from
+// its result fields.
+template <typename Read>
+auto DecodeReply(const Result<Buffer>& reply, Read read)
+    -> decltype(read(std::declval<marshal::XdrDecoder&>())) {
+  if (!reply.ok()) return reply.status();
+  marshal::XdrDecoder dec(*reply);
+  DS_ASSIGN_OR_RETURN(ResponseHeader hdr, DecodeResponseHeader(dec));
+  if (!hdr.status.ok()) return hdr.status;
+  return read(dec);
+}
+// The same for an op whose reply carries no result fields.
+Status ReplyStatus(const Result<Buffer>& reply);
 
 // GcNotice encoding, used for surrogate -> end device forwarding.
 template <class Enc>

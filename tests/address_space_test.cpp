@@ -402,12 +402,125 @@ TEST_F(RuntimeTest, OpCountersTrackActivity) {
   EXPECT_EQ(count(as1, "api.gets"), 0u);
   EXPECT_EQ(count(as1, "stm.gets"), 1u);
   EXPECT_EQ(count(as0, "api.attaches"), 2u);
+  EXPECT_EQ(count(as1, "api.attaches"), 0u);
   EXPECT_EQ(count(as0, "api.consumes"), 1u);
+  EXPECT_EQ(count(as1, "api.consumes"), 0u);
   EXPECT_EQ(count(as0, "api.bytes_put"), 5u);
   EXPECT_EQ(count(as1, "api.bytes_put"), 0u);
   EXPECT_EQ(count(as0, "api.bytes_got"), 5u);
   EXPECT_EQ(count(as1, "api.bytes_got"), 0u);
   EXPECT_GE(count(as0, "api.remote_calls"), 5u);  // attach x2, put, get, consume
+}
+
+TEST_F(RuntimeTest, DispatchDeferredCountsOnlyParkedRequests) {
+  // A remote put into a channel with room and a get of an item that is
+  // there both complete in the try phase: nothing parks on the owner.
+  AddressSpace& as0 = rt_->as(0);
+  AddressSpace& as1 = rt_->as(1);
+  auto ch = as1.CreateChannel();
+  ASSERT_TRUE(ch.ok());
+  auto out = as0.Connect(*ch, ConnMode::kOutput);
+  auto in = as0.Connect(*ch, ConnMode::kInput);
+  ASSERT_TRUE(out.ok());
+  ASSERT_TRUE(in.ok());
+  auto deferred = [&] {
+    return as1.metrics_registry().GetCounter("dispatch.deferred").Value();
+  };
+
+  ASSERT_TRUE(as0.Put(*out, 1, Bytes("x")).ok());
+  ASSERT_TRUE(as0.Get(*in, GetSpec::Exact(1), Deadline::AfterMillis(5000)).ok());
+  EXPECT_EQ(deferred(), 0u);
+
+  // A get of an item that never comes parks until its deadline.
+  auto missing = as0.Get(*in, GetSpec::Exact(2), Deadline::AfterMillis(50));
+  EXPECT_EQ(missing.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(deferred(), 1u);
+}
+
+TEST_F(RuntimeTest, PeerRequestForStateHeldElsewhereIsRefused) {
+  // A request that arrives over CLF is served on the receiving space's
+  // own state or refused: a put sent to AS0 for AS1's channel is not
+  // forwarded to AS1.
+  auto ch = rt_->as(1).CreateChannel();
+  ASSERT_TRUE(ch.ok());
+  auto peer = clf::CreateSinkEndpoint({});
+  ASSERT_TRUE(peer.ok()) << peer.status();
+  PutReq req;
+  req.container_bits = ch->bits();
+  req.mode = ConnMode::kOutput;
+  req.ts = 1;
+  req.deadline_ms = 0;
+  req.payload = Bytes("x");
+  marshal::XdrEncoder enc;
+  EncodeRequestHeader(enc, Op::kPut, 7);
+  req.Encode(enc);
+  ASSERT_TRUE((*peer)->Send(rt_->as(0).clf_addr(), enc.Take()).ok());
+
+  Buffer reply;
+  transport::SockAddr from;
+  ASSERT_TRUE(peer->Next(reply, from, Deadline::AfterMillis(10000)).ok());
+  marshal::XdrDecoder dec(reply);
+  auto hdr = DecodeResponseHeader(dec);
+  ASSERT_TRUE(hdr.ok()) << hdr.status();
+  EXPECT_EQ(hdr->request_id, 7u);
+  EXPECT_EQ(hdr->status.code(), StatusCode::kNotFound) << hdr->status;
+  EXPECT_EQ(rt_->as(1).FindChannel(ch->bits())->total_puts(), 0u);
+  EXPECT_EQ(rt_->as(0).metrics_registry().GetCounter("api.puts").Value(), 0u);
+  EXPECT_EQ(
+      rt_->as(0).metrics_registry().GetCounter("api.remote_calls").Value(),
+      0u);
+}
+
+// An end device reaches ExecuteWireRequest through its surrogate. The
+// replication ops have no public API, so a device's forged append or
+// fetch is refused and changes nothing on the replica.
+TEST(RuntimeReplicationTest, EndDeviceFramesCannotDriveTheLog) {
+  Runtime::Options opts;
+  opts.num_address_spaces = 3;
+  opts.ns_replicas = 3;
+  opts.dispatcher_threads = 2;
+  auto rt = Runtime::Create(opts);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  AddressSpace& follower = (*rt)->as(1);
+  RepLog* replog = follower.replication();
+  ASSERT_NE(replog, nullptr);
+  const std::uint64_t term = replog->term();
+
+  NsMutation forged;
+  forged.kind = NsMutation::Kind::kRegister;
+  forged.entry.name = "forged/name";
+  forged.entry.owner_as = (*rt)->as(0).id();
+  RepAppendReq append;
+  append.term = term + 100;
+  append.leader_as = AsIndex((*rt)->as(0).id());
+  append.leader_last_index = replog->last_index() + 1;
+  append.first_index = replog->last_index() + 1;
+  append.entries.push_back(EncodeNsMutation(forged));
+  marshal::XdrEncoder append_enc;
+  EncodeRequestHeader(append_enc, Op::kRepAppend, 1);
+  append.Encode(append_enc);
+  const Buffer append_reply = follower.ExecuteWireRequest(append_enc.Take());
+  marshal::XdrDecoder append_dec(append_reply);
+  auto append_hdr = DecodeResponseHeader(append_dec);
+  ASSERT_TRUE(append_hdr.ok()) << append_hdr.status();
+  EXPECT_EQ(append_hdr->status.code(), StatusCode::kPermissionDenied)
+      << append_hdr->status;
+  EXPECT_EQ(replog->term(), term);
+  EXPECT_EQ(follower.local_name_server()->Lookup("forged/name").status().code(),
+            StatusCode::kNotFound);
+
+  RepFetchReq fetch;
+  fetch.from_index = 1;
+  marshal::XdrEncoder fetch_enc;
+  EncodeRequestHeader(fetch_enc, Op::kRepFetch, 2);
+  fetch.Encode(fetch_enc);
+  const Buffer fetch_reply = follower.ExecuteWireRequest(fetch_enc.Take());
+  marshal::XdrDecoder fetch_dec(fetch_reply);
+  auto fetch_hdr = DecodeResponseHeader(fetch_dec);
+  ASSERT_TRUE(fetch_hdr.ok()) << fetch_hdr.status();
+  EXPECT_EQ(fetch_hdr->status.code(), StatusCode::kPermissionDenied)
+      << fetch_hdr->status;
+  EXPECT_TRUE(fetch_dec.AtEnd()) << "the refusal carries no log entries";
 }
 
 TEST_F(RuntimeTest, ShutdownCancelsBlockedRemoteGet) {

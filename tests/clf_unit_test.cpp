@@ -16,13 +16,16 @@ namespace {
 
 // --- fault injector -----------------------------------------------------
 
+// The destination of every filtered datagram below.
+const transport::SockAddr kPeer = transport::SockAddr::Loopback(7000);
+
 TEST(FaultInjectorTest, InactiveByDefault) {
   FaultInjector injector;
   EXPECT_FALSE(injector.active());
   Buffer pkt = {1, 2, 3};
-  auto out = injector.Filter(pkt);
+  auto out = injector.Filter(kPeer, pkt);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], pkt);
+  EXPECT_EQ(out[0].datagram, pkt);
 }
 
 TEST(FaultInjectorTest, DeterministicAcrossSeeds) {
@@ -34,8 +37,9 @@ TEST(FaultInjectorTest, DeterministicAcrossSeeds) {
     FaultInjector injector(config);
     std::vector<std::size_t> counts;
     for (int i = 0; i < 100; ++i) {
-      counts.push_back(injector.Filter(Buffer{static_cast<std::uint8_t>(i)})
-                           .size());
+      counts.push_back(
+          injector.Filter(kPeer, Buffer{static_cast<std::uint8_t>(i)})
+              .size());
     }
     return counts;
   };
@@ -48,7 +52,7 @@ TEST(FaultInjectorTest, DropRateRoughlyHonored) {
   config.seed = 7;
   FaultInjector injector(config);
   for (int i = 0; i < 1000; ++i) {
-    (void)injector.Filter(Buffer{1});
+    (void)injector.Filter(kPeer, Buffer{1});
   }
   EXPECT_GT(injector.dropped(), 180u);
   EXPECT_LT(injector.dropped(), 330u);
@@ -59,10 +63,10 @@ TEST(FaultInjectorTest, DuplicationEmitsTwoCopies) {
   config.duplicate_probability = 1.0;
   FaultInjector injector(config);
   Buffer pkt = {9};
-  auto out = injector.Filter(pkt);
+  auto out = injector.Filter(kPeer, pkt);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], pkt);
-  EXPECT_EQ(out[1], pkt);
+  EXPECT_EQ(out[0].datagram, pkt);
+  EXPECT_EQ(out[1].datagram, pkt);
   EXPECT_EQ(injector.duplicated(), 1u);
 }
 
@@ -71,22 +75,22 @@ TEST(FaultInjectorTest, ReorderHoldsThenReleases) {
   config.reorder_probability = 1.0;
   FaultInjector injector(config);
   // First packet is held back...
-  auto first = injector.Filter(Buffer{1});
+  auto first = injector.Filter(kPeer, Buffer{1});
   EXPECT_TRUE(first.empty());
   // ...the next call ships the newer packet first, then the held one:
   // the reorder (only one packet can be held at a time).
-  auto second = injector.Filter(Buffer{2});
+  auto second = injector.Filter(kPeer, Buffer{2});
   ASSERT_EQ(second.size(), 2u);
-  EXPECT_EQ(second[0], (Buffer{2}));
-  EXPECT_EQ(second[1], (Buffer{1}));
+  EXPECT_EQ(second[0].datagram, (Buffer{2}));
+  EXPECT_EQ(second[1].datagram, (Buffer{1}));
   // Flush drains any held packet.
-  auto third = injector.Filter(Buffer{3});
+  auto third = injector.Filter(kPeer, Buffer{3});
   EXPECT_TRUE(third.empty());
   auto flushed = injector.Flush();
   ASSERT_TRUE(flushed.has_value());
   EXPECT_EQ(flushed->datagram, (Buffer{3}));
-  // Destination-less Filter overload: the hold has no recorded peer.
-  EXPECT_FALSE(flushed->to.has_value());
+  // The hold kept the peer it was bound for.
+  EXPECT_EQ(flushed->to, kPeer);
   EXPECT_FALSE(injector.Flush().has_value());
 }
 

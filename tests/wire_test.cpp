@@ -164,6 +164,91 @@ TEST(WireTest, CountBoundsMatchTheSmallestEncodings) {
   marshal::XdrEncoder with;
   client::EncodeResumeResp(with, resp);
   EXPECT_EQ(with.size() - without.size(), client::kSlotRemapBytes);
+
+  // Each session-record element and each log entry, against the same
+  // record or body without it.
+  auto encoded_size = [](const auto& encode) {
+    marshal::XdrEncoder enc;
+    encode(enc);
+    return enc.size();
+  };
+  const SessionRecord bare;
+  const std::size_t bare_size = encoded_size(
+      [&](auto& enc) { EncodeSessionRecord(enc, bare); });
+  SessionRecord attached = bare;
+  attached.attachments.emplace_back();
+  EXPECT_EQ(encoded_size([&](auto& enc) { EncodeSessionRecord(enc, attached); }) -
+                bare_size,
+            kMinSessionAttachmentBytes);
+  SessionRecord interested = bare;
+  interested.gc_interests.emplace_back();
+  EXPECT_EQ(
+      encoded_size([&](auto& enc) { EncodeSessionRecord(enc, interested); }) -
+          bare_size,
+      kSessionGcInterestBytes);
+  SessionRecord named = bare;
+  named.registered_names.emplace_back();
+  EXPECT_EQ(encoded_size([&](auto& enc) { EncodeSessionRecord(enc, named); }) -
+                bare_size,
+            kMinOpaqueBytes);
+  RepAppendReq append;
+  const std::size_t append_size =
+      encoded_size([&](auto& enc) { append.Encode(enc); });
+  append.entries.emplace_back();
+  EXPECT_EQ(encoded_size([&](auto& enc) { append.Encode(enc); }) - append_size,
+            kMinOpaqueBytes);
+  RepFetchResp fetched;
+  const std::size_t fetched_size =
+      encoded_size([&](auto& enc) { fetched.Encode(enc); });
+  fetched.entries.emplace_back();
+  EXPECT_EQ(
+      encoded_size([&](auto& enc) { fetched.Encode(enc); }) - fetched_size,
+      kMinOpaqueBytes);
+}
+
+TEST(WireTest, HostileSessionAndLogCountsFailBeforeReserving) {
+  const std::string kRefusal = "count exceeds the remaining bytes";
+  // A session record that claims 2^20 attachments in a short frame.
+  marshal::XdrEncoder record;
+  record.PutU64(7);     // session_id
+  record.PutU32(0);     // client_kind
+  record.PutString("");  // client_name
+  record.PutU32(0);     // host_as
+  record.PutU64(0);     // last_executed_ticket
+  record.PutU32(1u << 20);
+  record.PutU64(0);
+  const Buffer record_frame = record.Take();
+  marshal::XdrDecoder record_dec(record_frame);
+  auto rec = DecodeSessionRecord(record_dec);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_NE(rec.status().message().find(kRefusal), std::string::npos)
+      << rec.status();
+
+  // Replication bodies that claim 2^20 log entries.
+  marshal::XdrEncoder append;
+  append.PutU64(1);  // term
+  append.PutU32(0);  // leader_as
+  append.PutU64(0);  // leader_last_index
+  append.PutU64(1);  // first_index
+  append.PutU32(1u << 20);
+  const Buffer append_frame = append.Take();
+  marshal::XdrDecoder append_dec(append_frame);
+  auto req = RepAppendReq::Decode(append_dec);
+  ASSERT_FALSE(req.ok());
+  EXPECT_NE(req.status().message().find(kRefusal), std::string::npos)
+      << req.status();
+
+  marshal::XdrEncoder fetched;
+  fetched.PutU64(1);  // term
+  fetched.PutU64(0);  // applied_index
+  fetched.PutU64(1);  // first_index
+  fetched.PutU32(1u << 20);
+  const Buffer fetched_frame = fetched.Take();
+  marshal::XdrDecoder fetched_dec(fetched_frame);
+  auto resp = RepFetchResp::Decode(fetched_dec);
+  ASSERT_FALSE(resp.ok());
+  EXPECT_NE(resp.status().message().find(kRefusal), std::string::npos)
+      << resp.status();
 }
 
 TEST(WireTest, GetCountRefusesWhatTheRemainingBytesCannotHold) {
