@@ -30,6 +30,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -188,10 +189,6 @@ class BasicClient {
     ds::MutexLock lock(handlers_mu_);
     return notices_received_;
   }
-  std::uint64_t calls_made() const {
-    ds::MutexLock lock(mu_);
-    return calls_made_;
-  }
   // Session-resilience counters: successful Resume handshakes, and
   // calls that were re-sent after a reconnect.
   std::uint64_t reconnects() const {
@@ -211,45 +208,62 @@ class BasicClient {
   Status RefreshListenerCache();
 
  private:
+  using Encoder = typename Codec::Encoder;
+  using Decoder = typename Codec::Decoder;
+  using BodyFn = std::function<void(Encoder&)>;
+
   BasicClient() = default;
 
-  // Sends one encoded request, receives the reply frame, dispatches the
-  // gc-notice trailer. Returns the reply for the caller to decode.
-  // Transparently reconnects and replays per ReconnectPolicy.
-  Result<Buffer> Call(Buffer request, Deadline deadline) DS_EXCLUDES(mu_);
-  // Call's body, run under mu_. GC notices that arrive on Resume
-  // replies during a reconnect are appended to `deferred` instead of
-  // dispatched: a user handler may call back into the client, so it
-  // must only run once Call has released mu_ (as on the normal path).
-  Result<Buffer> CallLocked(Buffer request, Deadline deadline,
-                            std::vector<core::GcNotice>& deferred)
+  // Issues one request and parses its reply, as AddressSpace::Call and
+  // core::DecodeReply do for peers: CallLocked exchanges the frame,
+  // DecodeClientReply returns the failure, the reply's error status, or
+  // what `read(dec)` decodes from its result fields. The reply's notices
+  // (and those of any Resume reply on the way) are dispatched once mu_
+  // is released: a handler may call back into the client.
+  template <typename Read>
+  std::invoke_result_t<Read&, typename Codec::Decoder&> Call(
+      core::Op op, const BodyFn& body, Deadline deadline, Read read)
+      DS_EXCLUDES(mu_);
+  // Call's exchange, run under mu_: allocates the id, encodes the
+  // request and sends it until the reply that carries its id arrives.
+  // Transparently reconnects and replays per ReconnectPolicy; notices
+  // from Resume replies land in `notices`.
+  Result<Buffer> CallLocked(core::Op op, const BodyFn& body,
+                            Deadline deadline,
+                            std::vector<core::GcNotice>& notices)
       DS_REQUIRES(mu_);
+  // Encodes one request: the header, then the fields `body` writes.
+  // With `stamp`, a thread that carries no sampled trace context gets a
+  // fresh sampled root for the encode only, so the header carries it and
+  // a GC handler run after the call does not inherit it.
+  Buffer EncodeRequest(core::Op op, std::uint64_t id, const BodyFn& body,
+                       bool stamp = false) DS_REQUIRES(mu_);
+  static Status NoResult(Decoder&) { return OkStatus(); }
+
+  // The channel and queue twins of the public calls.
+  Result<std::uint64_t> CreateContainer(bool is_queue, std::uint64_t capacity,
+                                        const std::string& debug_name);
+  Result<core::Connection> ConnectTo(std::uint64_t bits, bool is_queue,
+                                     core::ConnMode mode, std::string label);
+  Status ConsumeAt(const core::Connection& conn, Timestamp ts, bool until);
+
   // Re-establishes the session after a transport failure. Holds mu_.
-  Status ReconnectLocked(std::vector<core::GcNotice>& deferred)
+  Status ReconnectLocked(std::vector<core::GcNotice>& notices)
       DS_REQUIRES(mu_);
   Status TryResumeLocked(const transport::SockAddr& addr,
-                         std::vector<core::GcNotice>& deferred)
+                         std::vector<core::GcNotice>& notices)
       DS_REQUIRES(mu_);
   std::vector<transport::SockAddr> ReconnectCandidatesLocked() const
       DS_REQUIRES(mu_);
-  // RefreshListenerCache's body: one NsList round trip on the current
+  // RefreshListenerCache's body: one NsList exchange on the current
   // connection, no reconnect machinery (it runs *inside* the reconnect
-  // loop). Notices from the reply's trailer land in `deferred`.
-  Status RefreshListenerCacheLocked(std::vector<core::GcNotice>& deferred)
+  // loop). Notices from the reply's trailer land in `notices`.
+  Status RefreshListenerCacheLocked(std::vector<core::GcNotice>& notices)
       DS_REQUIRES(mu_);
   std::uint64_t NextId() {
     return next_request_id_.fetch_add(1, std::memory_order_relaxed);
   }
   void DispatchNotices(const std::vector<core::GcNotice>& notices);
-
-  // Decodes the standard reply envelope; on success returns a decoder
-  // positioned at the op payload. Trailer handling included.
-  struct ParsedReply {
-    Buffer frame;
-    std::size_t payload_offset = 0;
-    Status status;
-  };
-  Result<ParsedReply> CallAndParse(Buffer request, Deadline deadline);
 
   // Serializes the session: held across the socket round trip (and the
   // reconnect/backoff loop) by design, hence blocking-allowed. Never
@@ -269,7 +283,6 @@ class BasicClient {
   std::uint64_t replays_ DS_GUARDED_BY(mu_) = 0;
   std::vector<transport::SockAddr> listener_cache_ DS_GUARDED_BY(mu_);
   std::mt19937_64 jitter_rng_ DS_GUARDED_BY(mu_){0x5D5742DEu};
-  std::uint64_t calls_made_ DS_GUARDED_BY(mu_) = 0;
   std::uint64_t last_trace_id_ DS_GUARDED_BY(mu_) = 0;
 
   // Leaf lock: guards the handler table and the notice counter; never

@@ -4,11 +4,33 @@
 #pragma once
 
 #include <algorithm>
-#include <thread>
+#include <optional>
 
 #include "dstampede/client/client.hpp"
 
 namespace dstampede::client {
+
+namespace internal {
+// One request/reply exchange on `conn`: sends `request`, then receives
+// until the reply that carries `id`. A reply to an earlier call (one
+// that timed out here but still ran on the surrogate) is skipped.
+inline Result<Buffer> Exchange(transport::TcpConnection& conn,
+                               const Buffer& request, std::uint64_t id,
+                               Deadline wait) {
+  DS_RETURN_IF_ERROR(conn.SendFrame(request));
+  Buffer reply;
+  for (;;) {
+    DS_RETURN_IF_ERROR(conn.RecvFrame(reply, wait));
+    // Both codecs emit byte-identical octets, so the XDR decoder peeks
+    // either personality's reply.
+    marshal::XdrDecoder peek(reply);
+    auto hdr = core::DecodeRequestHeader(peek);
+    // Framing desync — unsafe to keep using this connection.
+    if (!hdr.ok()) return ConnectionClosedError("malformed reply frame");
+    if (hdr->request_id == id) return reply;
+  }
+}
+}  // namespace internal
 
 template <typename Codec>
 Result<std::unique_ptr<BasicClient<Codec>>> BasicClient<Codec>::Join(
@@ -21,26 +43,20 @@ Result<std::unique_ptr<BasicClient<Codec>>> BasicClient<Codec>::Join(
                         transport::TcpConnection::Connect(options.server));
   }
 
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, static_cast<core::Op>(ClientOp::kHello),
-                            client->NextId());
   HelloReq hello;
   hello.client_kind = Codec::kKind;
   hello.name = options.name;
   hello.preferred_as = options.preferred_as;
-  hello.Encode(enc);
-
-  DS_ASSIGN_OR_RETURN(
-      ParsedReply parsed,
-      client->CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  if (!parsed.status.ok()) return parsed.status;
-  DS_ASSIGN_OR_RETURN(std::uint32_t host, dec.GetU32());
-  DS_ASSIGN_OR_RETURN(client->session_id_, dec.GetU64());
-  client->host_as_ = static_cast<AsId>(host);
-  DS_ASSIGN_OR_RETURN(auto notices, DecodeNoticeTrailerT(dec));
-  client->DispatchNotices(notices);
+  BasicClient& c = *client;
+  DS_RETURN_IF_ERROR(c.Call(
+      static_cast<core::Op>(ClientOp::kHello),
+      [&hello](Encoder& enc) { hello.Encode(enc); },
+      Deadline::AfterMillis(10000), [&c](Decoder& dec) -> Status {
+        DS_ASSIGN_OR_RETURN(std::uint32_t host, dec.GetU32());
+        DS_ASSIGN_OR_RETURN(c.session_id_, dec.GetU64());
+        c.host_as_ = static_cast<AsId>(host);
+        return OkStatus();
+      }));
   if (options.reconnect.enabled) {
     // Best effort: prime the failover-target cache. The session works
     // fine without it (the join address is always retried first).
@@ -51,108 +67,86 @@ Result<std::unique_ptr<BasicClient<Codec>>> BasicClient<Codec>::Join(
 
 template <typename Codec>
 BasicClient<Codec>::~BasicClient() {
-  // Best effort clean leave; a vanished client parks its surrogate.
+  // Best effort clean leave; a vanished client parks its surrogate. The
+  // handlers go first: what they capture may already be gone.
+  {
+    ds::MutexLock lock(handlers_mu_);
+    gc_handlers_.clear();
+  }
   (void)Leave();
 }
 
 template <typename Codec>
-Result<Buffer> BasicClient<Codec>::Call(Buffer request, Deadline deadline) {
-  std::vector<core::GcNotice> deferred;
-  Result<Buffer> reply = [&]() -> Result<Buffer> {
+template <typename Read>
+std::invoke_result_t<Read&, typename Codec::Decoder&> BasicClient<Codec>::Call(
+    core::Op op, const BodyFn& body, Deadline deadline, Read read) {
+  std::vector<core::GcNotice> notices;
+  const Result<Buffer> reply = [&]() -> Result<Buffer> {
     ds::MutexLock lock(mu_);
-    return CallLocked(std::move(request), deadline, deferred);
+    return CallLocked(op, body, deadline, notices);
   }();
-  // Notices from Resume replies run only now, with mu_ released, so a
-  // handler that re-enters the client cannot deadlock.
-  DispatchNotices(deferred);
-  return reply;
+  auto result = DecodeClientReply<Decoder>(reply, read, notices);
+  DispatchNotices(notices);
+  return result;
 }
 
 template <typename Codec>
 Result<Buffer> BasicClient<Codec>::CallLocked(
-    Buffer request, Deadline deadline, std::vector<core::GcNotice>& deferred) {
+    core::Op op, const BodyFn& body, Deadline deadline,
+    std::vector<core::GcNotice>& notices) {
   const Deadline wait =
       deadline.infinite()
           ? deadline
           : Deadline::After(deadline.remaining() + Millis(5000));
   if (left_) return ConnectionClosedError("client left the computation");
-  ++calls_made_;
-
-  // Peek the request's op and per-call ticket. Both codecs emit
-  // byte-identical octets, so the XDR decoder reads either personality.
-  marshal::XdrDecoder peek(request);
-  auto hdr = core::DecodeRequestHeader(peek);
-  const std::uint64_t call_id = hdr.ok() ? hdr->request_id : 0;
-  const bool session_op =
-      hdr.ok() && static_cast<std::uint32_t>(hdr->op) >=
+  // Session ops (Hello, Bye, SetGcInterest) are never stamped and never
+  // replayed: retrying a teardown (or a handshake) through a reconnect
+  // would deadlock or fork the session.
+  const bool stm_op = static_cast<std::uint32_t>(op) <
                       static_cast<std::uint32_t>(ClientOp::kHello);
-  // Hello/Bye/Resume are never replayed: retrying a teardown (or a
-  // handshake) through a reconnect would deadlock or fork the session.
-  const bool can_retry = options_.reconnect.enabled && hdr.ok() && !session_op;
-
-  if (options_.trace_calls && hdr.ok() && !session_op &&
-      !hdr->trace.sampled()) {
-    // Splice a trace context into the already-encoded frame: rebuild
-    // the 12-byte [op][request_id] header with kTraceFlag set, insert
-    // the context, keep the op fields verbatim. Both codecs emit
-    // byte-identical octets, so an XDR splice serves either
-    // personality.
-    trace::TraceContext ctx = trace::CurrentContext();
-    if (!ctx.sampled()) {
-      ctx = trace::TraceContext{trace::NewId(), trace::NewId(),
-                                trace::TraceContext::kSampled};
-    }
-    marshal::XdrEncoder spliced;
-    spliced.PutU32(static_cast<std::uint32_t>(hdr->op) | core::kTraceFlag);
-    spliced.PutU64(hdr->request_id);
-    spliced.PutU64(ctx.trace_id);
-    spliced.PutU64(ctx.span_id);
-    spliced.PutU32(ctx.flags);
-    Buffer traced = spliced.Take();
-    traced.insert(traced.end(), request.begin() + 12, request.end());
-    request = std::move(traced);
-    last_trace_id_ = ctx.trace_id;
-  }
+  const std::uint64_t id = NextId();
+  const Buffer request =
+      EncodeRequest(op, id, body, options_.trace_calls && stm_op);
 
   for (std::uint32_t attempt = 0;; ++attempt) {
     if (attempt > 0) ++replays_;
-    Status s = conn_.SendFrame(request);
-    Buffer reply;
-    if (s.ok()) {
-      for (;;) {
-        s = conn_.RecvFrame(reply, wait);
-        if (!s.ok()) break;
-        marshal::XdrDecoder rpeek(reply);
-        auto rhdr = core::DecodeRequestHeader(rpeek);
-        if (!rhdr.ok()) {
-          // Framing desync — unsafe to keep using this connection.
-          s = ConnectionClosedError("malformed reply frame");
-          break;
-        }
-        // A reply to an earlier ticket can arrive if a previous call
-        // timed out client-side but executed server-side; skip it.
-        if (call_id != 0 && rhdr->request_id != call_id) continue;
-        break;
-      }
-    }
-    if (s.ok()) {
-      last_acked_id_ = call_id;
+    Result<Buffer> reply = internal::Exchange(conn_, request, id, wait);
+    if (reply.ok()) {
+      last_acked_id_ = id;
       return reply;
     }
     // Retry only when the transport is gone; a kTimeout from a live
     // surrogate (e.g. a blocking Get that ran out of time) must surface
     // as-is — replaying it could block for another full deadline.
-    const bool transport_lost = s.code() == StatusCode::kConnectionClosed ||
-                                s.code() == StatusCode::kUnavailable ||
-                                s.code() == StatusCode::kInternal;
-    if (!can_retry || !transport_lost) return s;
-    DS_RETURN_IF_ERROR(ReconnectLocked(deferred));
+    const StatusCode code = reply.status().code();
+    const bool transport_lost = code == StatusCode::kConnectionClosed ||
+                                code == StatusCode::kUnavailable ||
+                                code == StatusCode::kInternal;
+    if (!options_.reconnect.enabled || !stm_op || !transport_lost) {
+      return reply;
+    }
+    DS_RETURN_IF_ERROR(ReconnectLocked(notices));
   }
 }
 
 template <typename Codec>
+Buffer BasicClient<Codec>::EncodeRequest(core::Op op, std::uint64_t id,
+                                         const BodyFn& body, bool stamp) {
+  std::optional<trace::ScopedContext> root;
+  if (stamp && !trace::CurrentContext().sampled()) {
+    root.emplace(trace::TraceContext{trace::NewId(), trace::NewId(),
+                                     trace::TraceContext::kSampled});
+    last_trace_id_ = trace::CurrentContext().trace_id;
+  }
+  Encoder enc;
+  core::EncodeRequestHeader(enc, op, id);
+  if (body) body(enc);
+  return enc.Take();
+}
+
+template <typename Codec>
 Status BasicClient<Codec>::ReconnectLocked(
-    std::vector<core::GcNotice>& deferred) {
+    std::vector<core::GcNotice>& notices) {
   conn_.Close();
   const ReconnectPolicy& policy = options_.reconnect;
   const Deadline give_up = Deadline::After(policy.give_up_after);
@@ -164,14 +158,14 @@ Status BasicClient<Codec>::ReconnectLocked(
   Status last = UnavailableError("no reconnect candidates");
   for (;;) {
     for (const auto& addr : ReconnectCandidatesLocked()) {
-      Status s = TryResumeLocked(addr, deferred);
+      Status s = TryResumeLocked(addr, notices);
       if (s.ok()) {
         ++reconnects_;
         // Re-resolve the failover targets through the surviving name
         // service: whatever killed the old connection (host death, a
         // migrated listener) has likely also changed the advertised
         // set, and the copy cached at Join would go stale forever.
-        (void)RefreshListenerCacheLocked(deferred);
+        (void)RefreshListenerCacheLocked(notices);
         return OkStatus();
       }
       if (s.code() == StatusCode::kNotFound) {
@@ -191,37 +185,27 @@ Status BasicClient<Codec>::ReconnectLocked(
 
 template <typename Codec>
 Status BasicClient<Codec>::TryResumeLocked(
-    const transport::SockAddr& addr, std::vector<core::GcNotice>& deferred) {
-  auto connected =
-      transport::TcpConnection::Connect(addr, Deadline::AfterMillis(1000));
-  if (!connected.ok()) return connected.status();
-
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, static_cast<core::Op>(ClientOp::kResume),
-                            NextId());
+    const transport::SockAddr& addr, std::vector<core::GcNotice>& notices) {
+  DS_ASSIGN_OR_RETURN(
+      transport::TcpConnection connected,
+      transport::TcpConnection::Connect(addr, Deadline::AfterMillis(1000)));
   ResumeReq req;
   req.client_kind = Codec::kKind;
   req.session_id = session_id_;
   req.last_acked_ticket = last_acked_id_;
   req.preferred_as = options_.preferred_as;
-  req.Encode(enc);
-  DS_RETURN_IF_ERROR(connected->SendFrame(enc.Take()));
-  Buffer reply;
-  DS_RETURN_IF_ERROR(connected->RecvFrame(reply, Deadline::AfterMillis(2000)));
-
-  typename Codec::Decoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeaderT(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  DS_ASSIGN_OR_RETURN(ResumeResp resp, DecodeResumeRespT(dec));
-  auto notices = DecodeNoticeTrailerT(dec);
-
-  conn_ = std::move(connected).value();
+  const std::uint64_t id = NextId();
+  const Buffer request =
+      EncodeRequest(static_cast<core::Op>(ClientOp::kResume), id,
+                    [&req](Encoder& enc) { req.Encode(enc); });
+  DS_ASSIGN_OR_RETURN(
+      ResumeResp resp,
+      DecodeClientReply<Decoder>(
+          internal::Exchange(connected, request, id,
+                             Deadline::AfterMillis(2000)),
+          DecodeResumeRespT<Decoder>, notices));
+  conn_ = std::move(connected);
   host_as_ = static_cast<AsId>(resp.host_as);
-  // Deferred to Call's post-unlock dispatch: a handler may re-enter the
-  // client, which would deadlock on the non-recursive mu_ held here.
-  if (notices.ok()) {
-    deferred.insert(deferred.end(), notices->begin(), notices->end());
-  }
   return OkStatus();
 }
 
@@ -244,38 +228,33 @@ BasicClient<Codec>::ReconnectCandidatesLocked() const {
 
 template <typename Codec>
 Status BasicClient<Codec>::RefreshListenerCache() {
-  std::vector<core::GcNotice> deferred;
+  std::vector<core::GcNotice> notices;
   Status s = [&] {
     ds::MutexLock lock(mu_);
-    return RefreshListenerCacheLocked(deferred);
+    return RefreshListenerCacheLocked(notices);
   }();
-  DispatchNotices(deferred);
+  DispatchNotices(notices);
   return s;
 }
 
 template <typename Codec>
 Status BasicClient<Codec>::RefreshListenerCacheLocked(
-    std::vector<core::GcNotice>& deferred) {
-  typename Codec::Encoder enc;
+    std::vector<core::GcNotice>& notices) {
+  core::NsLookupReq req;
+  req.name = "sys/listener/";
   // Request id 0 = untracked read: this refresh may run between a
   // resume and the replay of the in-flight call, and a real ticket
   // would evict the surrogate's cached reply that the replay needs.
-  core::EncodeRequestHeader(enc, core::Op::kNsList, 0);
-  core::NsLookupReq req;
-  req.name = "sys/listener/";
-  req.Encode(enc);
-  DS_RETURN_IF_ERROR(conn_.SendFrame(enc.Take()));
-  Buffer reply;
-  DS_RETURN_IF_ERROR(conn_.RecvFrame(reply, Deadline::AfterMillis(2000)));
-  typename Codec::Decoder dec(reply);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeaderT(dec));
-  if (!hdr.status.ok()) return hdr.status;
-  DS_ASSIGN_OR_RETURN(std::uint32_t count,
-                      dec.GetCount(core::kMinNsEntryBytes));
+  const Buffer request = EncodeRequest(
+      core::Op::kNsList, 0, [&req](Encoder& enc) { req.Encode(enc); });
+  DS_ASSIGN_OR_RETURN(
+      std::vector<core::NsEntry> entries,
+      DecodeClientReply<Decoder>(
+          internal::Exchange(conn_, request, 0, Deadline::AfterMillis(2000)),
+          core::DecodeNsEntries<Decoder>, notices));
   std::vector<transport::SockAddr> fresh;
-  fresh.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    DS_ASSIGN_OR_RETURN(core::NsEntry entry, DecodeNsEntryT(dec));
+  fresh.reserve(entries.size());
+  for (const core::NsEntry& entry : entries) {
     // The listener advertises its full address in the entry's meta;
     // entries without one (foreign registrations under the prefix)
     // fall back to loopback plus the port carried in id_bits.
@@ -287,25 +266,8 @@ Status BasicClient<Codec>::RefreshListenerCacheLocked(
           static_cast<std::uint16_t>(entry.id_bits)));
     }
   }
-  auto notices = DecodeNoticeTrailerT(dec);
-  if (notices.ok()) {
-    deferred.insert(deferred.end(), notices->begin(), notices->end());
-  }
   listener_cache_ = std::move(fresh);
   return OkStatus();
-}
-
-template <typename Codec>
-Result<typename BasicClient<Codec>::ParsedReply>
-BasicClient<Codec>::CallAndParse(Buffer request, Deadline deadline) {
-  DS_ASSIGN_OR_RETURN(Buffer frame, Call(std::move(request), deadline));
-  typename Codec::Decoder dec(frame);
-  DS_ASSIGN_OR_RETURN(auto hdr, DecodeResponseHeaderT(dec));
-  ParsedReply parsed;
-  parsed.status = hdr.status;
-  parsed.payload_offset = frame.size() - dec.remaining();
-  parsed.frame = std::move(frame);
-  return parsed;
 }
 
 template <typename Codec>
@@ -324,131 +286,78 @@ void BasicClient<Codec>::DispatchNotices(
   for (auto& [handler, notice] : to_run) handler(notice);
 }
 
-namespace internal {
-// Parses the gc-notice trailer and hands the notices back; every reply
-// parse must end with this so no reclamation information is dropped.
-template <typename Dec>
-Result<std::vector<core::GcNotice>> TakeTrailer(Dec& dec) {
-  return DecodeNoticeTrailerT(dec);
-}
-}  // namespace internal
-
-#define DS_CLIENT_FINISH(dec)                                  \
-  do {                                                         \
-    auto ds_trailer_ = internal::TakeTrailer(dec);             \
-    if (ds_trailer_.ok()) DispatchNotices(*ds_trailer_);       \
-  } while (false)
-
 template <typename Codec>
 Result<ChannelId> BasicClient<Codec>::CreateChannel(
     const core::ChannelAttr& attr) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kCreateChannel, NextId());
-  core::CreateReq req;
-  req.capacity = attr.capacity_items;
-  req.debug_name = attr.debug_name;
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  if (!parsed.status.ok()) {
-    DS_CLIENT_FINISH(dec);
-    return parsed.status;
-  }
-  DS_ASSIGN_OR_RETURN(std::uint64_t bits, dec.GetU64());
-  DS_CLIENT_FINISH(dec);
+  DS_ASSIGN_OR_RETURN(std::uint64_t bits,
+                      CreateContainer(/*is_queue=*/false, attr.capacity_items,
+                                      attr.debug_name));
   return ChannelId::FromBits(bits);
 }
 
 template <typename Codec>
 Result<QueueId> BasicClient<Codec>::CreateQueue(const core::QueueAttr& attr) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kCreateQueue, NextId());
-  core::CreateReq req;
-  req.capacity = attr.capacity_items;
-  req.debug_name = attr.debug_name;
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  if (!parsed.status.ok()) {
-    DS_CLIENT_FINISH(dec);
-    return parsed.status;
-  }
-  DS_ASSIGN_OR_RETURN(std::uint64_t bits, dec.GetU64());
-  DS_CLIENT_FINISH(dec);
+  DS_ASSIGN_OR_RETURN(std::uint64_t bits,
+                      CreateContainer(/*is_queue=*/true, attr.capacity_items,
+                                      attr.debug_name));
   return QueueId::FromBits(bits);
+}
+
+template <typename Codec>
+Result<std::uint64_t> BasicClient<Codec>::CreateContainer(
+    bool is_queue, std::uint64_t capacity, const std::string& debug_name) {
+  core::CreateReq req;
+  req.capacity = capacity;
+  req.debug_name = debug_name;
+  return Call(is_queue ? core::Op::kCreateQueue : core::Op::kCreateChannel,
+              [&req](Encoder& enc) { req.Encode(enc); },
+              Deadline::AfterMillis(10000),
+              [](Decoder& dec) { return dec.GetU64(); });
 }
 
 template <typename Codec>
 Result<core::Connection> BasicClient<Codec>::Connect(ChannelId ch,
                                                      core::ConnMode mode,
                                                      std::string label) {
-  if (label.empty()) label = "device-session-" + std::to_string(session_id_);
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kAttach, NextId());
-  core::AttachReq req;
-  req.container_bits = ch.bits();
-  req.is_queue = false;
-  req.mode = mode;
-  req.label = std::move(label);
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  if (!parsed.status.ok()) {
-    DS_CLIENT_FINISH(dec);
-    return parsed.status;
-  }
-  DS_ASSIGN_OR_RETURN(std::uint32_t slot, dec.GetU32());
-  DS_CLIENT_FINISH(dec);
-  return core::Connection(ch.bits(), false, mode, ch.owner(), slot);
+  return ConnectTo(ch.bits(), /*is_queue=*/false, mode, std::move(label));
 }
 
 template <typename Codec>
 Result<core::Connection> BasicClient<Codec>::Connect(QueueId q,
                                                      core::ConnMode mode,
                                                      std::string label) {
+  return ConnectTo(q.bits(), /*is_queue=*/true, mode, std::move(label));
+}
+
+template <typename Codec>
+Result<core::Connection> BasicClient<Codec>::ConnectTo(std::uint64_t bits,
+                                                       bool is_queue,
+                                                       core::ConnMode mode,
+                                                       std::string label) {
   if (label.empty()) label = "device-session-" + std::to_string(session_id_);
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kAttach, NextId());
   core::AttachReq req;
-  req.container_bits = q.bits();
-  req.is_queue = true;
+  req.container_bits = bits;
+  req.is_queue = is_queue;
   req.mode = mode;
   req.label = std::move(label);
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  if (!parsed.status.ok()) {
-    DS_CLIENT_FINISH(dec);
-    return parsed.status;
-  }
-  DS_ASSIGN_OR_RETURN(std::uint32_t slot, dec.GetU32());
-  DS_CLIENT_FINISH(dec);
-  return core::Connection(q.bits(), true, mode, q.owner(), slot);
+  DS_ASSIGN_OR_RETURN(std::uint32_t slot,
+                      Call(core::Op::kAttach,
+                           [&req](Encoder& enc) { req.Encode(enc); },
+                           Deadline::AfterMillis(10000),
+                           [](Decoder& dec) { return dec.GetU32(); }));
+  // Channel and queue ids share one layout, owner included.
+  return core::Connection(bits, is_queue, mode,
+                          ChannelId::FromBits(bits).owner(), slot);
 }
 
 template <typename Codec>
 Status BasicClient<Codec>::Disconnect(const core::Connection& conn) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kDetach, NextId());
   core::DetachReq req;
   req.container_bits = conn.container_bits();
   req.is_queue = conn.is_queue();
   req.slot = conn.slot();
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  DS_CLIENT_FINISH(dec);
-  return parsed.status;
+  return Call(core::Op::kDetach, [&req](Encoder& enc) { req.Encode(enc); },
+              Deadline::AfterMillis(10000), NoResult);
 }
 
 template <typename Codec>
@@ -457,8 +366,6 @@ Status BasicClient<Codec>::Put(const core::Connection& conn, Timestamp ts,
   if (!CanOutput(conn.mode())) {
     return PermissionDeniedError("connection is input-only");
   }
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kPut, NextId());
   core::PutReq req;
   req.container_bits = conn.container_bits();
   req.is_queue = conn.is_queue();
@@ -467,21 +374,14 @@ Status BasicClient<Codec>::Put(const core::Connection& conn, Timestamp ts,
   req.ts = ts;
   req.deadline_ms = core::EncodeDeadline(deadline);
   req.payload = std::move(payload);
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), deadline));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  DS_CLIENT_FINISH(dec);
-  return parsed.status;
+  return Call(core::Op::kPut, [&req](Encoder& enc) { req.Encode(enc); },
+              deadline, NoResult);
 }
 
 template <typename Codec>
 Result<core::ItemView> BasicClient<Codec>::Get(const core::Connection& conn,
                                                core::GetSpec spec,
                                                Deadline deadline) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kGet, NextId());
   core::GetReq req;
   req.container_bits = conn.container_bits();
   req.is_queue = conn.is_queue();
@@ -489,21 +389,8 @@ Result<core::ItemView> BasicClient<Codec>::Get(const core::Connection& conn,
   req.slot = conn.slot();
   req.spec = spec;
   req.deadline_ms = core::EncodeDeadline(deadline);
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), deadline));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  if (!parsed.status.ok()) {
-    DS_CLIENT_FINISH(dec);
-    return parsed.status;
-  }
-  core::ItemView view;
-  DS_ASSIGN_OR_RETURN(view.timestamp, dec.GetI64());
-  DS_ASSIGN_OR_RETURN(Buffer payload, dec.GetOpaque());
-  view.payload = SharedBuffer(std::move(payload));
-  DS_CLIENT_FINISH(dec);
-  return view;
+  return Call(core::Op::kGet, [&req](Encoder& enc) { req.Encode(enc); },
+              deadline, core::DecodeItem<Decoder>);
 }
 
 template <typename Codec>
@@ -514,190 +401,106 @@ Result<core::ItemView> BasicClient<Codec>::Get(const core::Connection& conn,
 
 template <typename Codec>
 Status BasicClient<Codec>::Consume(const core::Connection& conn, Timestamp ts) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kConsume, NextId());
+  return ConsumeAt(conn, ts, /*until=*/false);
+}
+
+template <typename Codec>
+Status BasicClient<Codec>::ConsumeUntil(const core::Connection& conn,
+                                        Timestamp ts) {
+  return ConsumeAt(conn, ts, /*until=*/true);
+}
+
+template <typename Codec>
+Status BasicClient<Codec>::ConsumeAt(const core::Connection& conn,
+                                     Timestamp ts, bool until) {
+  if (until && conn.is_queue()) {
+    return InvalidArgumentError("consume-until is channel-only");
+  }
   core::ConsumeReq req;
   req.container_bits = conn.container_bits();
   req.is_queue = conn.is_queue();
   req.mode = conn.mode();
   req.slot = conn.slot();
   req.ts = ts;
-  req.until = false;
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  DS_CLIENT_FINISH(dec);
-  return parsed.status;
-}
-
-template <typename Codec>
-Status BasicClient<Codec>::ConsumeUntil(const core::Connection& conn,
-                                        Timestamp ts) {
-  if (conn.is_queue()) {
-    return InvalidArgumentError("consume-until is channel-only");
-  }
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kConsume, NextId());
-  core::ConsumeReq req;
-  req.container_bits = conn.container_bits();
-  req.is_queue = false;
-  req.mode = conn.mode();
-  req.slot = conn.slot();
-  req.ts = ts;
-  req.until = true;
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  DS_CLIENT_FINISH(dec);
-  return parsed.status;
+  req.until = until;
+  return Call(core::Op::kConsume, [&req](Encoder& enc) { req.Encode(enc); },
+              Deadline::AfterMillis(10000), NoResult);
 }
 
 template <typename Codec>
 Status BasicClient<Codec>::SetFilter(const core::Connection& conn,
                                      const core::ItemFilter& filter) {
   if (conn.is_queue()) return InvalidArgumentError("filters apply to channels");
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kSetFilter, NextId());
   core::SetFilterReq req;
   req.container_bits = conn.container_bits();
   req.slot = conn.slot();
   req.filter = filter;
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  DS_CLIENT_FINISH(dec);
-  return parsed.status;
+  return Call(core::Op::kSetFilter, [&req](Encoder& enc) { req.Encode(enc); },
+              Deadline::AfterMillis(10000), NoResult);
 }
 
 template <typename Codec>
 Status BasicClient<Codec>::NsRegister(const core::NsEntry& entry) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kNsRegister, NextId());
-  core::EncodeNsEntry(enc, entry);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  DS_CLIENT_FINISH(dec);
-  return parsed.status;
+  return Call(core::Op::kNsRegister,
+              [&entry](Encoder& enc) { core::EncodeNsEntry(enc, entry); },
+              Deadline::AfterMillis(10000), NoResult);
 }
 
 template <typename Codec>
 Status BasicClient<Codec>::NsUnregister(const std::string& name) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kNsUnregister, NextId());
   core::NsLookupReq req;
   req.name = name;
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  DS_CLIENT_FINISH(dec);
-  return parsed.status;
+  return Call(core::Op::kNsUnregister,
+              [&req](Encoder& enc) { req.Encode(enc); },
+              Deadline::AfterMillis(10000), NoResult);
 }
 
 template <typename Codec>
 Result<core::NsEntry> BasicClient<Codec>::NsLookup(const std::string& name,
                                                    Deadline deadline) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kNsLookup, NextId());
   core::NsLookupReq req;
   req.name = name;
   req.deadline_ms = core::EncodeDeadline(deadline);
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed, CallAndParse(enc.Take(), deadline));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  if (!parsed.status.ok()) {
-    DS_CLIENT_FINISH(dec);
-    return parsed.status;
-  }
-  DS_ASSIGN_OR_RETURN(core::NsEntry entry, DecodeNsEntryT(dec));
-  DS_CLIENT_FINISH(dec);
-  return entry;
+  return Call(core::Op::kNsLookup, [&req](Encoder& enc) { req.Encode(enc); },
+              deadline, core::DecodeNsEntry<Decoder>);
 }
 
 template <typename Codec>
 Result<std::vector<core::NsEntry>> BasicClient<Codec>::NsList(
     const std::string& prefix) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kNsList, NextId());
   core::NsLookupReq req;
   req.name = prefix;
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  if (!parsed.status.ok()) {
-    DS_CLIENT_FINISH(dec);
-    return parsed.status;
-  }
-  DS_ASSIGN_OR_RETURN(std::uint32_t count,
-                      dec.GetCount(core::kMinNsEntryBytes));
-  std::vector<core::NsEntry> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    DS_ASSIGN_OR_RETURN(core::NsEntry entry, DecodeNsEntryT(dec));
-    out.push_back(std::move(entry));
-  }
-  DS_CLIENT_FINISH(dec);
-  return out;
+  return Call(core::Op::kNsList, [&req](Encoder& enc) { req.Encode(enc); },
+              Deadline::AfterMillis(10000), core::DecodeNsEntries<Decoder>);
 }
 
 template <typename Codec>
 Result<std::string> BasicClient<Codec>::MetricsSnapshot(AsId target) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, core::Op::kMetrics, NextId());
   core::MetricsReq req;
   req.target_as = AsIndex(target);
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  if (!parsed.status.ok()) {
-    DS_CLIENT_FINISH(dec);
-    return parsed.status;
-  }
-  DS_ASSIGN_OR_RETURN(std::string snapshot, dec.GetString());
-  DS_CLIENT_FINISH(dec);
-  return snapshot;
+  return Call(core::Op::kMetrics, [&req](Encoder& enc) { req.Encode(enc); },
+              Deadline::AfterMillis(10000),
+              [](Decoder& dec) { return dec.GetString(); });
 }
 
 template <typename Codec>
 Status BasicClient<Codec>::SetGcHandler(std::uint64_t container_bits,
                                         bool is_queue,
                                         GcNoticeHandler handler) {
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(
-      enc, static_cast<core::Op>(ClientOp::kSetGcInterest), NextId());
   SetGcInterestReq req;
   req.container_bits = container_bits;
   req.is_queue = is_queue;
   req.enable = handler != nullptr;
-  req.Encode(enc);
-  DS_ASSIGN_OR_RETURN(ParsedReply parsed,
-                      CallAndParse(enc.Take(), Deadline::AfterMillis(10000)));
-  typename Codec::Decoder dec(std::span<const std::uint8_t>(parsed.frame)
-                                  .subspan(parsed.payload_offset));
-  DS_CLIENT_FINISH(dec);
-  if (parsed.status.ok()) {
-    ds::MutexLock lock(handlers_mu_);
-    if (handler) {
-      gc_handlers_[container_bits] = std::move(handler);
-    } else {
-      gc_handlers_.erase(container_bits);
-    }
+  DS_RETURN_IF_ERROR(Call(static_cast<core::Op>(ClientOp::kSetGcInterest),
+                          [&req](Encoder& enc) { req.Encode(enc); },
+                          Deadline::AfterMillis(10000), NoResult));
+  ds::MutexLock lock(handlers_mu_);
+  if (handler) {
+    gc_handlers_[container_bits] = std::move(handler);
+  } else {
+    gc_handlers_.erase(container_bits);
   }
-  return parsed.status;
+  return OkStatus();
 }
 
 template <typename Codec>
@@ -706,16 +509,12 @@ Status BasicClient<Codec>::Leave() {
     ds::MutexLock lock(mu_);
     if (left_ || !conn_.valid()) return OkStatus();
   }
-  typename Codec::Encoder enc;
-  core::EncodeRequestHeader(enc, static_cast<core::Op>(ClientOp::kBye),
-                            NextId());
-  auto parsed = CallAndParse(enc.Take(), Deadline::AfterMillis(5000));
+  const Status bye = Call(static_cast<core::Op>(ClientOp::kBye), nullptr,
+                          Deadline::AfterMillis(5000), NoResult);
   ds::MutexLock lock(mu_);
   left_ = true;
   conn_.Close();
-  return parsed.ok() ? parsed->status : parsed.status();
+  return bye;
 }
-
-#undef DS_CLIENT_FINISH
 
 }  // namespace dstampede::client

@@ -11,9 +11,7 @@ constexpr std::size_t kNoLiveAs = static_cast<std::size_t>(-1);
 
 void ReplyStatusAndClose(transport::TcpConnection& conn,
                          std::uint64_t request_id, const Status& status) {
-  marshal::XdrEncoder enc;
-  core::EncodeResponseHeader(enc, request_id, status);
-  (void)conn.SendFrame(enc.Take());
+  (void)conn.SendFrame(core::EncodeStatusReply(request_id, status));
   conn.Close();
 }
 }  // namespace
@@ -133,8 +131,7 @@ void Listener::Handshake(transport::TcpConnection conn) {
   if (static_cast<ClientOp>(hdr->op) == ClientOp::kResume) {
     auto resume = ResumeReq::Decode(dec);
     if (!resume.ok()) return;
-    HandleResume(std::move(conn), frame, resume->session_id,
-                 resume->preferred_as);
+    HandleResume(std::move(conn), hdr->request_id, *resume);
     return;
   }
 
@@ -161,7 +158,7 @@ void Listener::Handshake(transport::TcpConnection conn) {
     raw = surrogate.get();
     surrogates_.push_back(std::move(surrogate));
   }
-  if (!raw->ServiceHello(frame).ok()) {
+  if (!raw->ServiceHello(hdr->request_id, *hello).ok()) {
     raw->Stop();
     return;
   }
@@ -169,12 +166,8 @@ void Listener::Handshake(transport::TcpConnection conn) {
 }
 
 void Listener::HandleResume(transport::TcpConnection conn,
-                            const Buffer& frame, std::uint64_t session_id,
-                            std::int32_t preferred_as) {
-  marshal::XdrDecoder dec(frame);
-  auto hdr = core::DecodeRequestHeader(dec);
-  if (!hdr.ok()) return;
-
+                            std::uint64_t request_id,
+                            const ResumeReq& resume) {
   // Fast path: the session's surrogate is here and its host is alive —
   // adopt the fresh connection in place (slots unchanged). Superseded
   // and departed surrogates (kReaped/kLeft) are tombstones that stay in
@@ -186,7 +179,7 @@ void Listener::HandleResume(transport::TcpConnection conn,
   {
     ds::MutexLock lock(mu_);
     for (auto& s : surrogates_) {
-      if (s->session_id() != session_id) continue;
+      if (s->session_id() != resume.session_id) continue;
       const Surrogate::State state = s->state();
       if (state == Surrogate::State::kReaped ||
           state == Surrogate::State::kLeft) {
@@ -207,7 +200,7 @@ void Listener::HandleResume(transport::TcpConnection conn,
     }
     if (existing->state() == Surrogate::State::kParked &&
         existing->Adopt(std::move(conn)).ok()) {
-      if (!existing->ServiceResume(frame).ok()) {
+      if (!existing->ServiceResume(request_id).ok()) {
         existing->Stop();
         return;
       }
@@ -217,8 +210,7 @@ void Listener::HandleResume(transport::TcpConnection conn,
     }
     if (existing->state() == Surrogate::State::kLeft ||
         existing->state() == Surrogate::State::kReaped) {
-      ReplyStatusAndClose(conn, hdr->request_id,
-                          NotFoundError("session ended"));
+      ReplyStatusAndClose(conn, request_id, NotFoundError("session ended"));
       return;
     }
     // Could not adopt (still active / raced); drop the connection and
@@ -234,21 +226,21 @@ void Listener::HandleResume(transport::TcpConnection conn,
   std::size_t as_index;
   {
     ds::MutexLock lock(mu_);
-    as_index = PickLiveAs(preferred_as);
+    as_index = PickLiveAs(resume.preferred_as);
   }
   if (as_index == kNoLiveAs) {
-    ReplyStatusAndClose(conn, hdr->request_id,
+    ReplyStatusAndClose(conn, request_id,
                         UnavailableError("no live address space"));
     return;
   }
   core::AddressSpace& live_as = runtime_.as(as_index);
-  auto record = live_as.SessionGet(session_id);
+  auto record = live_as.SessionGet(resume.session_id);
   if (!record.ok()) {
     // kNotFound tells the client the session is unrecoverable; any
     // other failure (e.g. the name server is unreachable right now)
     // closes the link so the client's backoff retries.
     if (record.status().code() == StatusCode::kNotFound) {
-      ReplyStatusAndClose(conn, hdr->request_id, record.status());
+      ReplyStatusAndClose(conn, request_id, record.status());
     }
     return;
   }
@@ -256,11 +248,12 @@ void Listener::HandleResume(transport::TcpConnection conn,
   // — never a tombstone, thanks to the scan above.
   if (existing) existing->MarkSuperseded();
 
-  surrogate = std::make_unique<Surrogate>(session_id, live_as, std::move(conn),
+  surrogate = std::make_unique<Surrogate>(resume.session_id, live_as,
+                                          std::move(conn),
                                           options_.edge_faults,
                                           options_.durable_sessions);
   raw = surrogate.get();
-  if (!raw->Rehydrate(*record).ok() || !raw->ServiceResume(frame).ok()) {
+  if (!raw->Rehydrate(*record).ok() || !raw->ServiceResume(request_id).ok()) {
     raw->Stop();
     return;  // surrogate is dropped; registry record remains for retry
   }

@@ -80,8 +80,8 @@ class Listener {
   explicit Listener(core::Runtime& runtime) : runtime_(runtime) {}
   void AcceptLoop();
   void Handshake(transport::TcpConnection conn);
-  void HandleResume(transport::TcpConnection conn, const Buffer& frame,
-                    std::uint64_t session_id, std::int32_t preferred_as);
+  void HandleResume(transport::TcpConnection conn, std::uint64_t request_id,
+                    const ResumeReq& resume);
   void JanitorLoop();
   // Picks a live (not stopped) address space; honours `preferred` when
   // it names a live one. Returns npos when the whole cluster is down.

@@ -6,14 +6,15 @@
 // to the end device at an opportune time (e.g. when the next D-Stampede
 // API call comes from the end device)" (§3.2.4).
 //
-// Decode helpers here are templated on the decoder so the C client
-// (XdrDecoder, pointer manipulation) and the Java-style client
-// (JavaStyleDecoder, object reconstruction) parse the same octets with
-// their respective cost models.
+// Decode helpers here, like core/wire.hpp's, are templated on the
+// decoder so the C client (XdrDecoder, pointer manipulation) and the
+// Java-style client (JavaStyleDecoder, object reconstruction) parse the
+// same octets with their respective cost models.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dstampede/common/status.hpp"
@@ -56,11 +57,6 @@ struct HelloReq {
     DS_ASSIGN_OR_RETURN(req.preferred_as, dec.GetI32());
     return req;
   }
-};
-
-struct HelloResp {
-  std::uint32_t host_as = 0;
-  std::uint64_t session_id = 0;
 };
 
 struct ResumeReq {
@@ -163,47 +159,6 @@ struct SetGcInterestReq {
   }
 };
 
-// --- templated decode mirrors of core/wire.hpp for the client side ----
-
-template <class Dec>
-Result<core::ResponseHeader> DecodeResponseHeaderT(Dec& dec) {
-  DS_ASSIGN_OR_RETURN(std::uint32_t op, dec.GetU32());
-  if (static_cast<core::Op>(op) != core::Op::kReply) {
-    return InternalError("expected reply frame");
-  }
-  core::ResponseHeader hdr;
-  DS_ASSIGN_OR_RETURN(hdr.request_id, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(std::uint32_t code, dec.GetU32());
-  DS_ASSIGN_OR_RETURN(std::string message, dec.GetString());
-  hdr.status = Status(static_cast<StatusCode>(code), std::move(message));
-  return hdr;
-}
-
-template <class Dec>
-Result<core::GcNotice> DecodeGcNoticeT(Dec& dec) {
-  core::GcNotice notice;
-  DS_ASSIGN_OR_RETURN(notice.container_bits, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(notice.is_queue, dec.GetBool());
-  DS_ASSIGN_OR_RETURN(notice.timestamp, dec.GetI64());
-  DS_ASSIGN_OR_RETURN(std::uint64_t size, dec.GetU64());
-  notice.payload_size = size;
-  return notice;
-}
-
-template <class Dec>
-Result<core::NsEntry> DecodeNsEntryT(Dec& dec) {
-  core::NsEntry entry;
-  DS_ASSIGN_OR_RETURN(entry.name, dec.GetString());
-  DS_ASSIGN_OR_RETURN(std::uint32_t kind, dec.GetU32());
-  if (kind > 2) return InternalError("bad NsEntry kind");
-  entry.kind = static_cast<core::NsEntry::Kind>(kind);
-  DS_ASSIGN_OR_RETURN(entry.id_bits, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(entry.meta, dec.GetString());
-  DS_ASSIGN_OR_RETURN(std::uint32_t owner, dec.GetU32());
-  entry.owner_as = static_cast<AsId>(owner);
-  return entry;
-}
-
 // The notice trailer is the LAST section of every response frame.
 template <class Enc>
 void EncodeNoticeTrailer(Enc& enc, const std::vector<core::GcNotice>& notices) {
@@ -218,10 +173,39 @@ Result<std::vector<core::GcNotice>> DecodeNoticeTrailerT(Dec& dec) {
   std::vector<core::GcNotice> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    DS_ASSIGN_OR_RETURN(core::GcNotice notice, DecodeGcNoticeT(dec));
+    DS_ASSIGN_OR_RETURN(core::GcNotice notice, core::DecodeGcNotice(dec));
     out.push_back(notice);
   }
   return out;
+}
+
+// The client's parse of one reply frame, or of the transport failure
+// that stands in for one: core::DecodeReply plus the notice trailer.
+// Returns the failure, the reply's error status, or what `read(dec)`
+// decodes from the result fields. The trailer's notices are appended to
+// `notices`, after an error status too, but not after result fields
+// that fail to decode (the trailer's position is then unknown).
+template <class Dec, class Read>
+std::invoke_result_t<Read&, Dec&> DecodeClientReply(
+    const Result<Buffer>& reply, Read read,
+    std::vector<core::GcNotice>& notices) {
+  if (!reply.ok()) return reply.status();
+  Dec dec(*reply);
+  DS_ASSIGN_OR_RETURN(core::ResponseHeader hdr,
+                      core::DecodeResponseHeader(dec));
+  auto take_trailer = [&] {
+    auto trailer = DecodeNoticeTrailerT(dec);
+    if (trailer.ok()) {
+      notices.insert(notices.end(), trailer->begin(), trailer->end());
+    }
+  };
+  if (!hdr.status.ok()) {
+    take_trailer();
+    return hdr.status;
+  }
+  auto result = read(dec);
+  if (result.ok()) take_trailer();
+  return result;
 }
 
 }  // namespace dstampede::client

@@ -28,10 +28,8 @@ bool IsIdempotentSynthOp(core::Op op) {
   }
 }
 
-Buffer EncodeStatusOnly(std::uint64_t request_id, const Status& status) {
-  marshal::XdrEncoder enc;
-  core::EncodeResponseHeader(enc, request_id, status);
-  return enc.Take();
+AsId OwnerOf(std::uint64_t container_bits) {
+  return ChannelId::FromBits(container_bits).owner();
 }
 
 }  // namespace
@@ -77,115 +75,105 @@ void Surrogate::AppendNoticeTrailer(Buffer& reply) {
   reply.insert(reply.end(), trailer.begin(), trailer.end());
 }
 
-Buffer Surrogate::HandleHello(std::span<const std::uint8_t> frame) {
-  marshal::XdrDecoder dec(frame);
-  auto hdr = core::DecodeRequestHeader(dec);
-  if (!hdr.ok()) return Buffer();
-  auto req = HelloReq::Decode(dec);
+Buffer Surrogate::HandleHello(std::uint64_t request_id,
+                              const HelloReq& hello) {
+  client_name_ = hello.name;
+  client_kind_ = hello.client_kind;
   marshal::XdrEncoder enc;
-  if (!req.ok()) {
-    core::EncodeResponseHeader(enc, hdr->request_id, req.status());
-    return enc.Take();
-  }
-  client_name_ = req->name;
-  client_kind_ = req->client_kind;
-  core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
+  core::EncodeResponseHeader(enc, request_id, OkStatus());
   enc.PutU32(AsIndex(host_.id()));
   enc.PutU64(session_id_);
   return enc.Take();
 }
 
-Buffer Surrogate::TranslateSlots(std::span<const std::uint8_t> frame) {
-  Buffer out(frame.begin(), frame.end());
+Buffer Surrogate::ResumeReply(std::uint64_t request_id) {
+  ResumeResp resp;
+  resp.host_as = AsIndex(host_.id());
+  resp.session_id = session_id_;
   {
     ds::MutexLock lock(session_mu_);
-    if (slot_remaps_.empty()) return out;
+    resp.last_executed_ticket = last_executed_ticket_;
+    resp.remaps = slot_remaps_;
   }
-  marshal::XdrDecoder dec(frame);
-  auto hdr = core::DecodeRequestHeader(dec);
-  if (!hdr.ok()) return out;
+  marshal::XdrEncoder enc;
+  core::EncodeResponseHeader(enc, request_id, OkStatus());
+  EncodeResumeResp(enc, resp);
+  return enc.Take();
+}
 
-  auto remap = [this](std::uint64_t bits, bool is_queue,
-                      std::uint32_t slot) -> std::uint32_t {
+Status Surrogate::ReadSlotRef(core::Op op, marshal::XdrDecoder& body,
+                              std::size_t frame_size, SlotRef& ref) {
+  // The slot-addressed ops lead with [u64 container][bool is_queue]
+  // [u32 mode][u32 slot]; kDetach has no mode, and kSetFilter (channels
+  // only) neither is_queue nor mode.
+  switch (op) {
+    case core::Op::kDetach:
+    case core::Op::kPut:
+    case core::Op::kGet:
+    case core::Op::kConsume:
+    case core::Op::kSetFilter:
+      break;
+    default:
+      return OkStatus();
+  }
+  DS_ASSIGN_OR_RETURN(ref.container_bits, body.GetU64());
+  if (op != core::Op::kSetFilter) {
+    DS_ASSIGN_OR_RETURN(ref.is_queue, body.GetBool());
+  }
+  if (op != core::Op::kSetFilter && op != core::Op::kDetach) {
+    DS_ASSIGN_OR_RETURN(std::uint32_t mode, body.GetU32());
+    ref.mode = static_cast<core::ConnMode>(mode);
+  }
+  const std::size_t offset = frame_size - body.remaining();
+  DS_ASSIGN_OR_RETURN(ref.slot, body.GetU32());
+  ref.offset = offset;
+  return OkStatus();
+}
+
+Buffer Surrogate::TranslateSlots(std::span<const std::uint8_t> frame,
+                                 SlotRef& ref) {
+  if (ref.offset == 0) return Buffer();
+  std::uint32_t slot = ref.slot;
+  {
     ds::MutexLock lock(session_mu_);
     for (const SlotRemap& r : slot_remaps_) {
-      if (r.container_bits == bits && r.is_queue == is_queue &&
-          r.old_slot == slot) {
-        return r.new_slot;
+      if (r.container_bits == ref.container_bits &&
+          r.is_queue == ref.is_queue && r.old_slot == ref.slot) {
+        slot = r.new_slot;
+        break;
       }
     }
-    return slot;
-  };
-
-  marshal::XdrEncoder enc;
-  switch (hdr->op) {
-    case core::Op::kDetach: {
-      auto req = core::DetachReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, req->is_queue, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    case core::Op::kPut: {
-      auto req = core::PutReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, req->is_queue, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    case core::Op::kGet: {
-      auto req = core::GetReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, req->is_queue, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    case core::Op::kConsume: {
-      auto req = core::ConsumeReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, req->is_queue, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    case core::Op::kSetFilter: {
-      auto req = core::SetFilterReq::Decode(dec);
-      if (!req.ok()) return out;
-      req->slot = remap(req->container_bits, /*is_queue=*/false, req->slot);
-      core::EncodeRequestHeader(enc, hdr->op, hdr->request_id);
-      req->Encode(enc);
-      return enc.Take();
-    }
-    default:
-      return out;  // no slot field
   }
+  if (slot == ref.slot) return Buffer();
+  ref.slot = slot;
+  // The new slot in place of the old, as the big-endian word XDR writes.
+  Buffer out(frame.begin(), frame.end());
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[ref.offset + i] = static_cast<std::uint8_t>(slot >> (24 - 8 * i));
+  }
+  return out;
 }
 
 Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
                               bool& kill_conn) {
-  marshal::XdrDecoder dec(frame);
-  auto hdr = core::DecodeRequestHeader(dec);
+  marshal::XdrDecoder body(frame);
+  auto hdr = core::DecodeRequestHeader(body);
   if (!hdr.ok()) return Buffer();
+  const core::Op op = hdr->op;
+  const std::uint64_t ticket = hdr->request_id;
 
-  switch (static_cast<ClientOp>(hdr->op)) {
-    case ClientOp::kHello:
-      return HandleHello(frame);
-    case ClientOp::kBye: {
-      bye = true;
-      marshal::XdrEncoder enc;
-      core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
-      return enc.Take();
+  switch (static_cast<ClientOp>(op)) {
+    case ClientOp::kHello: {
+      auto hello = HelloReq::Decode(body);
+      if (!hello.ok()) return core::EncodeStatusReply(ticket, hello.status());
+      return HandleHello(ticket, *hello);
     }
+    case ClientOp::kBye:
+      bye = true;
+      return core::EncodeStatusReply(ticket, OkStatus());
     case ClientOp::kSetGcInterest: {
-      auto req = SetGcInterestReq::Decode(dec);
-      marshal::XdrEncoder enc;
-      if (!req.ok()) {
-        core::EncodeResponseHeader(enc, hdr->request_id, req.status());
-        return enc.Take();
-      }
+      auto req = SetGcInterestReq::Decode(body);
+      if (!req.ok()) return core::EncodeStatusReply(ticket, req.status());
       {
         ds::MutexLock lock(gc_mu_);
         if (req->enable) {
@@ -196,38 +184,21 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
       }
       {
         ds::MutexLock lock(session_mu_);
-        if (hdr->request_id > last_executed_ticket_) {
-          last_executed_ticket_ = hdr->request_id;
-        }
+        if (ticket > last_executed_ticket_) last_executed_ticket_ = ticket;
       }
       MirrorSession();
-      core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
-      return enc.Take();
+      return core::EncodeStatusReply(ticket, OkStatus());
     }
-    case ClientOp::kResume: {
+    case ClientOp::kResume:
       // A Resume mid-stream (the listener normally services it during
       // the handshake): answer it in place.
-      marshal::XdrEncoder enc;
-      core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
-      ResumeResp resp;
-      resp.host_as = AsIndex(host_.id());
-      resp.session_id = session_id_;
-      {
-        ds::MutexLock lock(session_mu_);
-        resp.last_executed_ticket = last_executed_ticket_;
-        resp.remaps = slot_remaps_;
-      }
-      EncodeResumeResp(enc, resp);
-      return enc.Take();
-    }
+      return ResumeReply(ticket);
     default:
       break;
   }
 
   // An STM op: carry it out against the cluster on the device's
   // behalf. The executor routes to any owning address space.
-  const core::Op op = hdr->op;
-  const std::uint64_t ticket = hdr->request_id;
 
   // Replay dedup: a call the device re-sends after a dropped
   // connection must not run twice.
@@ -253,7 +224,7 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
       // Executed before a failover; the original reply died with the
       // old surrogate but the effect is durable. Ack it.
       m_replay_hits_->Add();
-      return EncodeStatusOnly(ticket, OkStatus());
+      return core::EncodeStatusReply(ticket, OkStatus());
     }
   }
   m_calls_->Add();
@@ -268,108 +239,35 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   // Tracing: adopt the device's wire span as "client.call" (the client
   // call as observed cluster-side) and execute under a child
   // "surrogate.dispatch" span. Both install themselves as the thread's
-  // current context, so the re-encoded frame (TranslateSlots) and every
-  // RPC the execution fans out carry the context onward. No-ops when
-  // the frame carried no sampled context.
+  // current context, so every RPC the execution fans out carries the
+  // context onward. No-ops when the frame carried no sampled context.
   trace::ScopedSpan client_call(&host_.span_sink(), "client.call", hdr->trace,
                                 /*adopt_span_id=*/true);
-  Buffer effective;
+  SlotRef target;
   Buffer reply;
   {
     trace::ScopedSpan dispatch(&host_.span_sink(), "surrogate.dispatch");
-    effective = TranslateSlots(frame);
-    reply = host_.ExecuteWireRequest(effective);
+    // A malformed body leaves `target` without a slot; the executor
+    // answers it with the decode error.
+    (void)ReadSlotRef(op, body, frame.size(), target);
+    const Buffer translated = TranslateSlots(frame, target);
+    reply = host_.ExecuteWireRequest(translated.empty() ? frame
+                                                        : translated);
   }
 
+  marshal::XdrDecoder result(reply);
+  auto reply_hdr = core::DecodeResponseHeader(result);
+  const bool ok = reply_hdr.ok() && reply_hdr->status.ok();
   // A stopping host answers everything kCancelled; park instead so the
   // device sees a dead link and fails over to a live address space.
   // Exception: if the op demonstrably executed (an OK reply raced the
   // shutdown), deliver the ack — discarding it would make the device
   // replay an op whose remote effect is already durable.
-  if (host_.stopped()) {
-    marshal::XdrDecoder reply_dec(reply);
-    auto reply_hdr = core::DecodeResponseHeader(reply_dec);
-    if (!reply_hdr.ok() || !reply_hdr->status.ok()) {
-      kill_conn = true;
-      return Buffer();
-    }
+  if (host_.stopped() && !ok) {
+    kill_conn = true;
+    return Buffer();
   }
-
-  TrackSessionState(effective, reply);
-  // Exactly-once destructive reads: a successful Get on a *remote*
-  // queue dequeued an item whose only copy is now this reply. Journal
-  // the reply into the (replicated) session registry before it is sent,
-  // so if both the reply and this host die, the rehydrated surrogate
-  // answers the device's replay from the journal instead of dequeuing
-  // a second item. Host-owned queues die with the host, so they skip
-  // the journal like MirrorTicket skips the high-water mark.
-  bool journal_redo = false;
-  core::Connection journal_conn;  // the dequeue to commit, iff journal_redo
-  Timestamp journal_ts = 0;
-  if (durable_ && op == core::Op::kGet) {
-    marshal::XdrDecoder body(effective);
-    (void)core::DecodeRequestHeader(body);
-    auto get_req = core::GetReq::Decode(body);
-    marshal::XdrDecoder reply_dec(reply);
-    auto reply_hdr = core::DecodeResponseHeader(reply_dec);
-    journal_redo =
-        get_req.ok() && get_req->is_queue &&
-        QueueId::FromBits(get_req->container_bits).owner() != host_.id() &&
-        reply_hdr.ok() && reply_hdr->status.ok();
-    if (journal_redo) {
-      auto ts = reply_dec.GetI64();
-      if (ts.ok()) {
-        journal_conn = core::Connection(
-            get_req->container_bits, /*is_queue=*/true, get_req->mode,
-            QueueId::FromBits(get_req->container_bits).owner(), get_req->slot);
-        journal_ts = *ts;
-      } else {
-        journal_redo = false;
-      }
-    }
-  }
-  {
-    ds::MutexLock lock(session_mu_);
-    if (ticket > last_executed_ticket_) last_executed_ticket_ = ticket;
-    // Ticket 0 marks an untracked read (the client's post-resume
-    // listener-cache refresh): it must not evict the cached reply the
-    // still-unreplayed in-flight call is about to be answered from.
-    if (ticket != 0) {
-      cached_reply_ticket_ = ticket;
-      cached_reply_ = reply;  // pre-trailer; trailer is appended per send
-    }
-    if (journal_redo) {
-      redo_ticket_ = ticket;
-      redo_payload_ = reply;
-    }
-  }
-  if (journal_redo) {
-    // Full-record mirror carries the redo journal; must complete before
-    // the reply leaves (a failed mirror degrades to at-most-once-per-
-    // live-surrogate, logged by MirrorSession).
-    MirrorSession();
-    m_redo_journaled_->Add();
-    // A journaled read is consumed on delivery: once the reply is
-    // answerable from the journal, the item's only copy is the journal,
-    // so the owner's in-flight entry must not survive — otherwise the
-    // owner's host-death recovery would requeue it (Detach returns
-    // unconsumed in-flight items to the queue head) and the next Get
-    // would deliver it a second time. Commit the dequeue now; if the
-    // commit fails the item may be redelivered after a host death
-    // (at-least-once, logged), which beats silently losing it.
-    const Status committed = host_.Consume(journal_conn, journal_ts);
-    if (!committed.ok()) {
-      DS_LOG(kWarn) << "surrogate " << session_id_
-                    << ": journaled-read dequeue commit failed: " << committed;
-    }
-  } else {
-    MirrorTicket(ticket, op, [&] {
-      marshal::XdrDecoder body(effective);
-      (void)core::DecodeRequestHeader(body);
-      auto bits = body.GetU64();
-      return bits.ok() ? *bits : 0;
-    }());
-  }
+  AfterExecute(op, ticket, target, body, ok, result, reply);
 
   if (edge_faults_ && IsStmOp(op) &&
       edge_faults_->TakeConnectionKill(
@@ -380,56 +278,108 @@ Buffer Surrogate::HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
   return reply;
 }
 
-void Surrogate::TrackSessionState(std::span<const std::uint8_t> request,
-                                  std::span<const std::uint8_t> reply) {
-  marshal::XdrDecoder req_dec(request);
-  auto req_hdr = core::DecodeRequestHeader(req_dec);
-  if (!req_hdr.ok()) return;
-  if (req_hdr->op != core::Op::kAttach && req_hdr->op != core::Op::kDetach &&
-      req_hdr->op != core::Op::kNsRegister &&
-      req_hdr->op != core::Op::kNsUnregister) {
-    return;
-  }
-  marshal::XdrDecoder reply_dec(reply);
-  auto reply_hdr = core::DecodeResponseHeader(reply_dec);
-  if (!reply_hdr.ok() || !reply_hdr->status.ok()) return;
-
+void Surrogate::AfterExecute(core::Op op, std::uint64_t ticket,
+                             const SlotRef& target, marshal::XdrDecoder& body,
+                             bool ok, marshal::XdrDecoder& result,
+                             const Buffer& reply) {
   {
     ds::MutexLock lock(session_mu_);
-    switch (req_hdr->op) {
-      case core::Op::kAttach: {
-        auto req = core::AttachReq::Decode(req_dec);
-        auto slot = reply_dec.GetU32();
-        if (req.ok() && slot.ok()) {
-          attachments_.push_back(Attachment{
-              req->container_bits, req->is_queue, *slot, *slot,
-              static_cast<std::uint8_t>(req->mode), req->label});
-        }
-        break;
-      }
-      case core::Op::kDetach: {
-        auto req = core::DetachReq::Decode(req_dec);
-        if (req.ok()) {
-          std::erase_if(attachments_, [&](const Attachment& a) {
-            return a.container_bits == req->container_bits &&
-                   a.is_queue == req->is_queue && a.slot == req->slot;
-          });
-        }
-        break;
-      }
-      case core::Op::kNsRegister: {
-        auto entry = core::DecodeNsEntry(req_dec);
-        if (entry.ok()) registered_names_.push_back(entry->name);
-        break;
-      }
-      case core::Op::kNsUnregister: {
-        auto req = core::NsLookupReq::Decode(req_dec);
-        if (req.ok()) std::erase(registered_names_, req->name);
-        break;
-      }
-      default:
-        break;
+    if (ticket > last_executed_ticket_) last_executed_ticket_ = ticket;
+    // Ticket 0 marks an untracked read (the client's post-resume
+    // listener-cache refresh): it must not evict the cached reply the
+    // still-unreplayed in-flight call is about to be answered from.
+    if (ticket != 0) {
+      cached_reply_ticket_ = ticket;
+      cached_reply_ = reply;  // pre-trailer; trailer is appended per send
     }
+  }
+  // Every mirror below carries this call's ticket, so a replay of the
+  // call after a failover is acked, not run again.
+  switch (op) {
+    case core::Op::kAttach: {
+      auto req = core::AttachReq::Decode(body);
+      auto slot = result.GetU32();
+      if (!ok || !req.ok() || !slot.ok()) return;
+      ds::MutexLock lock(session_mu_);
+      attachments_.push_back(Attachment{req->container_bits, req->is_queue,
+                                        *slot, *slot,
+                                        static_cast<std::uint8_t>(req->mode),
+                                        req->label});
+      break;
+    }
+    case core::Op::kDetach: {
+      if (!ok) return;
+      ds::MutexLock lock(session_mu_);
+      std::erase_if(attachments_, [&](const Attachment& a) {
+        return a.container_bits == target.container_bits &&
+               a.is_queue == target.is_queue && a.slot == target.slot;
+      });
+      break;
+    }
+    case core::Op::kNsRegister: {
+      auto entry = core::DecodeNsEntry(body);
+      if (!ok || !entry.ok()) return;
+      ds::MutexLock lock(session_mu_);
+      registered_names_.push_back(entry->name);
+      break;
+    }
+    case core::Op::kNsUnregister: {
+      auto req = core::NsLookupReq::Decode(body);
+      if (!ok || !req.ok()) return;
+      ds::MutexLock lock(session_mu_);
+      std::erase(registered_names_, req->name);
+      break;
+    }
+    case core::Op::kGet: {
+      // Exactly-once destructive reads: a successful Get on a *remote*
+      // queue dequeued an item whose only copy is now this reply.
+      // Journal the reply into the (replicated) session registry before
+      // it is sent, so if both the reply and this host die, the
+      // rehydrated surrogate answers the device's replay from the
+      // journal instead of dequeuing a second item. Host-owned queues
+      // die with the host, so they skip the journal like MirrorTicket
+      // skips the high-water mark.
+      const AsId owner = OwnerOf(target.container_bits);
+      if (!ok || !durable_ || !target.is_queue || owner == host_.id()) return;
+      auto ts = result.GetI64();
+      if (!ts.ok()) return;
+      {
+        ds::MutexLock lock(session_mu_);
+        redo_ticket_ = ticket;
+        redo_payload_ = reply;
+      }
+      // Full-record mirror carries the redo journal; must complete
+      // before the reply leaves (a failed mirror degrades to
+      // at-most-once-per-live-surrogate, logged by MirrorSession).
+      MirrorSession();
+      m_redo_journaled_->Add();
+      // A journaled read is consumed on delivery: once the reply is
+      // answerable from the journal, the item's only copy is the
+      // journal, so the owner's in-flight entry must not survive —
+      // otherwise the owner's host-death recovery would requeue it
+      // (Detach returns unconsumed in-flight items to the queue head)
+      // and the next Get would deliver it a second time. Commit the
+      // dequeue now; if the commit fails the item may be redelivered
+      // after a host death (at-least-once, logged), which beats
+      // silently losing it.
+      const Status committed = host_.Consume(
+          core::Connection(target.container_bits, /*is_queue=*/true,
+                           target.mode, owner, target.slot),
+          *ts);
+      if (!committed.ok()) {
+        DS_LOG(kWarn) << "surrogate " << session_id_
+                      << ": journaled-read dequeue commit failed: "
+                      << committed;
+      }
+      return;
+    }
+    case core::Op::kPut:
+    case core::Op::kConsume:
+    case core::Op::kSetFilter:
+      MirrorTicket(ticket, target.container_bits);
+      return;
+    default:
+      return;
   }
   MirrorSession();
 }
@@ -471,25 +421,16 @@ void Surrogate::MirrorSession() {
   }
 }
 
-void Surrogate::MirrorTicket(std::uint64_t ticket, core::Op op,
+void Surrogate::MirrorTicket(std::uint64_t ticket,
                              std::uint64_t container_bits) {
   if (!durable_ || host_.stopped()) return;
   // Only mutations whose effects outlive this host need the durable
   // high-water mark: ops on containers owned by a *peer* address space
-  // (they already pay a CLF round trip) and name-server mutations. An
-  // op on a host-owned container dies with the host anyway, so skipping
-  // the mirror there keeps the single-AS fast path free of extra RPCs.
-  // Attach/Detach/NsRegister/NsUnregister mirror the full record via
-  // TrackSessionState instead.
-  const bool ns_op = op == core::Op::kNsRegister ||
-                     op == core::Op::kNsUnregister;
-  const bool data_op = op == core::Op::kPut || op == core::Op::kConsume ||
-                       op == core::Op::kSetFilter;
-  if (!ns_op && !data_op) return;
-  const AsId target =
-      ns_op ? host_.name_server_as()
-            : ChannelId::FromBits(container_bits).owner();
-  if (target == host_.id()) return;
+  // (they already pay a CLF round trip). An op on a host-owned container
+  // dies with the host anyway, so skipping the mirror there keeps the
+  // single-AS fast path free of extra RPCs. Attach/Detach/NsRegister/
+  // NsUnregister mirror the full record, which carries the ticket.
+  if (OwnerOf(container_bits) == host_.id()) return;
   Status s = host_.SessionTick(session_id_, ticket);
   if (!s.ok()) {
     DS_LOG(kWarn) << "surrogate " << session_id_
@@ -573,22 +514,8 @@ Status Surrogate::Rehydrate(const core::SessionRecord& record) {
   return OkStatus();
 }
 
-Status Surrogate::ServiceResume(std::span<const std::uint8_t> frame) {
-  marshal::XdrDecoder dec(frame);
-  auto hdr = core::DecodeRequestHeader(dec);
-  if (!hdr.ok()) return InternalError("bad resume frame");
-  marshal::XdrEncoder enc;
-  core::EncodeResponseHeader(enc, hdr->request_id, OkStatus());
-  ResumeResp resp;
-  resp.host_as = AsIndex(host_.id());
-  resp.session_id = session_id_;
-  {
-    ds::MutexLock lock(session_mu_);
-    resp.last_executed_ticket = last_executed_ticket_;
-    resp.remaps = slot_remaps_;
-  }
-  EncodeResumeResp(enc, resp);
-  Buffer reply = enc.Take();
+Status Surrogate::ServiceResume(std::uint64_t request_id) {
+  Buffer reply = ResumeReply(request_id);
   AppendNoticeTrailer(reply);
   return conn_.SendFrame(reply);
 }
@@ -635,11 +562,6 @@ Status Surrogate::Reap() {
   return OkStatus();
 }
 
-std::size_t Surrogate::tracked_attachments() const {
-  ds::MutexLock lock(session_mu_);
-  return attachments_.size();
-}
-
 std::uint64_t Surrogate::last_executed_ticket() const {
   ds::MutexLock lock(session_mu_);
   return last_executed_ticket_;
@@ -655,9 +577,9 @@ void Surrogate::Park() {
   state_.compare_exchange_strong(expected, State::kParked);
 }
 
-Status Surrogate::ServiceHello(std::span<const std::uint8_t> frame) {
-  Buffer reply = HandleHello(frame);
-  if (reply.empty()) return InternalError("bad hello frame");
+Status Surrogate::ServiceHello(std::uint64_t request_id,
+                               const HelloReq& hello) {
+  Buffer reply = HandleHello(request_id, hello);
   AppendNoticeTrailer(reply);
   MirrorSession();
   return conn_.SendFrame(reply);

@@ -58,9 +58,9 @@ class Surrogate {
   Surrogate(const Surrogate&) = delete;
   Surrogate& operator=(const Surrogate&) = delete;
 
-  // Replies to the already-received Hello frame (the Listener reads it
-  // to learn the device's preferred address space before binding).
-  Status ServiceHello(std::span<const std::uint8_t> frame);
+  // Replies to the already-received Hello (the Listener reads it to
+  // learn the device's preferred address space before binding).
+  Status ServiceHello(std::uint64_t request_id, const HelloReq& hello);
 
   // Services the device until Bye, connection loss, or Stop(). Runs on
   // the thread the Listener dedicates to this surrogate.
@@ -69,7 +69,6 @@ class Surrogate {
 
   State state() const { return state_.load(); }
   std::uint64_t session_id() const { return session_id_; }
-  const std::string& client_name() const { return client_name_; }
   // Valid once parked: when the device was last heard from.
   TimePoint parked_since() const { return parked_since_; }
   bool host_stopped() const { return host_.stopped(); }
@@ -83,8 +82,8 @@ class Surrogate {
   // interests and registered names. Old-slot -> new-slot remaps are
   // kept so replayed and future device calls are translated.
   Status Rehydrate(const core::SessionRecord& record);
-  // Answers the already-received Resume frame (remaps + last ticket).
-  Status ServiceResume(std::span<const std::uint8_t> frame);
+  // Answers the already-received Resume (remaps + last ticket).
+  Status ServiceResume(std::uint64_t request_id);
   // Marks a surrogate that lost its session to a migrated successor:
   // terminal kReaped without detaching anything (its host is dead) and
   // without dropping the registry record (the successor owns it now).
@@ -98,7 +97,6 @@ class Surrogate {
   // parked surrogate; transitions it to kReaped.
   Status Reap();
 
-  std::size_t tracked_attachments() const;
   std::uint64_t last_executed_ticket() const;
 
  private:
@@ -107,20 +105,40 @@ class Surrogate {
   // asks for the connection to be dropped instead of replying.
   Buffer HandleFrame(std::span<const std::uint8_t> frame, bool& bye,
                      bool& kill_conn);
-  Buffer HandleHello(std::span<const std::uint8_t> frame);
+  Buffer HandleHello(std::uint64_t request_id, const HelloReq& hello);
+  Buffer ResumeReply(std::uint64_t request_id);
   void AppendNoticeTrailer(Buffer& reply);
-  // Inspects a successful STM request/reply pair to maintain the
-  // device's session state for Reap() and the session registry.
-  void TrackSessionState(std::span<const std::uint8_t> request,
-                         std::span<const std::uint8_t> reply);
-  // Rewrites slots in a device request through the post-migration
-  // remap table (identity when the table is empty).
-  Buffer TranslateSlots(std::span<const std::uint8_t> frame);
+
+  // The connection a slot-addressed request (kDetach, kPut, kGet,
+  // kConsume, kSetFilter) names, read in one pass over the body's
+  // leading fields, and where its slot word sits in the frame.
+  struct SlotRef {
+    std::uint64_t container_bits = 0;
+    bool is_queue = false;
+    core::ConnMode mode = core::ConnMode::kInputOutput;
+    std::uint32_t slot = 0;
+    std::size_t offset = 0;  // 0: the op names no slot
+  };
+  // Reads `ref` from `body`, positioned after the header of a frame of
+  // `frame_size` bytes; leaves it without a slot for any other op.
+  static Status ReadSlotRef(core::Op op, marshal::XdrDecoder& body,
+                            std::size_t frame_size, SlotRef& ref);
+  // The device's frame with its slot rewritten through the
+  // post-migration remap table (and `ref` updated to match), or an
+  // empty buffer when no remap changes the slot.
+  Buffer TranslateSlots(std::span<const std::uint8_t> frame, SlotRef& ref);
+  // The session bookkeeping of one executed STM op, in one switch: the
+  // ticket and reply cache first, then the attachments and names Reap()
+  // releases, the redo journal of a destructive read, and the mirrors
+  // of what changed. `body` is positioned after the header (past the
+  // slot for a slot-addressed op), `result` after the reply header.
+  void AfterExecute(core::Op op, std::uint64_t ticket, const SlotRef& target,
+                    marshal::XdrDecoder& body, bool ok,
+                    marshal::XdrDecoder& result, const Buffer& reply);
   // Mirrors the full session record / the ticket high-water mark into
   // the name server's session registry (no-ops when not durable).
   void MirrorSession();
-  void MirrorTicket(std::uint64_t ticket, core::Op op,
-                    std::uint64_t container_bits);
+  void MirrorTicket(std::uint64_t ticket, std::uint64_t container_bits);
   core::SessionRecord SnapshotRecord();
   void Park();
 

@@ -858,13 +858,7 @@ Result<ItemView> AddressSpace::Get(const Connection& conn, GetSpec spec,
     item = DecodeReply(
         Call(conn.owner(), Op::kGet,
              [&req](marshal::XdrEncoder& enc) { req.Encode(enc); }, deadline),
-        [](marshal::XdrDecoder& dec) -> Result<ItemView> {
-          ItemView view;
-          DS_ASSIGN_OR_RETURN(view.timestamp, dec.GetI64());
-          DS_ASSIGN_OR_RETURN(Buffer payload, dec.GetOpaque());
-          view.payload = SharedBuffer(std::move(payload));
-          return view;
-        });
+        DecodeItem<marshal::XdrDecoder>);
   }
   if (item.ok()) m_api_bytes_got_->Add(item->payload.size());
   return item;

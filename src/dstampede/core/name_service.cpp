@@ -47,23 +47,6 @@ Result<NsMutation> DecodeMutationBody(Op op, marshal::XdrDecoder& dec) {
   return m;
 }
 
-Result<std::vector<NsEntry>> DecodeNsEntries(marshal::XdrDecoder& dec) {
-  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetCount(kMinNsEntryBytes));
-  std::vector<NsEntry> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    DS_ASSIGN_OR_RETURN(NsEntry entry, DecodeNsEntry(dec));
-    out.push_back(std::move(entry));
-  }
-  return out;
-}
-
-void EncodeNsEntries(marshal::XdrEncoder& enc,
-                     const std::vector<NsEntry>& entries) {
-  enc.PutU32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& entry : entries) EncodeNsEntry(enc, entry);
-}
-
 }  // namespace
 
 NameService::NameService(const Options& options, metrics::Registry& registry,
@@ -181,7 +164,7 @@ Result<NsEntry> NameService::Lookup(const std::string& name,
   req.deadline_ms = EncodeDeadline(deadline);
   return RouteRead(
       Op::kNsLookup, [&req](marshal::XdrEncoder& enc) { req.Encode(enc); },
-      deadline, local, DecodeNsEntry);
+      deadline, local, DecodeNsEntry<marshal::XdrDecoder>);
 }
 
 Result<std::vector<NsEntry>> NameService::List(const std::string& prefix) {
@@ -194,7 +177,8 @@ Result<std::vector<NsEntry>> NameService::List(const std::string& prefix) {
   req.name = prefix;
   return RouteRead(
       Op::kNsList, [&req](marshal::XdrEncoder& enc) { req.Encode(enc); },
-      Deadline::After(options_.rpc_deadline), local, DecodeNsEntries);
+      Deadline::After(options_.rpc_deadline), local,
+      DecodeNsEntries<marshal::XdrDecoder>);
 }
 
 Status NameService::PutSession(const SessionRecord& record) {
@@ -371,7 +355,7 @@ Buffer NameService::Serve(const RequestHeader& hdr, marshal::XdrDecoder& body,
         return Result<std::vector<NsEntry>>(name_server_->List(req->name));
       };
       return EncodeReply(id, from_peer ? ServeRead(local) : List(req->name),
-                         EncodeNsEntries);
+                         EncodeNsEntries<marshal::XdrEncoder>);
     }
     case Op::kSessionGet: {
       auto req = SessionIdReq::Decode(body);

@@ -138,19 +138,6 @@ Result<SetFilterReq> SetFilterReq::Decode(marshal::XdrDecoder& dec) {
   return req;
 }
 
-Result<NsEntry> DecodeNsEntry(marshal::XdrDecoder& dec) {
-  NsEntry entry;
-  DS_ASSIGN_OR_RETURN(entry.name, dec.GetString());
-  DS_ASSIGN_OR_RETURN(std::uint32_t kind, dec.GetU32());
-  if (kind > 2) return InternalError("bad NsEntry kind");
-  entry.kind = static_cast<NsEntry::Kind>(kind);
-  DS_ASSIGN_OR_RETURN(entry.id_bits, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(entry.meta, dec.GetString());
-  DS_ASSIGN_OR_RETURN(std::uint32_t owner, dec.GetU32());
-  entry.owner_as = static_cast<AsId>(owner);
-  return entry;
-}
-
 Result<SessionRecord> DecodeSessionRecord(marshal::XdrDecoder& dec) {
   SessionRecord rec;
   DS_ASSIGN_OR_RETURN(rec.session_id, dec.GetU64());
@@ -331,29 +318,6 @@ Result<RepFetchResp> RepFetchResp::Decode(marshal::XdrDecoder& dec) {
     resp.entries.push_back(std::move(entry));
   }
   return resp;
-}
-
-Result<ResponseHeader> DecodeResponseHeader(marshal::XdrDecoder& dec) {
-  DS_ASSIGN_OR_RETURN(std::uint32_t op, dec.GetU32());
-  if (static_cast<Op>(op) != Op::kReply) {
-    return InternalError("expected reply frame");
-  }
-  ResponseHeader hdr;
-  DS_ASSIGN_OR_RETURN(hdr.request_id, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(std::uint32_t code, dec.GetU32());
-  DS_ASSIGN_OR_RETURN(std::string message, dec.GetString());
-  hdr.status = Status(static_cast<StatusCode>(code), std::move(message));
-  return hdr;
-}
-
-Result<GcNotice> DecodeGcNotice(marshal::XdrDecoder& dec) {
-  GcNotice notice;
-  DS_ASSIGN_OR_RETURN(notice.container_bits, dec.GetU64());
-  DS_ASSIGN_OR_RETURN(notice.is_queue, dec.GetBool());
-  DS_ASSIGN_OR_RETURN(notice.timestamp, dec.GetI64());
-  DS_ASSIGN_OR_RETURN(std::uint64_t size, dec.GetU64());
-  notice.payload_size = size;
-  return notice;
 }
 
 }  // namespace dstampede::core

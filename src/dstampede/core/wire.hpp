@@ -235,10 +235,39 @@ void EncodeNsEntry(Enc& enc, const NsEntry& entry) {
   enc.PutString(entry.meta);
   enc.PutU32(AsIndex(entry.owner_as));
 }
-Result<NsEntry> DecodeNsEntry(marshal::XdrDecoder& dec);
+template <class Dec>
+Result<NsEntry> DecodeNsEntry(Dec& dec) {
+  NsEntry entry;
+  DS_ASSIGN_OR_RETURN(entry.name, dec.GetString());
+  DS_ASSIGN_OR_RETURN(std::uint32_t kind, dec.GetU32());
+  if (kind > 2) return InternalError("bad NsEntry kind");
+  entry.kind = static_cast<NsEntry::Kind>(kind);
+  DS_ASSIGN_OR_RETURN(entry.id_bits, dec.GetU64());
+  DS_ASSIGN_OR_RETURN(entry.meta, dec.GetString());
+  DS_ASSIGN_OR_RETURN(std::uint32_t owner, dec.GetU32());
+  entry.owner_as = static_cast<AsId>(owner);
+  return entry;
+}
 // Smallest encoding of one entry (empty strings), the bound for a
 // decoded entry count: 4 + 4 + 8 + 4 + 4.
 inline constexpr std::size_t kMinNsEntryBytes = 24;
+// kNsList's result fields: a count, then the entries.
+template <class Enc>
+void EncodeNsEntries(Enc& enc, const std::vector<NsEntry>& entries) {
+  enc.PutU32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& entry : entries) EncodeNsEntry(enc, entry);
+}
+template <class Dec>
+Result<std::vector<NsEntry>> DecodeNsEntries(Dec& dec) {
+  DS_ASSIGN_OR_RETURN(std::uint32_t count, dec.GetCount(kMinNsEntryBytes));
+  std::vector<NsEntry> out;
+  out.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    DS_ASSIGN_OR_RETURN(NsEntry entry, DecodeNsEntry(dec));
+    out.push_back(std::move(entry));
+  }
+  return out;
+}
 
 // SessionRecord codec, used both in kSessionPut requests and in
 // kSessionGet / client-Resume replies.
@@ -440,7 +469,19 @@ struct ResponseHeader {
   Status status;
 };
 // Expects the decoder positioned at the op field.
-Result<ResponseHeader> DecodeResponseHeader(marshal::XdrDecoder& dec);
+template <class Dec>
+Result<ResponseHeader> DecodeResponseHeader(Dec& dec) {
+  DS_ASSIGN_OR_RETURN(std::uint32_t op, dec.GetU32());
+  if (static_cast<Op>(op) != Op::kReply) {
+    return InternalError("expected reply frame");
+  }
+  ResponseHeader hdr;
+  DS_ASSIGN_OR_RETURN(hdr.request_id, dec.GetU64());
+  DS_ASSIGN_OR_RETURN(std::uint32_t code, dec.GetU32());
+  DS_ASSIGN_OR_RETURN(std::string message, dec.GetString());
+  hdr.status = Status(static_cast<StatusCode>(code), std::move(message));
+  return hdr;
+}
 
 // Fully-encoded replies, shared by the synchronous dispatch path and
 // the deferred-completion path (which encodes on whatever thread
@@ -448,6 +489,15 @@ Result<ResponseHeader> DecodeResponseHeader(marshal::XdrDecoder& dec);
 Buffer EncodeStatusReply(std::uint64_t request_id, const Status& status);
 // Successful kGet reply: status header + timestamp + payload.
 Buffer EncodeItemReply(std::uint64_t request_id, const ItemView& item);
+// The inverse of EncodeItemReply's result fields.
+template <class Dec>
+Result<ItemView> DecodeItem(Dec& dec) {
+  ItemView item;
+  DS_ASSIGN_OR_RETURN(item.timestamp, dec.GetI64());
+  DS_ASSIGN_OR_RETURN(Buffer payload, dec.GetOpaque());
+  item.payload = SharedBuffer(std::move(payload));
+  return item;
+}
 // The reply that carries `result`: its status alone when it failed,
 // else an ok header and the result fields `encode(enc, value)` writes.
 template <typename T, typename EncodeFields>
@@ -484,7 +534,16 @@ void EncodeGcNotice(Enc& enc, const GcNotice& notice) {
   enc.PutI64(notice.timestamp);
   enc.PutU64(notice.payload_size);
 }
-Result<GcNotice> DecodeGcNotice(marshal::XdrDecoder& dec);
+template <class Dec>
+Result<GcNotice> DecodeGcNotice(Dec& dec) {
+  GcNotice notice;
+  DS_ASSIGN_OR_RETURN(notice.container_bits, dec.GetU64());
+  DS_ASSIGN_OR_RETURN(notice.is_queue, dec.GetBool());
+  DS_ASSIGN_OR_RETURN(notice.timestamp, dec.GetI64());
+  DS_ASSIGN_OR_RETURN(std::uint64_t size, dec.GetU64());
+  notice.payload_size = size;
+  return notice;
+}
 // Encoded size of one notice, the bound for a decoded notice count:
 // 8 + 4 + 8 + 8.
 inline constexpr std::size_t kGcNoticeBytes = 28;

@@ -446,6 +446,46 @@ TEST_F(ResilienceTest, TransparentReconnectIsExactlyOnce) {
             StatusCode::kTimeout);
 }
 
+// The registry's copy of a session carries the ticket of the call that
+// changed it. A Detach whose reply and host are both lost is acked by
+// ticket after the failover, never run again, so its mirror must carry
+// its own ticket. A device NsRegister mirrors the record once, ticket
+// included: the routed register and the record put, no ticket RPC.
+TEST_F(ResilienceTest, SessionMirrorCarriesTheTicketOfTheCallThatChangedIt) {
+  Start();
+  auto client = JoinC(/*preferred_as=*/1);  // Hello is id 1
+  ASSERT_EQ(client->host_as(), rt_->as(1).id());
+  ASSERT_NE(rt_->as(1).name_server_as(), rt_->as(1).id());
+  auto ch = client->CreateChannel();  // id 2
+  ASSERT_TRUE(ch.ok()) << ch.status();
+  auto conn = client->Connect(*ch, ConnMode::kOutput);  // id 3
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  auto record = rt_->as(0).SessionGet(client->session_id());
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(record->last_executed_ticket, 3u);
+  ASSERT_EQ(record->attachments.size(), 1u);
+
+  ASSERT_TRUE(client->Disconnect(*conn).ok());  // id 4
+  record = rt_->as(0).SessionGet(client->session_id());
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(record->last_executed_ticket, 4u);
+  EXPECT_TRUE(record->attachments.empty());
+
+  const metrics::Counter& remote_calls =
+      rt_->as(1).metrics_registry().GetCounter("api.remote_calls");
+  const auto before = remote_calls.Value();
+  NsEntry entry;
+  entry.name = "mirrored";
+  entry.kind = NsEntry::Kind::kChannel;
+  entry.id_bits = ch->bits();
+  ASSERT_TRUE(client->NsRegister(entry).ok());  // id 5
+  EXPECT_EQ(remote_calls.Value() - before, 2u);
+  record = rt_->as(0).SessionGet(client->session_id());
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(record->last_executed_ticket, 5u);
+  EXPECT_EQ(record->registered_names, std::vector<std::string>{"mirrored"});
+}
+
 TEST_F(ResilienceTest, FailoverToLiveAddressSpaceOnHostDeath) {
   Start();
   // Containers owned by AS 0 so they survive AS 1 (the session's host)

@@ -8,6 +8,7 @@
 #include <limits>
 #include <random>
 
+#include "client_wire_replies.hpp"
 #include "dstampede/client/client.hpp"
 #include "dstampede/client/protocol.hpp"
 #include "dstampede/core/runtime.hpp"
@@ -368,6 +369,99 @@ TEST_P(WireFuzzTest, TruncatedAndCorruptedRequestsAreHandled) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzTest, ::testing::Range(0u, 5u));
+
+// --- mutating client replies -------------------------------------------
+//
+// A client parses whatever answers on its socket. Start from the canned
+// reply to every request a session sends (the client golden test's) and
+// a resume reply, mutate each with WireFuzzTest's recipe, and feed every
+// result through each codec's reply parse with each op's result reader,
+// and through DecodeResumeRespT: each must give a value or a Status.
+
+template <typename Codec>
+class ClientReplyFuzzTest : public ::testing::Test {};
+TYPED_TEST_SUITE(ClientReplyFuzzTest, ClientCodecs);
+
+// The result readers of the client's ops, each applied to `frame`.
+// Returns how many readers produced a value.
+template <typename Dec>
+int ParseWithEveryReader(const Buffer& frame) {
+  const Result<Buffer> reply(frame);
+  std::vector<GcNotice> notices;
+  int values = 0;
+  auto parse = [&](auto read) {
+    if (client::DecodeClientReply<Dec>(reply, read, notices).ok()) ++values;
+  };
+  parse([](Dec&) { return OkStatus(); });                // status only
+  parse([](Dec& dec) -> Status {                         // Hello
+    DS_RETURN_IF_ERROR(dec.GetU32().status());
+    return dec.GetU64().status();
+  });
+  parse([](Dec& dec) { return dec.GetU64(); });          // Create*
+  parse([](Dec& dec) { return dec.GetU32(); });          // Attach
+  parse(DecodeItem<Dec>);                                // Get
+  parse(DecodeNsEntry<Dec>);                             // NsLookup
+  parse(DecodeNsEntries<Dec>);                           // NsList, refresh
+  parse([](Dec& dec) { return dec.GetString(); });       // Metrics
+  parse(client::DecodeResumeRespT<Dec>);                 // Resume
+  Dec dec(frame);
+  if (client::DecodeResumeRespT(dec).ok()) ++values;
+  return values;
+}
+
+Buffer ResumeReply() {
+  client::ResumeResp resp;
+  resp.host_as = 1;
+  resp.session_id = client::golden::kSessionId;
+  resp.last_executed_ticket = 9;
+  resp.remaps = {{client::golden::kChannelBits, false, 3, 4},
+                 {client::golden::kQueueBits, true, 5, 0}};
+  marshal::XdrEncoder enc;
+  EncodeResponseHeader(enc, 7, OkStatus());
+  client::EncodeResumeResp(enc, resp);
+  client::EncodeNoticeTrailer(enc, {GcNotice{1, false, 2, 3}});
+  return enc.Take();
+}
+
+TYPED_TEST(ClientReplyFuzzTest, MutatedRepliesGiveAValueOrAStatus) {
+  using Dec = typename TypeParam::Decoder;
+  std::vector<Buffer> valid;
+  for (const std::uint32_t op : {200u, 11u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u,
+                                 9u, 10u, 12u, 17u, 201u, 202u}) {
+    valid.push_back(client::golden::CannedReply(op, op));
+    // Unmutated, a reply parses under the reader of its own op at least,
+    // except the canned kNsUnregister error.
+    const bool error = op == static_cast<std::uint32_t>(Op::kNsUnregister);
+    EXPECT_EQ(ParseWithEveryReader<Dec>(valid.back()) == 0, error)
+        << "op " << op;
+  }
+  valid.push_back(ResumeReply());
+  EXPECT_GE(ParseWithEveryReader<Dec>(valid.back()), 1) << "resume";
+
+  for (std::uint32_t seed = 0; seed < 5; ++seed) {
+    std::mt19937_64 rng(seed);
+    for (const Buffer& reply : valid) {
+      for (std::size_t len = 0; len <= reply.size(); ++len) {
+        ParseWithEveryReader<Dec>(
+            Buffer(reply.begin(), reply.begin() + static_cast<long>(len)));
+      }
+      for (int round = 0; round < 200; ++round) {
+        Buffer mutated = reply;
+        const int flips = 1 + static_cast<int>(rng() % 8);
+        for (int f = 0; f < flips; ++f) {
+          mutated[rng() % mutated.size()] ^=
+              static_cast<std::uint8_t>(1u << (rng() % 8));
+        }
+        ParseWithEveryReader<Dec>(mutated);
+      }
+    }
+    for (int round = 0; round < 100; ++round) {
+      Buffer noise(rng() % 256);
+      for (auto& b : noise) b = static_cast<std::uint8_t>(rng());
+      ParseWithEveryReader<Dec>(noise);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dstampede::core
