@@ -6,6 +6,7 @@
 // across cluster boundaries. Run with:
 //
 //   federated_clusters [frames=30] [image_kb=8]
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -44,60 +45,79 @@ int main(int argc, char** argv) {
               (*federation)->cluster(0).size(),
               (*federation)->cluster(1).size());
 
+  // Each thread returns whether every call it made and every frame it
+  // checked succeeded; one failure fails the run.
+  std::atomic<bool> failed{false};
+  auto spawn = [&failed](auto body) {
+    return std::thread([&failed, body] {
+      if (!body()) failed.store(true);
+    });
+  };
+
   // Camera joins cluster A.
-  std::thread camera([&] {
+  std::thread camera = spawn([&] {
     client::CClient::Options opts;
     opts.server = (*listener_a)->addr();
     opts.name = "edge-camera";
     auto cam = client::CClient::Join(opts);
-    if (!cam.ok()) return;
+    if (!cam.ok()) return false;
     auto ch = (*cam)->CreateChannel();
-    if (!ch.ok()) return;
-    (void)(*cam)->NsRegister(core::NsEntry{
-        "federated/video", core::NsEntry::Kind::kChannel, ch->bits(),
-        "camera on cluster A"});
+    if (!ch.ok()) return false;
+    if (!(*cam)
+             ->NsRegister(core::NsEntry{"federated/video",
+                                        core::NsEntry::Kind::kChannel,
+                                        ch->bits(), "camera on cluster A"})
+             .ok()) {
+      return false;
+    }
     app::VirtualCamera sensor(0, image_kb * 1024);
     auto out = (*cam)->Connect(*ch, core::ConnMode::kOutput);
-    if (!out.ok()) return;
+    if (!out.ok()) return false;
     for (Timestamp ts = 0; ts < frames; ++ts) {
-      if (!(*cam)->Put(*out, ts, sensor.Grab(ts)).ok()) return;
+      if (!(*cam)->Put(*out, ts, sensor.Grab(ts)).ok()) return false;
     }
     std::printf("  [camera@clusterA] streamed %lld frames\n",
                 static_cast<long long>(frames));
     (void)(*cam)->Leave();
+    return true;
   });
 
   // Analyzer runs in cluster B and reads across the cluster boundary.
   core::AddressSpace& analyzer_as = (*federation)->cluster(1).as(1);
-  std::thread analyzer([&] {
+  std::thread analyzer = spawn([&] {
     auto entry = analyzer_as.NsLookup("federated/video",
                                       Deadline::AfterMillis(10000));
     if (!entry.ok()) {
       std::fprintf(stderr, "lookup: %s\n",
                    entry.status().ToString().c_str());
-      return;
+      return false;
     }
     auto in = analyzer_as.Connect(ChannelId::FromBits(entry->id_bits),
                                   core::ConnMode::kInput, "analyzer@B");
-    if (!in.ok()) return;
+    if (!in.ok()) return false;
     Timestamp validated = 0;
     for (Timestamp ts = 0; ts < frames; ++ts) {
       auto item = analyzer_as.Get(*in, core::GetSpec::Exact(ts),
                                   Deadline::AfterMillis(10000));
-      if (!item.ok()) return;
+      if (!item.ok()) return false;
       auto info = app::InspectFrame(item->payload.span());
-      if (!info.ok() || info->frame_no != ts) return;
-      (void)analyzer_as.ConsumeUntil(*in, ts);
+      if (!info.ok() || info->frame_no != ts) return false;
+      if (!analyzer_as.ConsumeUntil(*in, ts).ok()) return false;
       ++validated;
     }
     std::printf("  [analyzer@clusterB] validated %lld frames across the "
                 "cluster boundary\n",
                 static_cast<long long>(validated));
+    return true;
   });
 
   camera.join();
   analyzer.join();
   (*listener_a)->Shutdown();
   (*federation)->Shutdown();
+  if (failed.load()) {
+    std::fprintf(stderr, "a thread failed a call or rejected a frame\n");
+    return 1;
+  }
   return 0;
 }

@@ -8,6 +8,7 @@
 // counts missed ticks. Run with:
 //
 //   paced_camera [fps=30] [seconds=2] [image_kb=16]
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -36,20 +37,33 @@ int main(int argc, char** argv) {
   std::printf("camera pacing at %.0f fps for %.1fs (%lld frames)\n", fps,
               seconds, static_cast<long long>(frames));
 
+  // Each thread returns whether every call it made and every frame it
+  // checked succeeded; one failure fails the run.
+  std::atomic<bool> failed{false};
+  auto spawn = [&failed](auto body) {
+    return std::thread([&failed, body] {
+      if (!body()) failed.store(true);
+    });
+  };
+
   // Camera end device.
-  std::thread camera_thread([&] {
+  std::thread camera_thread = spawn([&] {
     client::CClient::Options opts;
     opts.server = (*listener)->addr();
     opts.name = "camera";
     auto camera = client::CClient::Join(opts);
-    if (!camera.ok()) return;
+    if (!camera.ok()) return false;
     auto ch = (*camera)->CreateChannel();
-    if (!ch.ok()) return;
-    (void)(*camera)->NsRegister(core::NsEntry{
-        "paced/video", core::NsEntry::Kind::kChannel, ch->bits(),
-        "paced camera stream"});
+    if (!ch.ok()) return false;
+    if (!(*camera)
+             ->NsRegister(core::NsEntry{"paced/video",
+                                        core::NsEntry::Kind::kChannel,
+                                        ch->bits(), "paced camera stream"})
+             .ok()) {
+      return false;
+    }
     auto out = (*camera)->Connect(*ch, core::ConnMode::kOutput);
-    if (!out.ok()) return;
+    if (!out.ok()) return false;
 
     app::VirtualCamera sensor(0, image_kb * 1024);
     std::uint64_t slips = 0;
@@ -63,40 +77,41 @@ int main(int argc, char** argv) {
         });
     pace.Start();
     for (Timestamp frame = 0; frame < frames; ++frame) {
-      if (!(*camera)->Put(*out, frame, sensor.Grab(frame)).ok()) return;
+      if (!(*camera)->Put(*out, frame, sensor.Grab(frame)).ok()) return false;
       (void)pace.Synchronize();
     }
     std::printf("  [camera] %lld frames put, %llu slips\n",
                 static_cast<long long>(frames),
                 static_cast<unsigned long long>(slips));
     (void)(*camera)->Leave();
+    return true;
   });
 
   // Display end device.
-  std::thread display_thread([&] {
+  std::thread display_thread = spawn([&] {
     client::CClient::Options opts;
     opts.server = (*listener)->addr();
     opts.name = "display";
     auto display = client::CClient::Join(opts);
-    if (!display.ok()) return;
+    if (!display.ok()) return false;
     auto entry = (*display)->NsLookup("paced/video", Deadline::AfterMillis(5000));
-    if (!entry.ok()) return;
+    if (!entry.ok()) return false;
     auto in = (*display)->Connect(ChannelId::FromBits(entry->id_bits),
                                   core::ConnMode::kInput);
-    if (!in.ok()) return;
+    if (!in.ok()) return false;
 
     const TimePoint start = Now();
     for (Timestamp frame = 0; frame < frames; ++frame) {
       auto item = (*display)->Get(*in, core::GetSpec::Exact(frame),
                                   Deadline::AfterMillis(10000));
-      if (!item.ok()) return;
+      if (!item.ok()) return false;
       auto info = app::InspectFrame(item->payload.span());
       if (!info.ok() || info->frame_no != frame) {
         std::fprintf(stderr, "frame %lld failed validation\n",
                      static_cast<long long>(frame));
-        return;
+        return false;
       }
-      (void)(*display)->Consume(*in, frame);
+      if (!(*display)->Consume(*in, frame).ok()) return false;
     }
     const double secs = std::chrono::duration<double>(Now() - start).count();
     std::printf("  [display] received %lld validated frames at %.1f fps "
@@ -104,11 +119,16 @@ int main(int argc, char** argv) {
                 static_cast<long long>(frames),
                 secs > 0 ? static_cast<double>(frames) / secs : 0, fps);
     (void)(*display)->Leave();
+    return true;
   });
 
   camera_thread.join();
   display_thread.join();
   (*listener)->Shutdown();
   (*runtime)->Shutdown();
+  if (failed.load()) {
+    std::fprintf(stderr, "a thread failed a call or rejected a frame\n");
+    return 1;
+  }
   return 0;
 }

@@ -7,6 +7,7 @@
 // dropped frames from accumulating in the channels. Run with:
 //
 //   stereo_vision [frames=60] [image_kb=16] [drop_every=7]
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -31,29 +32,43 @@ int main(int argc, char** argv) {
   auto listener = client::Listener::Start(**runtime);
   if (!listener.ok()) return 1;
 
+  // Each thread returns whether every call it made and every frame it
+  // checked succeeded; one failure fails the run.
+  std::atomic<bool> failed{false};
+  auto spawn = [&failed](auto body) {
+    return std::thread([&failed, body] {
+      if (!body()) failed.store(true);
+    });
+  };
+
   auto camera_thread = [&](const char* name, std::uint32_t id,
                            bool drops_frames) {
-    return std::thread([&, name, id, drops_frames] {
+    return spawn([&, name, id, drops_frames] {
       client::CClient::Options opts;
       opts.server = (*listener)->addr();
       opts.name = name;
       auto cam = client::CClient::Join(opts);
-      if (!cam.ok()) return;
+      if (!cam.ok()) return false;
       auto ch = (*cam)->CreateChannel();
-      if (!ch.ok()) return;
-      (void)(*cam)->NsRegister(core::NsEntry{
-          std::string("stereo/") + name, core::NsEntry::Kind::kChannel,
-          ch->bits(), "camera stream"});
+      if (!ch.ok()) return false;
+      if (!(*cam)
+               ->NsRegister(core::NsEntry{std::string("stereo/") + name,
+                                          core::NsEntry::Kind::kChannel,
+                                          ch->bits(), "camera stream"})
+               .ok()) {
+        return false;
+      }
       auto out = (*cam)->Connect(*ch, core::ConnMode::kOutput);
-      if (!out.ok()) return;
+      if (!out.ok()) return false;
       app::VirtualCamera sensor(id, image_kb * 1024);
       for (Timestamp ts = 0; ts < frames; ++ts) {
         if (drops_frames && drop_every > 0 && ts % drop_every == drop_every - 1) {
           continue;  // sensor hiccup: this frame never happened
         }
-        if (!(*cam)->Put(*out, ts, sensor.Grab(ts)).ok()) return;
+        if (!(*cam)->Put(*out, ts, sensor.Grab(ts)).ok()) return false;
       }
       (void)(*cam)->Leave();
+      return true;
     });
   };
 
@@ -62,14 +77,14 @@ int main(int argc, char** argv) {
 
   // Fusion thread on the cluster.
   core::AddressSpace& as = (*runtime)->as(1);
-  std::thread fusion([&] {
+  std::thread fusion = spawn([&] {
     std::vector<core::Connection> inputs;
     for (const char* name : {"stereo/left", "stereo/right"}) {
       auto entry = as.NsLookup(name, Deadline::AfterMillis(10000));
-      if (!entry.ok()) return;
+      if (!entry.ok()) return false;
       auto conn = as.Connect(ChannelId::FromBits(entry->id_bits),
                              core::ConnMode::kInput, "fusion");
-      if (!conn.ok()) return;
+      if (!conn.ok()) return false;
       inputs.push_back(*conn);
     }
     app::TemporalCorrelator correlator(as, std::move(inputs));
@@ -82,7 +97,7 @@ int main(int argc, char** argv) {
       if (!l.ok() || !r.ok() || l->frame_no != r->frame_no) {
         std::fprintf(stderr, "correlation violated at ts=%lld\n",
                      static_cast<long long>(tuple->timestamp));
-        return;
+        return false;
       }
       ++fused;
     }
@@ -91,6 +106,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fused),
                 static_cast<unsigned long long>(correlator.skipped_timestamps()),
                 static_cast<long long>(drop_every));
+    return true;
   });
 
   left.join();
@@ -98,5 +114,9 @@ int main(int argc, char** argv) {
   fusion.join();
   (*listener)->Shutdown();
   (*runtime)->Shutdown();
+  if (failed.load()) {
+    std::fprintf(stderr, "a thread failed a call or rejected a frame\n");
+    return 1;
+  }
   return 0;
 }
