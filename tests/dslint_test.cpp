@@ -45,14 +45,15 @@ std::string Fixture(const char* name) {
 }
 
 // Runs one fixture as if it lived at `rel` inside the repo (the
-// path-based exemptions key off the repo-relative path).
+// path-based exemptions key off the repo-relative path). The lock-order
+// fixtures run against their own table, tests/dslint/lock_hierarchy.md.
 CheckerRun Check(const char* fixture, const char* rel,
           bool with_hierarchy = false) {
   std::string args = "--as-path ";
   args += rel;
   if (with_hierarchy) {
     args += " --hierarchy ";
-    args += DSLINT_REPO_ROOT "/docs/CONCURRENCY.md";
+    args += Fixture("lock_hierarchy.md");
   }
   args += " ";
   args += Fixture(fixture);
@@ -155,6 +156,19 @@ TEST(DslintHierarchy, DocWithoutTableMarkersIsAnError) {
   EXPECT_EQ(2, run.exit_code) << run.output;
   EXPECT_NE(std::string::npos, run.output.find("markers not found"))
       << run.output;
+}
+
+// Stage 1 of scripts/run-tidy.sh, run by ctest so that every build of
+// the suite enforces the product lock table, not only the clang job.
+TEST(DslintSourceTree, SrcAndToolsAreCleanAgainstTheLockTable) {
+  const std::string root = DSLINT_REPO_ROOT;
+  const CheckerRun run =
+      Dslint("--root " + root + " --hierarchy " + root +
+             "/docs/CONCURRENCY.md $(find " + root + "/src " + root +
+             "/tools \\( -name '*.cpp' -o -name '*.hpp' \\)"
+             " -not -path '*/tools/dslint/*' | sort)");
+  EXPECT_EQ(0, run.exit_code) << run.output;
+  EXPECT_NE(std::string::npos, run.output.find(" 0 finding(s)")) << run.output;
 }
 
 }  // namespace
