@@ -62,6 +62,23 @@ Buffer BuildPacket(std::uint8_t type, std::uint8_t flags, std::uint32_t seq,
   return pkt;
 }
 
+// The data packet carrying bytes [offset, offset + kMaxFragmentPayload)
+// of the stream "u32 message length, then the message", so an empty
+// message still sends one fragment.
+Buffer BuildFragment(std::uint32_t seq, std::uint32_t epoch,
+                     std::span<const std::uint8_t> message,
+                     std::size_t offset) {
+  const std::size_t end = std::min(offset + kMaxFragmentPayload,
+                                   4 + message.size());
+  Buffer pkt = BuildPacket(kTypeData, offset == 0 ? kFlagFirstFragment : 0,
+                           seq, /*ack=*/0, epoch, {});
+  pkt.reserve(kHeaderSize + end - offset);
+  if (offset == 0) PutU32(pkt, static_cast<std::uint32_t>(message.size()));
+  pkt.insert(pkt.end(), message.begin() + (offset == 0 ? 0 : offset - 4),
+             message.begin() + (end - 4));
+  return pkt;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Endpoint>> Endpoint::Create(
@@ -104,16 +121,12 @@ void Endpoint::Shutdown() {
     if (receiver_.joinable()) receiver_.join();
     return;
   }
-  // Wake Sends parked on a full window (one may be inside a delivery
-  // upcall, which the join below waits on), then wait out every Send
-  // still writing to the socket: each holds its peer's message_mu.
-  std::vector<std::shared_ptr<ds::Mutex>> streams;
+  // Wait out every Send still writing to the socket; later ones see
+  // stopping_ in their locked section and refuse.
   {
     ds::MutexLock lock(send_mu_);
-    window_cv_.NotifyAll();
-    for (auto& [to, peer] : send_peers_) streams.push_back(peer.message_mu);
+    while (sending_ != 0) sends_drained_cv_.Wait(send_mu_);
   }
-  for (auto& mu : streams) ds::MutexLock fence(*mu);
   // After Close no shm sender can reach deliver_ any more.
   if (shm_ring_) {
     ShmRegistry::Instance().Unregister(addr_);
@@ -156,55 +169,31 @@ void Endpoint::DrainModeledNetwork(TimePoint now) {
 
 void Endpoint::WatchPeer(const transport::SockAddr& peer) {
   ds::MutexLock lock(send_mu_);
-  PeerHealth& h = health_[peer];
-  if (h.last_heard == TimePoint{}) h.last_heard = Now();
-}
-
-void Endpoint::ForgetPeer(const transport::SockAddr& peer) {
-  {
-    ds::MutexLock lock(send_mu_);
-    auto hit = health_.find(peer);
-    if (hit != health_.end()) {
-      hit->second.dead = false;
-      hit->second.epoch_known = false;
-      hit->second.last_heard = Now();
-      hit->second.last_probe = TimePoint{};
-    }
-    auto sit = send_peers_.find(peer);
-    if (sit != send_peers_.end()) {
-      sit->second.unacked.clear();
-      sit->second.next_seq = 0;
-    }
-  }
-  window_cv_.NotifyAll();
+  Peer& p = peers_[peer];
+  if (p.last_heard == TimePoint{}) p.last_heard = Now();
 }
 
 bool Endpoint::IsPeerDead(const transport::SockAddr& peer) const {
   ds::MutexLock lock(send_mu_);
-  auto it = health_.find(peer);
-  return it != health_.end() && it->second.dead;
+  auto it = peers_.find(peer);
+  return it != peers_.end() && it->second.dead;
 }
 
 void Endpoint::DeclarePeerDead(const transport::SockAddr& peer,
                                const char* why) {
   {
     ds::MutexLock lock(send_mu_);
-    PeerHealth& h = health_[peer];
-    if (h.dead) return;
-    h.dead = true;
-    // Drop the ARQ state: pending packets to a dead peer are abandoned,
-    // and a resurrected incarnation expects sequences from zero.
-    auto it = send_peers_.find(peer);
-    if (it != send_peers_.end()) {
-      it->second.unacked.clear();
-      it->second.next_seq = 0;
-    }
+    Peer& p = peers_[peer];
+    if (p.dead) return;
+    p.dead = true;
+    // Drop the ARQ state, sent and queued packets alike: a resurrected
+    // incarnation expects sequences from zero.
+    p.ResetArq();
     m_peers_declared_dead_->Add();
   }
   // Receiver-side state is owned by the receiver thread — which is the
   // only caller of this function.
   recv_peers_.erase(peer);
-  window_cv_.NotifyAll();
   DS_LOG(kWarn) << "CLF: peer " << peer.ToString() << " declared dead ("
                 << why << ")";
   if (on_peer_down_) on_peer_down_(peer);
@@ -216,18 +205,18 @@ bool Endpoint::ObservePeer(const transport::SockAddr& from,
   bool epoch_reset = false;
   {
     ds::MutexLock lock(send_mu_);
-    PeerHealth& h = health_[from];
-    if (!h.epoch_known) {
-      h.epoch_known = true;
-      h.epoch = epoch;
+    Peer& p = peers_[from];
+    if (!p.epoch_known) {
+      p.epoch_known = true;
+      p.epoch = epoch;
       // A peer condemned before any of its packets were heard (it went
       // silent before the first keepalive exchange) has no incarnation
       // on record to hold against it; the first epoch that does arrive
       // is indistinguishable from a restart, so treat it as one rather
       // than shunning the address forever.
-      epoch_reset = h.dead;
-    } else if (h.epoch != epoch) {
-      h.epoch = epoch;
+      epoch_reset = p.dead;
+    } else if (p.epoch != epoch) {
+      p.epoch = epoch;
       epoch_reset = true;
     }
     if (epoch_reset) {
@@ -235,24 +224,17 @@ bool Endpoint::ObservePeer(const transport::SockAddr& from,
       // sequence state tied to the old one so the restarted peer is not
       // poisoned by stale numbering.
       m_epoch_resets_->Add();
-      auto it = send_peers_.find(from);
-      if (it != send_peers_.end()) {
-        it->second.unacked.clear();
-        it->second.next_seq = 0;
-      }
+      p.ResetArq();
     }
-    if (h.dead) {
+    if (p.dead) {
       if (!epoch_reset) return false;  // same incarnation stays dead
-      h.dead = false;
+      p.dead = false;
       resurrected = true;
       m_peers_resurrected_->Add();
     }
-    h.last_heard = Now();
+    p.last_heard = Now();
   }
-  if (epoch_reset) {
-    recv_peers_.erase(from);  // receiver thread owns this state
-    window_cv_.NotifyAll();
-  }
+  if (epoch_reset) recv_peers_.erase(from);  // receiver thread owns this state
   if (resurrected) {
     DS_LOG(kInfo) << "CLF: peer " << from.ToString()
                   << " resurrected with epoch " << epoch;
@@ -265,8 +247,8 @@ bool Endpoint::ObservePeer(const transport::SockAddr& from,
 
 Status Endpoint::Send(const transport::SockAddr& to,
                       std::span<const std::uint8_t> message) {
-  // A CLF send can stall on the ARQ window for as long as the peer is
-  // slow; callers must not enter it holding a lock (PR 2 invariant).
+  // The shm fast path runs the peer's delivery upcall on this thread,
+  // so callers must not enter it holding a lock.
   sync::AssertBlockingAllowed("clf::Endpoint::Send");
   if (stopping_.load()) return CancelledError("endpoint shut down");
   if (message.size() > transport::kMaxFrame) {
@@ -276,66 +258,45 @@ Status Endpoint::Send(const transport::SockAddr& to,
   // Shared-memory fast path for in-process peers.
   if (options_.enable_shm_fastpath) {
     if (auto ring = ShmRegistry::Instance().Lookup(to)) {
+      if (IsPeerDead(to)) return UnavailableError("peer declared dead");
       return ring->Transfer(addr_, message);
     }
   }
 
-  // First fragment payload: u32 total length, then data. Subsequent
-  // fragments: raw data. Empty messages still send one fragment.
-  Buffer first_prefix;
-  PutU32(first_prefix, static_cast<std::uint32_t>(message.size()));
-
-  // One message at a time per peer (fragments must stay contiguous in
-  // the sequence space).
-  std::shared_ptr<ds::Mutex> message_mu;
+  // One locked section sequences the whole message, so concurrent
+  // senders to the same peer never interleave fragments.
+  std::vector<Buffer> admitted;
   {
     ds::MutexLock lock(send_mu_);
-    PeerHealth& h = health_[to];
-    if (h.dead) return UnavailableError("peer declared dead");
-    if (h.last_heard == TimePoint{}) h.last_heard = Now();
-    message_mu = send_peers_[to].message_mu;
-  }
-  ds::MutexLock message_lock(*message_mu);
-
-  std::size_t offset = 0;
-  bool first = true;
-  do {
-    const std::size_t budget =
-        first ? kMaxFragmentPayload - first_prefix.size() : kMaxFragmentPayload;
-    const std::size_t take = std::min(budget, message.size() - offset);
-
-    Buffer payload;
-    payload.reserve((first ? first_prefix.size() : 0) + take);
-    if (first) payload.insert(payload.end(), first_prefix.begin(), first_prefix.end());
-    payload.insert(payload.end(), message.begin() + offset,
-                   message.begin() + offset + take);
-    offset += take;
-
-    std::uint32_t seq;
-    Buffer datagram;
-    {
-      ds::MutexLock lock(send_mu_);
-      SendPeer& peer = send_peers_[to];
-      PeerHealth& h = health_[to];
-      while (!stopping_.load() && !h.dead &&
-             peer.unacked.size() >= options_.window_packets) {
-        window_cv_.Wait(send_mu_);
-      }
-      if (stopping_.load()) return CancelledError("endpoint shut down");
-      if (h.dead) return UnavailableError("peer declared dead");
-      seq = peer.next_seq++;
-      datagram = BuildPacket(kTypeData, first ? kFlagFirstFragment : 0, seq,
-                             /*ack=*/0, epoch_, payload);
-      const TimePoint now = Now();
-      peer.unacked[seq] = SendPeer::Unacked{
-          datagram, now + options_.initial_rto, options_.initial_rto, 0, now};
+    if (stopping_.load()) return CancelledError("endpoint shut down");
+    Peer& peer = peers_[to];
+    if (peer.dead) return UnavailableError("peer declared dead");
+    if (peer.last_heard == TimePoint{}) peer.last_heard = Now();
+    for (std::size_t offset = 0; offset < 4 + message.size();
+         offset += kMaxFragmentPayload) {
+      peer.packets.push_back(
+          {BuildFragment(peer.next_seq++, epoch_, message, offset)});
     }
-    m_data_packets_sent_->Add();
-    WireSend(to, std::move(datagram));
-    first = false;
-  } while (offset < message.size());
-
+    AdmitLocked(peer, Now(), admitted);
+    ++sending_;
+  }
+  for (Buffer& datagram : admitted) WireSend(to, std::move(datagram));
+  ds::MutexLock lock(send_mu_);
+  if (--sending_ == 0 && stopping_.load()) sends_drained_cv_.NotifyAll();
   return OkStatus();
+}
+
+void Endpoint::AdmitLocked(Peer& peer, TimePoint now,
+                           std::vector<Buffer>& out) {
+  while (peer.on_wire < options_.window_packets &&
+         peer.on_wire < peer.packets.size()) {
+    Peer::Packet& packet = peer.packets[peer.on_wire++];
+    packet.sent_at = now;
+    packet.rto = options_.initial_rto;
+    packet.resend_at = now + packet.rto;
+    out.push_back(packet.datagram);
+    m_data_packets_sent_->Add();
+  }
 }
 
 void Endpoint::Deliver(const transport::SockAddr& from, Buffer message) {
@@ -349,28 +310,30 @@ void Endpoint::SendAck(const transport::SockAddr& to, std::uint32_t ack) {
 }
 
 void Endpoint::HandleAck(const transport::SockAddr& from, std::uint32_t ack) {
-  bool opened = false;
+  std::vector<Buffer> admitted;
   {
     ds::MutexLock lock(send_mu_);
-    auto it = send_peers_.find(from);
-    if (it == send_peers_.end()) return;
-    auto& unacked = it->second.unacked;
-    while (!unacked.empty() && unacked.begin()->first < ack) {
-      const SendPeer::Unacked& entry = unacked.begin()->second;
+    Peer& peer = peers_[from];  // ObservePeer made the record
+    const TimePoint now = Now();
+    // Only packets on the wire can be acked.
+    auto oldest = static_cast<std::uint32_t>(peer.next_seq -
+                                             peer.packets.size());
+    for (; peer.on_wire > 0 && oldest < ack; ++oldest) {
+      const Peer::Packet& packet = peer.packets.front();
       // Karn's rule: only fresh (never retransmitted) packets yield an
       // unambiguous round-trip sample.
-      if (entry.retransmits == 0) {
-        metrics::Histogram*& hist = rtt_hist_[from];
-        if (hist == nullptr) {
-          hist = &registry_.GetHistogram("clf.rtt_us." + from.ToString());
+      if (packet.retransmits == 0) {
+        if (peer.rtt == nullptr) {
+          peer.rtt = &registry_.GetHistogram("clf.rtt_us." + from.ToString());
         }
-        hist->Observe(ToMicros(Now() - entry.sent_at));
+        peer.rtt->Observe(ToMicros(now - packet.sent_at));
       }
-      unacked.erase(unacked.begin());
-      opened = true;
+      peer.packets.pop_front();
+      --peer.on_wire;
     }
+    AdmitLocked(peer, now, admitted);
   }
-  if (opened) window_cv_.NotifyAll();
+  for (Buffer& datagram : admitted) WireSend(from, std::move(datagram));
 }
 
 void Endpoint::DeliverInOrderFragment(const transport::SockAddr& from,
@@ -486,40 +449,38 @@ void Endpoint::RetransmitScan() {
   const TimePoint now = Now();
   {
     ds::MutexLock lock(send_mu_);
-    for (auto& [addr, peer] : send_peers_) {
-      auto hit = health_.find(addr);
-      if (hit != health_.end() && hit->second.dead) continue;
-      for (auto& [seq, entry] : peer.unacked) {
-        if (entry.resend_at <= now) {
+    for (auto& [addr, peer] : peers_) {
+      if (peer.dead) continue;
+      // Queued packets have not been sent yet, so the scan stops at
+      // the first of them.
+      for (std::size_t i = 0; i < peer.on_wire; ++i) {
+        Peer::Packet& packet = peer.packets[i];
+        if (packet.resend_at <= now) {
           if (options_.max_retransmits > 0 &&
-              entry.retransmits >= options_.max_retransmits) {
+              packet.retransmits >= options_.max_retransmits) {
             expired.push_back(addr);
             break;
           }
-          ++entry.retransmits;
-          entry.rto = std::min(entry.rto * 2, options_.max_rto);
-          entry.resend_at = now + entry.rto;
-          to_send.emplace_back(addr, entry.datagram);
+          ++packet.retransmits;
+          packet.rto = std::min(packet.rto * 2, options_.max_rto);
+          packet.resend_at = now + packet.rto;
+          to_send.emplace_back(addr, packet.datagram);
         }
       }
-    }
-    if (detection_enabled()) {
-      for (auto& [addr, h] : health_) {
-        if (h.dead) continue;
-        if (h.last_heard == TimePoint{}) {
-          h.last_heard = now;
-          continue;
-        }
-        if (now - h.last_heard >= options_.peer_timeout) {
-          silent.push_back(addr);
-          continue;
-        }
-        if (now - h.last_heard >= options_.keepalive_interval &&
-            (h.last_probe == TimePoint{} ||
-             now - h.last_probe >= options_.keepalive_interval)) {
-          h.last_probe = now;
-          to_probe.push_back(addr);
-        }
+      if (!detection_enabled()) continue;
+      if (peer.last_heard == TimePoint{}) {
+        peer.last_heard = now;
+        continue;
+      }
+      if (now - peer.last_heard >= options_.peer_timeout) {
+        silent.push_back(addr);
+        continue;
+      }
+      if (now - peer.last_heard >= options_.keepalive_interval &&
+          (peer.last_probe == TimePoint{} ||
+           now - peer.last_probe >= options_.keepalive_interval)) {
+        peer.last_probe = now;
+        to_probe.push_back(addr);
       }
     }
   }

@@ -8,20 +8,23 @@
 // Mechanics: messages are fragmented into datagrams (first fragment
 // carries the message length), each datagram carries a per-peer
 // sequence number, the receiver acks cumulatively, the sender keeps a
-// sliding window of unacked packets and retransmits on timeout with
-// exponential backoff. Delivery to the application is exactly-once and
-// in order per peer, regardless of drops, duplicates or reordering
-// underneath (see tests/clf_test.cpp property suite).
+// sliding window of unacked packets on the wire and retransmits on
+// timeout with exponential backoff. Send never waits on the window:
+// fragments past it queue on the peer and go out as acks open it.
+// Delivery to the application is exactly-once and in order per peer,
+// regardless of drops, duplicates or reordering underneath (see
+// tests/clf_test.cpp property suite).
 //
 // Failure detection (cluster extension beyond the paper's §3.3 model):
 // every packet carries the sender's incarnation epoch. When enabled via
 // Options, the endpoint probes idle peers with keepalive pings, bounds
 // retransmission attempts, and declares a peer dead once it exceeds the
 // retransmit budget or stays silent past peer_timeout. Death fails
-// pending sends fast with kUnavailable, wakes window waiters, drops the
-// peer's ARQ state and fires the peer-down upcall. A restarted peer
-// shows up with a fresh epoch: stale sequence state is discarded, the
-// peer is resurrected, and the peer-up upcall fires.
+// later sends fast with kUnavailable, drops the peer's ARQ state (the
+// packets on the wire and those queued behind the window) and fires
+// the peer-down upcall. A restarted peer shows up with a fresh epoch:
+// stale sequence state is discarded, the peer is resurrected, and the
+// peer-up upcall fires.
 //
 // Delivery is push-only: Create takes a DeliverFn, called once per
 // reassembled message in per-peer order, on the receiver thread (UDP)
@@ -34,10 +37,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "dstampede/clf/fault_injector.hpp"
 #include "dstampede/clf/shm_ring.hpp"
@@ -93,11 +98,12 @@ class Endpoint {
   // This endpoint's incarnation number, stamped on every packet.
   std::uint32_t epoch() const { return epoch_; }
 
-  // Reliable ordered send. Blocks while the per-peer window is full;
-  // returns once every fragment has been handed to the wire (delivery
-  // is then guaranteed by retransmission as long as both ends live).
-  // kUnavailable once the peer is dead or its shm ring closed,
-  // kCancelled on shutdown, kInvalidArgument over transport::kMaxFrame.
+  // Reliable ordered send. Never waits on the window: the fragments it
+  // admits go to the wire before it returns, and the rest queue on the
+  // peer until acks open the window (delivery is then guaranteed by
+  // retransmission as long as both ends live). kUnavailable once the
+  // peer is dead or its shm ring closed, kCancelled on shutdown,
+  // kInvalidArgument over transport::kMaxFrame.
   Status Send(const transport::SockAddr& to,
               std::span<const std::uint8_t> message);
 
@@ -105,17 +111,15 @@ class Endpoint {
   // Starts keepalive monitoring of `peer` before any traffic flows
   // (the runtime watches its whole mesh). No-op when probing is off.
   void WatchPeer(const transport::SockAddr& peer);
-  // Clears dead state and ARQ history for `peer` so a later Send
-  // starts fresh (a controller re-admitting a restarted peer).
-  void ForgetPeer(const transport::SockAddr& peer);
   bool IsPeerDead(const transport::SockAddr& peer) const;
 
   // The outgoing-path fault injector; tests and the ablation bench use
   // it to install deterministic partitions.
   FaultInjector& fault_injector() { return injector_; }
 
-  // Wakes blocked senders, closes the shm ring (waiting out transfers
-  // in flight), stops the receiver thread and closes the socket. Unacked
+  // Refuses later Sends and waits out those still writing to the
+  // socket, closes the shm ring (waiting out transfers in flight),
+  // stops the receiver thread and closes the socket. Unacked and queued
   // data is abandoned (the paper's CLF has no teardown handshake
   // either). Must not be called from an upcall.
   void Shutdown();
@@ -125,24 +129,37 @@ class Endpoint {
            DeliverFn deliver, PeerEventCallback on_peer_down,
            PeerEventCallback on_peer_up);
 
-  struct SendPeer {
-    std::uint32_t next_seq = 0;
-    // seq -> (datagram, next retransmit time, current rto)
-    struct Unacked {
+  // Everything the endpoint knows about one peer: the send half of its
+  // ARQ stream, its liveness and its RTT histogram. Records are never
+  // erased; death and epoch changes reset the ARQ part in place.
+  struct Peer {
+    struct Packet {
       Buffer datagram;
-      TimePoint resend_at;
-      Duration rto;
+      TimePoint sent_at{};  // first wire send, for the RTT histogram
+      TimePoint resend_at{};
+      Duration rto{};
       std::size_t retransmits = 0;
-      TimePoint sent_at;  // first wire send, for the RTT histogram
     };
-    std::map<std::uint32_t, Unacked> unacked;
-    // Held across ALL fragments of one message: concurrent senders to
-    // the same peer must not interleave fragments, or the receiver's
-    // reassembly sees a foreign first-fragment mid message. Blocking-
-    // allowed: the holder legitimately waits on the ARQ window (and
-    // thus on the wire) with it held.
-    std::shared_ptr<ds::Mutex> message_mu = std::make_shared<ds::Mutex>(
-        "clf.message_mu", ds::Mutex::kBlockingAllowed);
+    // Unacked packets, oldest first, numbered next_seq - packets.size()
+    // up to next_seq - 1. The first on_wire of them were sent; the rest
+    // wait for the window.
+    std::uint32_t next_seq = 0;
+    std::deque<Packet> packets;
+    std::size_t on_wire = 0;
+    bool dead = false;
+    bool epoch_known = false;
+    std::uint32_t epoch = 0;
+    TimePoint last_heard{};
+    TimePoint last_probe{};
+    // Resolved on the first RTT sample; Histogram::Observe is
+    // lock-free, so recording under send_mu_ is safe.
+    metrics::Histogram* rtt = nullptr;
+
+    void ResetArq() {
+      next_seq = 0;
+      packets.clear();
+      on_wire = 0;
+    }
   };
 
   struct RecvPeer {
@@ -154,16 +171,6 @@ class Endpoint {
     Buffer partial;
   };
 
-  // Liveness view of one peer. Entries are never erased (Send may hold
-  // a reference across a window wait); ForgetPeer resets in place.
-  struct PeerHealth {
-    bool dead = false;
-    bool epoch_known = false;
-    std::uint32_t epoch = 0;
-    TimePoint last_heard{};
-    TimePoint last_probe{};
-  };
-
   void ReceiverLoop();
   void HandleDatagram(const transport::SockAddr& from,
                       std::span<const std::uint8_t> datagram);
@@ -173,6 +180,11 @@ class Endpoint {
                               bool first_fragment);
   void Deliver(const transport::SockAddr& from, Buffer message);
   void SendAck(const transport::SockAddr& to, std::uint32_t ack);
+  // Moves packets of `peer` from its queue onto the wire while the
+  // window has room: copies of their datagrams go to `out`, for the
+  // caller to write once it releases send_mu_.
+  void AdmitLocked(Peer& peer, TimePoint now, std::vector<Buffer>& out)
+      DS_REQUIRES(send_mu_);
   void RetransmitScan();
   // Applies fault injection and writes datagrams to the socket.
   void WireSend(const transport::SockAddr& to, Buffer datagram);
@@ -185,8 +197,8 @@ class Endpoint {
   // ignored (same-incarnation traffic from a peer already declared
   // dead). Runs on the receiver thread.
   bool ObservePeer(const transport::SockAddr& from, std::uint32_t epoch);
-  // Marks the peer dead, drops its state, wakes waiters, fires the
-  // callback. Runs on the receiver thread.
+  // Marks the peer dead, drops its ARQ state, fires the callback. Runs
+  // on the receiver thread.
   void DeclarePeerDead(const transport::SockAddr& peer, const char* why);
   bool detection_enabled() const {
     return options_.keepalive_interval > Duration::zero() &&
@@ -226,18 +238,11 @@ class Endpoint {
   std::uint32_t epoch_ = 0;
 
   mutable ds::Mutex send_mu_{"clf.send_mu"};
-  ds::CondVar window_cv_;
-  std::unordered_map<transport::SockAddr, SendPeer> send_peers_
-      DS_GUARDED_BY(send_mu_);
-  // Per-peer RTT histograms, sampled from the send of a fresh data
-  // packet to its cumulative ack; retransmitted packets are excluded
-  // (Karn's rule: their RTT is ambiguous). The cache avoids a registry
-  // name lookup per ack; Histogram::Observe is lock-free, so recording
-  // under send_mu_ is safe.
-  std::unordered_map<transport::SockAddr, metrics::Histogram*> rtt_hist_
-      DS_GUARDED_BY(send_mu_);
-  std::unordered_map<transport::SockAddr, PeerHealth> health_
-      DS_GUARDED_BY(send_mu_);
+  std::unordered_map<transport::SockAddr, Peer> peers_ DS_GUARDED_BY(send_mu_);
+  // Sends between their locked section and the end of their wire
+  // writes; Shutdown waits for zero before it closes the socket.
+  std::size_t sending_ DS_GUARDED_BY(send_mu_) = 0;
+  ds::CondVar sends_drained_cv_;
 
   // Receiver-side state is touched only by the receiver thread; it is
   // deliberately unguarded (single-owner data, see ReceiverLoop).

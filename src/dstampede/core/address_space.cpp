@@ -174,7 +174,6 @@ void AddressSpace::AddPeer(AsId peer, const transport::SockAddr& addr) {
     ds::MutexLock lock(peers_mu_);
     peers_[AsIndex(peer)] = addr;
     peer_by_addr_[addr] = peer;
-    dead_peers_.erase(AsIndex(peer));  // re-adding re-admits
   }
   // Start liveness monitoring before any traffic flows (no-op unless
   // failure detection is configured).
@@ -182,8 +181,8 @@ void AddressSpace::AddPeer(AsId peer, const transport::SockAddr& addr) {
 }
 
 bool AddressSpace::IsPeerDown(AsId peer) const {
-  ds::MutexLock lock(peers_mu_);
-  return dead_peers_.count(AsIndex(peer)) != 0;
+  auto addr = PeerAddr(peer);
+  return addr.ok() && endpoint_->IsPeerDead(*addr);
 }
 
 void AddressSpace::OnPeerDown(const transport::SockAddr& addr) {
@@ -193,7 +192,6 @@ void AddressSpace::OnPeerDown(const transport::SockAddr& addr) {
     auto it = peer_by_addr_.find(addr);
     if (it == peer_by_addr_.end()) return;  // not a known peer AS
     dead = it->second;
-    dead_peers_.insert(AsIndex(dead));
   }
   DS_LOG(kWarn) << "AS" << AsIndex(options_.id) << ": peer AS"
                 << AsIndex(dead) << " (" << addr.ToString()
@@ -271,7 +269,6 @@ void AddressSpace::OnPeerUp(const transport::SockAddr& addr) {
     auto it = peer_by_addr_.find(addr);
     if (it == peer_by_addr_.end()) return;
     peer = it->second;
-    if (dead_peers_.erase(AsIndex(peer)) == 0) return;  // was never down
   }
   DS_LOG(kInfo) << "AS" << AsIndex(options_.id) << ": peer AS"
                 << AsIndex(peer) << " resurrected with a new incarnation";
@@ -305,9 +302,6 @@ Result<Buffer> AddressSpace::Call(AsId target, Op op, const BodyFn& body,
   if (stopping_.load()) return CancelledError("address space shut down");
   m_api_remote_calls_->Add();
   DS_ASSIGN_OR_RETURN(transport::SockAddr addr, PeerAddr(target));
-  if (IsPeerDown(target)) {
-    return UnavailableError("peer address space declared dead");
-  }
 
   const std::uint64_t id = next_request_id_.fetch_add(1);
   marshal::XdrEncoder enc(size_hint);
@@ -415,8 +409,7 @@ void AddressSpace::DispatchRequest(const transport::SockAddr& from,
     }
   };
   if (!dispatcher_->Submit(std::move(task))) {
-    // Refused on the delivering thread; this Send is the one wait the
-    // delivery path allows, and Endpoint::Shutdown releases it.
+    // Refused on the delivering thread.
     m_dropped_or_expired_->Add();
     DS_LOG(kWarn) << "AS" << AsIndex(options_.id)
                   << ": dispatcher rejected request " << hdr.request_id

@@ -16,7 +16,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "dstampede/clf/endpoint.hpp"
@@ -333,8 +332,7 @@ class AddressSpace {
   // The CLF delivery upcall, on the endpoint's receiver thread (UDP)
   // or the sender's thread (shm). It decodes the header once: a reply
   // completes its call's waiter inline, and a request goes to
-  // DispatchRequest. Never blocks, except for DispatchRequest's refusal
-  // Send, which Endpoint::Shutdown wakes.
+  // DispatchRequest. Never waits.
   void OnMessage(const transport::SockAddr& from, Buffer message);
   // Queues a request on the pool, which serves its op fields (from
   // `body_offset` on) under the decoded header; or refuses it once the
@@ -412,7 +410,6 @@ class AddressSpace {
       DS_GUARDED_BY(peers_mu_);
   std::unordered_map<transport::SockAddr, AsId> peer_by_addr_
       DS_GUARDED_BY(peers_mu_);
-  std::unordered_set<std::uint32_t> dead_peers_ DS_GUARDED_BY(peers_mu_);
 
   // Leaf lock: held only to copy the observer list, never while firing.
   ds::Mutex peer_observers_mu_{"as.peer_observers_mu"};

@@ -131,10 +131,29 @@ TEST(ClfFailureTest, SilentWatchedPeerDeclaredDeadByKeepalive) {
   a->WatchPeer(dead_addr);  // no traffic ever flows
   ASSERT_TRUE(WaitFor([&] { return a->IsPeerDead(dead_addr); }, Millis(5000)));
   EXPECT_GE(a.registry->GetCounter("clf.keepalive_probes_sent").Value(), 1u);
+}
 
-  // Manual override re-admits the address.
-  a->ForgetPeer(dead_addr);
-  EXPECT_FALSE(a->IsPeerDead(dead_addr));
+TEST(ClfFailureTest, DeadPeerDropsPacketsWaitingForTheWindow) {
+  Endpoint::Options opts = Detecting();
+  opts.window_packets = 2;
+  auto a = MakeEndpoint(opts);
+  auto b = MakeEndpoint(Detecting());
+  a->fault_injector().Partition(b->addr());
+  b->fault_injector().Partition(a->addr());
+
+  // Nine fragments: two go to the wire, seven queue behind the window.
+  const Buffer nine_fragments(8 * 60000 + 1000);
+  ASSERT_TRUE(a->Send(b->addr(), nine_fragments).ok())
+      << "a Send past the window must not wait for it";
+  EXPECT_EQ(a.registry->GetCounter("clf.data_packets_sent").Value(), 2u);
+
+  ASSERT_TRUE(WaitFor([&] { return a->IsPeerDead(b->addr()); }, Millis(5000)))
+      << "peer never declared dead";
+  // Death dropped the queued fragments with the rest of the ARQ state;
+  // none of them was sent.
+  EXPECT_EQ(a.registry->GetCounter("clf.data_packets_sent").Value(), 2u);
+  Status send = a->Send(b->addr(), Buffer{1});
+  EXPECT_EQ(send.code(), StatusCode::kUnavailable) << send;
 }
 
 TEST(ClfFailureTest, RestartedPeerResurrectsWithNewEpoch) {
