@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -618,6 +619,44 @@ TEST(ScenarioSwarmTest, NsFailoverExactlyOnceDestructiveRead) {
   auto st = std::make_shared<NsFailoverState>();
   SimController sim(seed);
 
+  // Every exit, an ASSERT's early return included, runs the driven
+  // teardown and then joins the threads the test started, before `sim`
+  // goes away: tearing the runtime down with nobody advancing virtual
+  // time wedges, and the runtime's threads wait on sim's clock.
+  auto got_first = std::make_shared<std::atomic<bool>>(false);
+  auto hosts_down = std::make_shared<std::atomic<bool>>(false);
+  std::thread getter;
+  std::thread killer;
+  struct Teardown {
+    std::function<void()> run;
+    ~Teardown() { run(); }
+  } teardown{[&] {
+    if (!DriveToCompletion(sim, [st] {
+          if (st->client) (void)st->client->Leave();
+          if (st->listener) st->listener->Shutdown();
+          if (st->rt) st->rt->Shutdown();
+        })) {
+      ADD_FAILURE() << "teardown wedged past the drive budget";
+    }
+    if (!getter.joinable() && !killer.joinable()) return;
+    // An early exit left them running: their calls return once the
+    // runtime is down, which may still take virtual time.
+    const bool finished = sim.RunUntil(
+        [&] {
+          return (!getter.joinable() || got_first->load()) &&
+                 (!killer.joinable() || hosts_down->load());
+        },
+        Millis(1'200'000));
+    for (std::thread* thread : {&getter, &killer}) {
+      if (!thread->joinable()) continue;
+      if (finished) {
+        thread->join();
+      } else {
+        thread->detach();  // leak rather than hang the whole suite
+      }
+    }
+  }};
+
   const bool setup_done = DriveToCompletion(sim, [st] {
     core::Runtime::Options ropts;
     ropts.num_address_spaces = 5;
@@ -697,8 +736,7 @@ TEST(ScenarioSwarmTest, NsFailoverExactlyOnceDestructiveRead) {
   // the reply crosses. The client must recover the reply, not rerun
   // the dequeue.
   st->edge->ArmConnectionKill(1, clf::FaultInjector::KillPoint::kAfterExecute);
-  auto got_first = std::make_shared<std::atomic<bool>>(false);
-  std::thread getter([st, got_first] {
+  getter = std::thread([st, got_first] {
     st->first = st->client->Get(*st->in, Deadline::AfterMillis(600'000));
     got_first->store(true);
   });
@@ -716,8 +754,7 @@ TEST(ScenarioSwarmTest, NsFailoverExactlyOnceDestructiveRead) {
   // control plane it is recovering through: AS 1 must take the lease
   // and serve the session lookup, and the journaled reply must answer
   // the replayed Get exactly once.
-  auto hosts_down = std::make_shared<std::atomic<bool>>(false);
-  std::thread killer([st, hosts_down] {
+  killer = std::thread([st, hosts_down] {
     st->rt->as(3).Shutdown();
     st->rt->as(0).Shutdown();
     hosts_down->store(true);
@@ -728,9 +765,6 @@ TEST(ScenarioSwarmTest, NsFailoverExactlyOnceDestructiveRead) {
       << "first get never completed across the double death";
   getter.join();
   killer.join();
-  // Everything below is EXPECT + guard, never ASSERT: an early return
-  // here would skip the *driven* teardown at the bottom, and tearing
-  // the runtime down with nobody advancing virtual time wedges.
   EXPECT_TRUE(st->first.ok()) << st->first.status();
   if (st->first.ok()) {
     EXPECT_EQ(st->first->payload.ToString(), std::string(1, '\x01'));
@@ -781,14 +815,6 @@ TEST(ScenarioSwarmTest, NsFailoverExactlyOnceDestructiveRead) {
   EXPECT_GE(replayed, 1u) << "the journaled reply was never replayed";
   sim.Record("nsfailover.journaled=" + std::to_string(journaled));
   sim.Record("nsfailover.replayed=" + std::to_string(replayed));
-
-  if (!DriveToCompletion(sim, [st] {
-        (void)st->client->Leave();
-        st->listener->Shutdown();
-        st->rt->Shutdown();
-      })) {
-    FAIL() << "teardown wedged past the drive budget";
-  }
 }
 
 // --- determinism proof across a full scenario -----------------------------
