@@ -229,6 +229,8 @@ TEST(RepLogTest, StaleLeaderIsFencedByTerm) {
   ASSERT_TRUE(WaitFor([&] { return cluster.node(2).LeaseFresh(); }));
   cluster.Kill(0);
   ASSERT_TRUE(WaitFor([&] { return cluster.node(1).IsLeader(); }));
+  // Node 2 rightly accepts a term-1 heartbeat until it hears of term 2.
+  ASSERT_TRUE(WaitFor([&] { return cluster.node(2).term() >= 2; }));
 
   // A heartbeat from the deposed term-1 leader must be rejected and
   // told the new term.
