@@ -49,8 +49,7 @@ Result<std::unique_ptr<BasicClient<Codec>>> BasicClient<Codec>::Join(
   hello.preferred_as = options.preferred_as;
   BasicClient& c = *client;
   DS_RETURN_IF_ERROR(c.Call(
-      static_cast<core::Op>(ClientOp::kHello),
-      [&hello](Encoder& enc) { hello.Encode(enc); },
+      static_cast<core::Op>(ClientOp::kHello), core::BodyOf(hello),
       Deadline::AfterMillis(10000), [&c](Decoder& dec) -> Status {
         DS_ASSIGN_OR_RETURN(std::uint32_t host, dec.GetU32());
         DS_ASSIGN_OR_RETURN(c.session_id_, dec.GetU64());
@@ -195,15 +194,14 @@ Status BasicClient<Codec>::TryResumeLocked(
   req.last_acked_ticket = last_acked_id_;
   req.preferred_as = options_.preferred_as;
   const std::uint64_t id = NextId();
-  const Buffer request =
-      EncodeRequest(static_cast<core::Op>(ClientOp::kResume), id,
-                    [&req](Encoder& enc) { req.Encode(enc); });
+  const Buffer request = EncodeRequest(
+      static_cast<core::Op>(ClientOp::kResume), id, core::BodyOf(req));
   DS_ASSIGN_OR_RETURN(
       ResumeResp resp,
       DecodeClientReply<Decoder>(
           internal::Exchange(connected, request, id,
                              Deadline::AfterMillis(2000)),
-          DecodeResumeRespT<Decoder>, notices));
+          core::Decode<ResumeResp, Decoder>, notices));
   conn_ = std::move(connected);
   host_as_ = static_cast<AsId>(resp.host_as);
   return OkStatus();
@@ -245,13 +243,13 @@ Status BasicClient<Codec>::RefreshListenerCacheLocked(
   // Request id 0 = untracked read: this refresh may run between a
   // resume and the replay of the in-flight call, and a real ticket
   // would evict the surrogate's cached reply that the replay needs.
-  const Buffer request = EncodeRequest(
-      core::Op::kNsList, 0, [&req](Encoder& enc) { req.Encode(enc); });
+  const Buffer request =
+      EncodeRequest(core::Op::kNsList, 0, core::BodyOf(req));
   DS_ASSIGN_OR_RETURN(
       std::vector<core::NsEntry> entries,
       DecodeClientReply<Decoder>(
           internal::Exchange(conn_, request, 0, Deadline::AfterMillis(2000)),
-          core::DecodeNsEntries<Decoder>, notices));
+          core::Decode<std::vector<core::NsEntry>, Decoder>, notices));
   std::vector<transport::SockAddr> fresh;
   fresh.reserve(entries.size());
   for (const core::NsEntry& entry : entries) {
@@ -310,8 +308,7 @@ Result<std::uint64_t> BasicClient<Codec>::CreateContainer(
   req.capacity = capacity;
   req.debug_name = debug_name;
   return Call(is_queue ? core::Op::kCreateQueue : core::Op::kCreateChannel,
-              [&req](Encoder& enc) { req.Encode(enc); },
-              Deadline::AfterMillis(10000),
+              core::BodyOf(req), Deadline::AfterMillis(10000),
               [](Decoder& dec) { return dec.GetU64(); });
 }
 
@@ -341,8 +338,7 @@ Result<core::Connection> BasicClient<Codec>::ConnectTo(std::uint64_t bits,
   req.mode = mode;
   req.label = std::move(label);
   DS_ASSIGN_OR_RETURN(std::uint32_t slot,
-                      Call(core::Op::kAttach,
-                           [&req](Encoder& enc) { req.Encode(enc); },
+                      Call(core::Op::kAttach, core::BodyOf(req),
                            Deadline::AfterMillis(10000),
                            [](Decoder& dec) { return dec.GetU32(); }));
   // Channel and queue ids share one layout, owner included.
@@ -356,7 +352,7 @@ Status BasicClient<Codec>::Disconnect(const core::Connection& conn) {
   req.container_bits = conn.container_bits();
   req.is_queue = conn.is_queue();
   req.slot = conn.slot();
-  return Call(core::Op::kDetach, [&req](Encoder& enc) { req.Encode(enc); },
+  return Call(core::Op::kDetach, core::BodyOf(req),
               Deadline::AfterMillis(10000), NoResult);
 }
 
@@ -374,8 +370,7 @@ Status BasicClient<Codec>::Put(const core::Connection& conn, Timestamp ts,
   req.ts = ts;
   req.deadline_ms = core::EncodeDeadline(deadline);
   req.payload = std::move(payload);
-  return Call(core::Op::kPut, [&req](Encoder& enc) { req.Encode(enc); },
-              deadline, NoResult);
+  return Call(core::Op::kPut, core::BodyOf(req), deadline, NoResult);
 }
 
 template <typename Codec>
@@ -389,8 +384,8 @@ Result<core::ItemView> BasicClient<Codec>::Get(const core::Connection& conn,
   req.slot = conn.slot();
   req.spec = spec;
   req.deadline_ms = core::EncodeDeadline(deadline);
-  return Call(core::Op::kGet, [&req](Encoder& enc) { req.Encode(enc); },
-              deadline, core::DecodeItem<Decoder>);
+  return Call(core::Op::kGet, core::BodyOf(req),
+              deadline, core::Decode<core::ItemView, Decoder>);
 }
 
 template <typename Codec>
@@ -423,7 +418,7 @@ Status BasicClient<Codec>::ConsumeAt(const core::Connection& conn,
   req.slot = conn.slot();
   req.ts = ts;
   req.until = until;
-  return Call(core::Op::kConsume, [&req](Encoder& enc) { req.Encode(enc); },
+  return Call(core::Op::kConsume, core::BodyOf(req),
               Deadline::AfterMillis(10000), NoResult);
 }
 
@@ -435,14 +430,13 @@ Status BasicClient<Codec>::SetFilter(const core::Connection& conn,
   req.container_bits = conn.container_bits();
   req.slot = conn.slot();
   req.filter = filter;
-  return Call(core::Op::kSetFilter, [&req](Encoder& enc) { req.Encode(enc); },
+  return Call(core::Op::kSetFilter, core::BodyOf(req),
               Deadline::AfterMillis(10000), NoResult);
 }
 
 template <typename Codec>
 Status BasicClient<Codec>::NsRegister(const core::NsEntry& entry) {
-  return Call(core::Op::kNsRegister,
-              [&entry](Encoder& enc) { core::EncodeNsEntry(enc, entry); },
+  return Call(core::Op::kNsRegister, core::BodyOf(entry),
               Deadline::AfterMillis(10000), NoResult);
 }
 
@@ -450,8 +444,7 @@ template <typename Codec>
 Status BasicClient<Codec>::NsUnregister(const std::string& name) {
   core::NsLookupReq req;
   req.name = name;
-  return Call(core::Op::kNsUnregister,
-              [&req](Encoder& enc) { req.Encode(enc); },
+  return Call(core::Op::kNsUnregister, core::BodyOf(req),
               Deadline::AfterMillis(10000), NoResult);
 }
 
@@ -461,8 +454,8 @@ Result<core::NsEntry> BasicClient<Codec>::NsLookup(const std::string& name,
   core::NsLookupReq req;
   req.name = name;
   req.deadline_ms = core::EncodeDeadline(deadline);
-  return Call(core::Op::kNsLookup, [&req](Encoder& enc) { req.Encode(enc); },
-              deadline, core::DecodeNsEntry<Decoder>);
+  return Call(core::Op::kNsLookup, core::BodyOf(req),
+              deadline, core::Decode<core::NsEntry, Decoder>);
 }
 
 template <typename Codec>
@@ -470,15 +463,16 @@ Result<std::vector<core::NsEntry>> BasicClient<Codec>::NsList(
     const std::string& prefix) {
   core::NsLookupReq req;
   req.name = prefix;
-  return Call(core::Op::kNsList, [&req](Encoder& enc) { req.Encode(enc); },
-              Deadline::AfterMillis(10000), core::DecodeNsEntries<Decoder>);
+  return Call(core::Op::kNsList, core::BodyOf(req),
+              Deadline::AfterMillis(10000),
+              core::Decode<std::vector<core::NsEntry>, Decoder>);
 }
 
 template <typename Codec>
 Result<std::string> BasicClient<Codec>::MetricsSnapshot(AsId target) {
   core::MetricsReq req;
   req.target_as = AsIndex(target);
-  return Call(core::Op::kMetrics, [&req](Encoder& enc) { req.Encode(enc); },
+  return Call(core::Op::kMetrics, core::BodyOf(req),
               Deadline::AfterMillis(10000),
               [](Decoder& dec) { return dec.GetString(); });
 }
@@ -492,8 +486,8 @@ Status BasicClient<Codec>::SetGcHandler(std::uint64_t container_bits,
   req.is_queue = is_queue;
   req.enable = handler != nullptr;
   DS_RETURN_IF_ERROR(Call(static_cast<core::Op>(ClientOp::kSetGcInterest),
-                          [&req](Encoder& enc) { req.Encode(enc); },
-                          Deadline::AfterMillis(10000), NoResult));
+                          core::BodyOf(req), Deadline::AfterMillis(10000),
+                          NoResult));
   ds::MutexLock lock(handlers_mu_);
   if (handler) {
     gc_handlers_[container_bits] = std::move(handler);

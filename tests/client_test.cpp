@@ -247,7 +247,7 @@ TEST_F(ClientTest, ParkedByAbruptClose) {
   core::EncodeRequestHeader(enc, static_cast<core::Op>(ClientOp::kHello), 1);
   HelloReq hello;
   hello.name = "abrupt";
-  hello.Encode(enc);
+  core::Encode(enc, hello);
   ASSERT_TRUE(conn->SendFrame(enc.Take()).ok());
   Buffer reply;
   ASSERT_TRUE(conn->RecvFrame(reply, Deadline::AfterMillis(5000)).ok());
@@ -266,7 +266,7 @@ TEST_F(ClientTest, HelloRequiredBeforeAnythingElse) {
   ASSERT_TRUE(conn.ok());
   marshal::XdrEncoder enc;
   core::EncodeRequestHeader(enc, core::Op::kCreateChannel, 1);
-  core::CreateReq{}.Encode(enc);
+  core::Encode(enc, core::CreateReq{});
   ASSERT_TRUE(conn->SendFrame(enc.Take()).ok());
   Buffer reply;
   // The listener drops devices that do not say hello.
@@ -664,7 +664,7 @@ TEST_F(ResilienceTest, ResumeOfEndedOrUnknownSessionReportsNotFound) {
     req.session_id = session_id;
     req.last_acked_ticket = 0;
     req.preferred_as = -1;
-    req.Encode(enc);
+    core::Encode(enc, req);
     EXPECT_TRUE(conn->SendFrame(enc.Take()).ok());
     Buffer reply;
     Status s = conn->RecvFrame(reply, Deadline::AfterMillis(5000));

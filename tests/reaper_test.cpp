@@ -59,7 +59,7 @@ class ReaperTest : public ::testing::Test {
                                 req_id++);
       HelloReq hello;
       hello.name = "doomed";
-      hello.Encode(enc);
+      core::Encode(enc, hello);
       call(enc.Take());
     }
     {
@@ -69,15 +69,15 @@ class ReaperTest : public ::testing::Test {
       req.container_bits = ch.bits();
       req.mode = ConnMode::kInput;
       req.label = "doomed-in";
-      req.Encode(enc);
+      core::Encode(enc, req);
       call(enc.Take());
     }
     {
       marshal::XdrEncoder enc;
       core::EncodeRequestHeader(enc, core::Op::kNsRegister, req_id++);
-      core::EncodeNsEntry(enc, core::NsEntry{"doomed/name",
-                                             core::NsEntry::Kind::kChannel,
-                                             ch.bits(), ""});
+      core::Encode(enc, core::NsEntry{"doomed/name",
+                                      core::NsEntry::Kind::kChannel,
+                                      ch.bits(), ""});
       call(enc.Take());
     }
     conn->Close();  // crash

@@ -387,7 +387,7 @@ TEST_F(TelemetryClusterTest, OldWireFramesInteroperate) {
   plain.PutU64(/*request_id=*/77);
   core::CreateReq req;
   req.debug_name = "legacy";
-  req.Encode(plain);
+  core::Encode(plain, req);
   Buffer reply = rt_->as(0).ExecuteWireRequest(plain.Take());
   marshal::XdrDecoder dec(reply);
   auto hdr = core::DecodeResponseHeader(dec);
@@ -408,7 +408,7 @@ TEST_F(TelemetryClusterTest, OldWireFramesInteroperate) {
   traced.PutU32(trace::TraceContext::kSampled);
   core::CreateReq req2;
   req2.debug_name = "traced";
-  req2.Encode(traced);
+  core::Encode(traced, req2);
   Buffer reply2 = rt_->as(0).ExecuteWireRequest(traced.Take());
   marshal::XdrDecoder dec2(reply2);
   auto hdr2 = core::DecodeResponseHeader(dec2);
@@ -468,7 +468,7 @@ TEST(TelemetryTest, ClfCountersLiveInTheRegistry) {
   core::EncodeRequestHeader(enc, core::Op::kMetrics, 7);
   core::MetricsReq req;
   req.target_as = AsIndex(as0.id());
-  req.Encode(enc);
+  core::Encode(enc, req);
   ASSERT_TRUE((*peer)->Send(as0.clf_addr(), enc.Take()).ok());
   Buffer reply;
   transport::SockAddr from;
