@@ -41,12 +41,6 @@ class Listener {
     // listener creates (reconnect stress tests). Not owned; must
     // outlive the listener.
     clf::FaultInjector* edge_faults = nullptr;
-    // Mirror session state into the name server's session registry so
-    // sessions survive connection drops and host-AS death.
-    bool durable_sessions = true;
-    // How long a Resume waits for the session's old surrogate to
-    // finish parking before giving up on in-place adoption.
-    Duration resume_park_wait = Millis(2000);
   };
 
   static Result<std::unique_ptr<Listener>> Start(core::Runtime& runtime,
