@@ -73,7 +73,6 @@ class AddressSpace {
     std::size_t dispatcher_threads = 8;
     bool shm_fastpath = false;        // CLF fast path for in-process peers
     Duration gc_interval = Millis(20);
-    bool host_name_server = false;    // exactly one AS per application
     clf::FaultInjector::Config faults;
     // Deadline for the runtime's own control-plane RPCs (create-on,
     // attach, detach, consume, ns ops). Data-plane Put/Get keep the
@@ -84,13 +83,13 @@ class AddressSpace {
     std::size_t clf_max_retransmits = 0;           // 0 = retransmit forever
     Duration peer_keepalive_interval = Duration::zero();
     Duration peer_timeout = Duration::zero();
-    // --- control-plane replication (core/replog.hpp) ------------------
-    // When this list names more than one space and contains `id`, this
-    // AS hosts a NameServer replica wired into the leader-lease
-    // replication log (host_name_server is then redundant). Every AS —
-    // replica or not — uses the list to route mutations to the leader
-    // and to fail reads over to a surviving replica; it must be
-    // identical (and sorted) on every space of the application.
+    // --- name service and its replication (core/replog.hpp) ----------
+    // The spaces that hold the name server. This AS holds a NameServer
+    // exactly when `id` is in the list: one entry is the paper's lone
+    // server, more are replicas wired into the leader-lease replication
+    // log. Every AS — holder or not — uses the list to route mutations
+    // to the leader and to fail reads over to a surviving replica; it
+    // must be identical (and sorted) on every space of the application.
     std::vector<AsId> ns_replicas;
     Duration ns_lease = Millis(1200);
     Duration ns_heartbeat = Millis(300);
@@ -109,8 +108,6 @@ class AddressSpace {
   // Tells this AS how to reach a peer (Runtime wires the full mesh; a
   // dynamically joining AS is added to everyone).
   void AddPeer(AsId peer, const transport::SockAddr& addr);
-  // Which AS hosts the name server (may be this one).
-  void SetNameServerAs(AsId ns);
 
   // --- containers ---------------------------------------------------------
   Result<ChannelId> CreateChannel(const ChannelAttr& attr = {});
@@ -206,7 +203,8 @@ class AddressSpace {
   // True once Shutdown() began: the surrogate layer parks its devices
   // instead of letting a dying AS answer them with kCancelled.
   bool stopped() const { return stopping_.load(); }
-  // Which AS hosts the name server (kInvalidAsId if unset).
+  // The first name-server space of Options::ns_replicas (kInvalidAsId
+  // if the list is empty).
   AsId name_server_as() const { return ns_->name_server_as(); }
   // The CLF endpoint's outgoing fault injector; tests and the ablation
   // bench install deterministic partitions through it.

@@ -18,11 +18,10 @@ Result<std::unique_ptr<Federation>> Federation::Create(
 
   auto fed = std::unique_ptr<Federation>(new Federation());
   fed->options_ = options;
-  const AsId global_ns = static_cast<AsId>(0);  // cluster 0, first AS
 
-  // The NameServer replica set lives in cluster 0 (clamped to its
-  // size); every other cluster gets the list verbatim so its spaces
-  // fail over across it.
+  // The name server lives in cluster 0's first spaces (one: the lone
+  // server, or a replica set clamped to its size); every other cluster
+  // gets the list verbatim so its spaces route and fail over across it.
   const std::size_t replica_count =
       std::min(std::max<std::size_t>(options.ns_replicas, 1),
                options.clusters.front().num_address_spaces);
@@ -40,13 +39,11 @@ Result<std::unique_ptr<Federation>> Federation::Create(
     rt_opts.shm_fastpath = spec.shm_fastpath;
     rt_opts.first_as_id =
         static_cast<std::uint32_t>(i) * options.as_id_stride;
-    rt_opts.host_name_server = (i == 0);
-    rt_opts.name_server_as = global_ns;
     if (i == 0) {
       rt_opts.ns_replicas = replica_count;
       rt_opts.ns_lease = options.ns_lease;
       rt_opts.ns_heartbeat = options.ns_heartbeat;
-    } else if (replica_count > 1) {
+    } else {
       rt_opts.ns_replica_ids = fed->ns_replica_ids_;
     }
     rt_opts.clf_max_retransmits = options.clf_max_retransmits;

@@ -26,27 +26,26 @@ Result<AddressSpace*> Runtime::AddAddressSpace() {
   as_opts.dispatcher_threads = options_.dispatcher_threads;
   as_opts.shm_fastpath = options_.shm_fastpath;
   as_opts.gc_interval = options_.gc_interval;
-  as_opts.host_name_server = spaces_.empty() && options_.host_name_server;
-  // Every space — replica or not — carries the replica list so its
-  // name-service calls route to the leader and fail over on replica
-  // death. Spaces added dynamically later use the same (fixed) list.
-  const std::size_t replica_count =
-      options_.host_name_server
-          ? std::min(std::max<std::size_t>(options_.ns_replicas, 1),
-                     std::max<std::size_t>(options_.num_address_spaces, 1))
-          : 0;
-  if (!options_.ns_replica_ids.empty()) {
-    // Federation secondary: the replicas live in another cluster.
-    as_opts.ns_replicas = options_.ns_replica_ids;
-  } else if (replica_count > 1) {
+  // Every space — name-server holder or not — carries the replica list
+  // so its name-service calls route to the leader and fail over on
+  // replica death. Spaces added dynamically later use the same (fixed)
+  // list. Without another cluster's list, the name server lives in this
+  // cluster's first spaces.
+  const bool own_ns = options_.ns_replica_ids.empty();
+  if (own_ns) {
+    const std::size_t replica_count =
+        std::min(std::max<std::size_t>(options_.ns_replicas, 1),
+                 std::max<std::size_t>(options_.num_address_spaces, 1));
     for (std::size_t i = 0; i < replica_count; ++i) {
       as_opts.ns_replicas.push_back(
           static_cast<AsId>(options_.first_as_id +
                             static_cast<std::uint32_t>(i)));
     }
-    as_opts.ns_lease = options_.ns_lease;
-    as_opts.ns_heartbeat = options_.ns_heartbeat;
+  } else {
+    as_opts.ns_replicas = options_.ns_replica_ids;
   }
+  as_opts.ns_lease = options_.ns_lease;
+  as_opts.ns_heartbeat = options_.ns_heartbeat;
   as_opts.faults = options_.faults;
   as_opts.internal_rpc_deadline = options_.internal_rpc_deadline;
   as_opts.clf_max_retransmits = options_.clf_max_retransmits;
@@ -59,16 +58,12 @@ Result<AddressSpace*> Runtime::AddAddressSpace() {
     existing->AddPeer(space->id(), space->clf_addr());
     space->AddPeer(existing->id(), existing->clf_addr());
   }
-  const AsId ns = options_.name_server_as == kInvalidAsId
-                      ? static_cast<AsId>(options_.first_as_id)
-                      : options_.name_server_as;
-  space->SetNameServerAs(ns);
   // Advertise the sys/metrics endpoint so tools (dsctl) can discover
   // every space through the name server. Only when this cluster hosts
   // its own NS: a federation-secondary cluster may not be able to
   // reach its NS yet, and a blocking registration here would stall
   // cluster bring-up.
-  if (options_.host_name_server) {
+  if (own_ns) {
     Status advertised = space->AdvertiseMetrics();
     if (!advertised.ok()) {
       DS_LOG(kWarn) << "sys/metrics advertisement failed: "

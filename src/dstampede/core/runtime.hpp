@@ -26,23 +26,19 @@ class Runtime {
     Duration gc_interval = Millis(20);
     clf::FaultInjector::Config faults;
     // Multi-cluster support (Federation): the base of this cluster's
-    // AsId range, and whether its first AS hosts the name server. A
-    // standalone cluster keeps the defaults.
+    // AsId range. A standalone cluster keeps the default.
     std::uint32_t first_as_id = 0;
-    bool host_name_server = true;
-    AsId name_server_as = kInvalidAsId;  // invalid: this cluster's AS 0
     // Control-plane HA: the first `ns_replicas` spaces each host a
     // NameServer replica behind the leader-lease replication log
     // (core/replog.hpp); 1 keeps the paper's single name server in
-    // AS 0. Clamped to the cluster size. Only meaningful when this
-    // cluster hosts the name server.
+    // the cluster's first space. Clamped to the cluster size. Only
+    // meaningful when this cluster hosts the name server.
     std::size_t ns_replicas = 1;
     Duration ns_lease = Millis(1200);
     Duration ns_heartbeat = Millis(300);
-    // Federation: explicit replica list of a *remote* name-server
-    // cluster. When set, every space of this cluster routes its
-    // name-service calls across this list (and hosts no replica of its
-    // own); overrides the locally-derived list.
+    // Federation: the name-server list of *another* cluster. When set,
+    // every space of this cluster routes its name-service calls across
+    // it, hosts no name server of its own and advertises nothing.
     std::vector<AsId> ns_replica_ids;
     // Control-plane RPC deadline for every address space (see
     // AddressSpace::Options::internal_rpc_deadline).
