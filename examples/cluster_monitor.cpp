@@ -33,8 +33,8 @@ void PrintAsStats(core::AddressSpace& as) {
       "detach=%-4llu ns=%-4llu\n"
       "      rpc_out=%-6llu served=%-6llu put_MB=%-7.1f got_MB=%-7.1f\n"
       "      stm: puts=%llu gets=%llu reclaimed=%llu\n"
-      "      clf: data_tx=%llu data_rx=%llu retx=%llu acks=%llu dups=%llu "
-      "msgs=%llu shm=%llu\n"
+      "      clf: data_tx=%llu data_rx=%llu retx=%llu acks=%llu "
+      "acks_on_data=%llu dups=%llu msgs=%llu shm=%llu\n"
       "      gc : sweeps=%llu notices=%llu\n",
       AsIndex(as.id()), n("api.puts"), n("api.gets"), n("api.consumes"),
       n("api.attaches"), n("api.detaches"), n("api.ns_ops"),
@@ -42,7 +42,8 @@ void PrintAsStats(core::AddressSpace& as) {
       mb("api.bytes_got"), n("stm.puts"), n("stm.gets"),
       n("stm.reclaimed_items"), n("clf.data_packets_sent"),
       n("clf.data_packets_received"), n("clf.retransmissions"),
-      n("clf.acks_sent"), n("clf.duplicates_discarded"),
+      n("clf.acks_sent"), n("clf.acks_piggybacked"),
+      n("clf.duplicates_discarded"),
       n("clf.messages_delivered"), n("clf.shm_messages"),
       static_cast<unsigned long long>(as.gc().sweeps()),
       static_cast<unsigned long long>(as.gc().notices_total()));

@@ -20,6 +20,12 @@ constexpr std::uint8_t kFlagFirstFragment = 0x01;
 constexpr std::size_t kHeaderSize = 16;
 // Payload budget per datagram (the paper caps UDP messages at ~64 KB).
 constexpr std::size_t kMaxFragmentPayload = 60000;
+// A long in-order stream is acked at least this often, so the sender's
+// window keeps opening while the receiver has not read its socket empty.
+constexpr std::uint32_t kAckEveryPackets = 16;
+// The receiver reads at most this many datagrams before it pays owed
+// acks and runs its retransmit scan, so a flood cannot starve either.
+constexpr int kMaxDatagramsPerDrain = 64;
 
 // Incarnation numbers: random per process, monotone within it, so a
 // restarted endpoint on the same port never repeats its predecessor's.
@@ -47,6 +53,13 @@ std::uint32_t ReadU32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
 }
 
+// Writes the cumulative ack into a built packet's header.
+void StampAck(Buffer& packet, std::uint32_t ack) {
+  for (int i = 0; i < 4; ++i) {
+    packet[8 + i] = static_cast<std::uint8_t>(ack >> (24 - 8 * i));
+  }
+}
+
 Buffer BuildPacket(std::uint8_t type, std::uint8_t flags, std::uint32_t seq,
                    std::uint32_t ack, std::uint32_t epoch,
                    std::span<const std::uint8_t> payload) {
@@ -64,7 +77,8 @@ Buffer BuildPacket(std::uint8_t type, std::uint8_t flags, std::uint32_t seq,
 
 // The data packet carrying bytes [offset, offset + kMaxFragmentPayload)
 // of the stream "u32 message length, then the message", so an empty
-// message still sends one fragment.
+// message still sends one fragment. Its ack is stamped when it goes to
+// the wire.
 Buffer BuildFragment(std::uint32_t seq, std::uint32_t epoch,
                      std::span<const std::uint8_t> message,
                      std::size_t offset) {
@@ -93,6 +107,7 @@ Result<std::unique_ptr<Endpoint>> Endpoint::Create(
     Endpoint* raw = ep.get();
     ep->shm_ring_ = std::make_shared<ShmRing>(
         [raw](const transport::SockAddr& from, Buffer message) {
+          sync::DeliveryThreadScope delivery;
           raw->m_shm_messages_->Add();
           raw->Deliver(from, std::move(message));
         });
@@ -247,9 +262,9 @@ bool Endpoint::ObservePeer(const transport::SockAddr& from,
 
 Status Endpoint::Send(const transport::SockAddr& to,
                       std::span<const std::uint8_t> message) {
-  // The shm fast path runs the peer's delivery upcall on this thread,
-  // so callers must not enter it holding a lock.
-  sync::AssertBlockingAllowed("clf::Endpoint::Send");
+  // Send never waits, but the shm fast path runs the peer's delivery
+  // upcall on this thread, so callers must not enter it holding a lock.
+  sync::AssertNoLockHeld("clf::Endpoint::Send");
   if (stopping_.load()) return CancelledError("endpoint shut down");
   if (message.size() > transport::kMaxFrame) {
     return InvalidArgumentError("clf message over the frame cap");
@@ -288,14 +303,21 @@ Status Endpoint::Send(const transport::SockAddr& to,
 
 void Endpoint::AdmitLocked(Peer& peer, TimePoint now,
                            std::vector<Buffer>& out) {
+  const std::size_t before = out.size();
   while (peer.on_wire < options_.window_packets &&
          peer.on_wire < peer.packets.size()) {
     Peer::Packet& packet = peer.packets[peer.on_wire++];
     packet.sent_at = now;
     packet.rto = options_.initial_rto;
     packet.resend_at = now + packet.rto;
+    StampAck(packet.datagram, peer.ack);
     out.push_back(packet.datagram);
     m_data_packets_sent_->Add();
+  }
+  // The admitted packets carry the ack owed to the peer: that pays it.
+  if (out.size() != before && peer.acks_owed != 0) {
+    peer.acks_owed = 0;
+    m_acks_piggybacked_->Add();
   }
 }
 
@@ -305,8 +327,44 @@ void Endpoint::Deliver(const transport::SockAddr& from, Buffer message) {
 }
 
 void Endpoint::SendAck(const transport::SockAddr& to, std::uint32_t ack) {
-  m_acks_sent_->Add();
   WireSend(to, BuildPacket(kTypeAck, 0, /*seq=*/0, ack, epoch_, {}));
+}
+
+void Endpoint::OweAck(const transport::SockAddr& from, std::uint32_t ack,
+                      std::uint32_t packets) {
+  bool pay_now = false;
+  {
+    ds::MutexLock lock(send_mu_);
+    Peer& peer = peers_[from];  // ObservePeer made the record
+    peer.ack = ack;
+    if (peer.acks_owed == 0) ack_debtors_.push_back(from);
+    peer.acks_owed += packets;
+    if (peer.acks_owed >= kAckEveryPackets) {
+      peer.acks_owed = 0;
+      m_acks_sent_->Add();
+      pay_now = true;
+    }
+  }
+  if (pay_now) SendAck(from, ack);
+}
+
+void Endpoint::PayOwedAcks() {
+  if (ack_debtors_.empty()) return;
+  std::vector<std::pair<transport::SockAddr, std::uint32_t>> acks;
+  {
+    ds::MutexLock lock(send_mu_);
+    for (const transport::SockAddr& addr : ack_debtors_) {
+      Peer& peer = peers_[addr];
+      if (peer.acks_owed == 0) continue;  // paid by a data packet
+      peer.acks_owed = 0;
+      // Counted under the lock, so once a reply that found the debt
+      // paid has left, the ack that paid it is counted too.
+      m_acks_sent_->Add();
+      acks.emplace_back(addr, peer.ack);
+    }
+  }
+  ack_debtors_.clear();
+  for (const auto& [addr, ack] : acks) SendAck(addr, ack);
 }
 
 void Endpoint::HandleAck(const transport::SockAddr& from, std::uint32_t ack) {
@@ -314,6 +372,9 @@ void Endpoint::HandleAck(const transport::SockAddr& from, std::uint32_t ack) {
   {
     ds::MutexLock lock(send_mu_);
     Peer& peer = peers_[from];  // ObservePeer made the record
+    // An ack past the last packet sent belongs to another incarnation's
+    // stream (a packet that left before this endpoint saw the restart).
+    if (ack > peer.next_seq) return;
     const TimePoint now = Now();
     // Only packets on the wire can be acked.
     auto oldest = static_cast<std::uint32_t>(peer.next_seq -
@@ -406,31 +467,31 @@ void Endpoint::HandleDatagram(const transport::SockAddr& from,
 
   m_data_packets_received_->Add();
   RecvPeer& peer = recv_peers_[from];
-
-  if (seq < peer.expected_seq) {
-    // Duplicate of something already delivered; re-ack so the sender
-    // stops retransmitting.
-    m_duplicates_discarded_->Add();
-    SendAck(from, peer.expected_seq);
-    return;
-  }
-
-  // Stash (idempotently) and drain the in-order prefix.
-  Buffer stored;
-  stored.push_back(flags);
-  stored.insert(stored.end(), payload.begin(), payload.end());
-  auto [it, inserted] = peer.out_of_order.emplace(seq, std::move(stored));
-  if (!inserted) {
-    m_duplicates_discarded_->Add();
-  }
-  (void)it;
-
-  // Ack the in-order prefix before delivering it, so the peer's window
-  // and RTT sample do not wait on the upcalls (which may even block on
-  // a refusal Send).
   std::uint32_t in_order_end = peer.expected_seq;
-  while (peer.out_of_order.count(in_order_end) != 0) ++in_order_end;
-  SendAck(from, in_order_end);
+  if (seq < peer.expected_seq) {
+    // Duplicate of something already delivered; re-ack at once so the
+    // sender stops retransmitting.
+    m_duplicates_discarded_->Add();
+    m_acks_sent_->Add();
+    SendAck(from, peer.expected_seq);
+  } else {
+    // Stash (idempotently) and find the in-order prefix.
+    Buffer stored;
+    stored.push_back(flags);
+    stored.insert(stored.end(), payload.begin(), payload.end());
+    if (!peer.out_of_order.emplace(seq, std::move(stored)).second) {
+      m_duplicates_discarded_->Add();
+    }
+    while (peer.out_of_order.count(in_order_end) != 0) ++in_order_end;
+    // Owe the ack before delivering the run, so a reply sent from the
+    // upcall carries it.
+    if (in_order_end != peer.expected_seq) {
+      OweAck(from, in_order_end, in_order_end - peer.expected_seq);
+    }
+  }
+  // A data packet carries its sender's cumulative ack too. Applied
+  // after the debt is recorded, so packets it admits carry ours.
+  HandleAck(from, ack);
   for (; peer.expected_seq != in_order_end; ++peer.expected_seq) {
     const Buffer frag =
         std::move(peer.out_of_order.extract(peer.expected_seq).mapped());
@@ -464,6 +525,7 @@ void Endpoint::RetransmitScan() {
           ++packet.retransmits;
           packet.rto = std::min(packet.rto * 2, options_.max_rto);
           packet.resend_at = now + packet.rto;
+          StampAck(packet.datagram, peer.ack);
           to_send.emplace_back(addr, packet.datagram);
         }
       }
@@ -514,16 +576,28 @@ void Endpoint::RetransmitScan() {
 }
 
 void Endpoint::ReceiverLoop() {
-  Buffer datagram;
+  // Every upcall of this endpoint but the shm deliveries runs here.
+  sync::DeliveryThreadScope delivery;
+  // One receive buffer for the endpoint's life: each datagram is
+  // handled in place, not in a buffer resized (and zero-filled) per read.
+  Buffer buffer(transport::kMaxUdpDatagram);
   transport::SockAddr from;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    Status s = socket_.RecvFrom(datagram, from, Deadline::AfterMillis(5));
-    if (s.ok()) {
-      HandleDatagram(from, datagram);
-    } else if (s.code() != StatusCode::kTimeout) {
-      if (stopping_.load()) break;
-      DS_LOG(kWarn) << "CLF recv error: " << s;
+    // Read until the socket is empty, then pay the acks still owed:
+    // replies sent from the upcalls meanwhile carried the others.
+    Deadline wait = Deadline::AfterMillis(5);
+    for (int read = 0; read < kMaxDatagramsPerDrain; ++read) {
+      Result<std::size_t> n = socket_.RecvInto(buffer, from, wait);
+      if (!n.ok()) {
+        if (n.status().code() != StatusCode::kTimeout && !stopping_.load()) {
+          DS_LOG(kWarn) << "CLF recv error: " << n.status();
+        }
+        break;
+      }
+      HandleDatagram(from, std::span<const std::uint8_t>(buffer.data(), *n));
+      wait = Deadline::Poll();
     }
+    PayOwedAcks();
     RetransmitScan();
   }
 }

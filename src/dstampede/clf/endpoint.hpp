@@ -11,6 +11,14 @@
 // sliding window of unacked packets on the wire and retransmits on
 // timeout with exponential backoff. Send never waits on the window:
 // fragments past it queue on the peer and go out as acks open it.
+//
+// Acks follow delivery and ride data: the receiver records the ack it
+// owes a peer before it delivers an in-order run, and every data
+// packet carries the cumulative ack of the reverse stream in its
+// header, so a reply sent from the delivery upcall acks the request
+// it answers. A standalone ack leaves only for a debt still open once
+// the socket has been read empty, every kAckEveryPackets in-order
+// packets of a long stream, and at once for a duplicate.
 // Delivery to the application is exactly-once and in order per peer,
 // regardless of drops, duplicates or reordering underneath (see
 // tests/clf_test.cpp property suite).
@@ -28,7 +36,9 @@
 //
 // Delivery is push-only: Create takes a DeliverFn, called once per
 // reassembled message in per-peer order, on the receiver thread (UDP)
-// or on the sending thread (shm fast path).
+// or on the sending thread (shm fast path). Both run their upcalls
+// under a sync::DeliveryThreadScope, so a blocking call from an upcall
+// aborts under the deadlock detector.
 //
 // Telemetry: Create also takes the owning space's metrics registry.
 // The endpoint counts its traffic in the clf.* counters there and
@@ -154,11 +164,21 @@ class Endpoint {
     // Resolved on the first RTT sample; Histogram::Observe is
     // lock-free, so recording under send_mu_ is safe.
     metrics::Histogram* rtt = nullptr;
+    // The receive half's side of the record: the cumulative ack of the
+    // peer's stream to us, stamped on every data packet sent to it, and
+    // the in-order packets received since an ack last left (nonzero:
+    // an ack is owed). Written by the receiver thread.
+    std::uint32_t ack = 0;
+    std::uint32_t acks_owed = 0;
 
+    // Also forgets the ack: one owed to an old incarnation must never
+    // ride a packet to its successor, which never sent those packets.
     void ResetArq() {
       next_seq = 0;
       packets.clear();
       on_wire = 0;
+      ack = 0;
+      acks_owed = 0;
     }
   };
 
@@ -175,14 +195,22 @@ class Endpoint {
   void HandleDatagram(const transport::SockAddr& from,
                       std::span<const std::uint8_t> datagram);
   void HandleAck(const transport::SockAddr& from, std::uint32_t ack);
+  // Records that `from`'s stream is in order up to `ack`, `packets`
+  // further than before; sends the ack at once every kAckEveryPackets.
+  void OweAck(const transport::SockAddr& from, std::uint32_t ack,
+              std::uint32_t packets);
+  // Sends a standalone ack to every peer still owed one.
+  void PayOwedAcks();
   void DeliverInOrderFragment(const transport::SockAddr& from, RecvPeer& peer,
                               std::span<const std::uint8_t> payload,
                               bool first_fragment);
   void Deliver(const transport::SockAddr& from, Buffer message);
+  // Writes a standalone ack; the caller counts it in clf.acks_sent.
   void SendAck(const transport::SockAddr& to, std::uint32_t ack);
   // Moves packets of `peer` from its queue onto the wire while the
-  // window has room: copies of their datagrams go to `out`, for the
-  // caller to write once it releases send_mu_.
+  // window has room: copies of their datagrams, stamped with the ack
+  // owed to the peer, go to `out`, for the caller to write once it
+  // releases send_mu_.
   void AdmitLocked(Peer& peer, TimePoint now, std::vector<Buffer>& out)
       DS_REQUIRES(send_mu_);
   void RetransmitScan();
@@ -216,6 +244,8 @@ class Endpoint {
   metrics::Counter* const m_retransmissions_ =
       &registry_.GetCounter("clf.retransmissions");
   metrics::Counter* const m_acks_sent_ = &registry_.GetCounter("clf.acks_sent");
+  metrics::Counter* const m_acks_piggybacked_ =
+      &registry_.GetCounter("clf.acks_piggybacked");
   metrics::Counter* const m_duplicates_discarded_ =
       &registry_.GetCounter("clf.duplicates_discarded");
   metrics::Counter* const m_messages_delivered_ =
@@ -247,6 +277,9 @@ class Endpoint {
   // Receiver-side state is touched only by the receiver thread; it is
   // deliberately unguarded (single-owner data, see ReceiverLoop).
   std::unordered_map<transport::SockAddr, RecvPeer> recv_peers_;
+  // Peers an ack was owed to since PayOwedAcks last ran (some may have
+  // been paid by a data packet meanwhile).
+  std::vector<transport::SockAddr> ack_debtors_;
 
   FaultInjector injector_;
   std::shared_ptr<ShmRing> shm_ring_;

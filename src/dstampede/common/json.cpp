@@ -5,6 +5,14 @@
 #include <cstdlib>
 
 namespace dstampede::json {
+namespace {
+
+// Arrays and objects nest at most this deep; the parser recurses once
+// per level, so an unbounded document could overflow the stack.
+// sys/metrics snapshots nest four levels.
+constexpr int kMaxDepth = 128;
+
+}  // namespace
 
 const Value* Value::Find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
@@ -64,8 +72,14 @@ class Parser {
     if (pos_ >= text_.size()) return Err("unexpected end");
     const char c = text_[pos_];
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) return Err("nested too deeply");
+        ++depth_;
+        Result<Value> v = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': return ParseString();
       case 't':
       case 'f': return ParseBool();
@@ -194,6 +208,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
 
 Result<Value> Parse(std::string_view text) { return Parser(text).Run(); }

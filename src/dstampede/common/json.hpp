@@ -53,7 +53,8 @@ class Value {
 };
 
 // Parses one JSON document (trailing whitespace allowed, trailing
-// garbage is an error).
+// garbage is an error). Any malformed input, arrays and objects nested
+// over 128 deep included, is kInvalidArgument.
 Result<Value> Parse(std::string_view text);
 
 // Appends `s` to `out` as a quoted JSON string: quote, backslash, \n

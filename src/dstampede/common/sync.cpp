@@ -76,6 +76,8 @@ Graph& graph() {
 std::atomic<int> g_enabled{-1};
 
 thread_local std::vector<HeldLock> t_held;
+// Open DeliveryThreadScopes on this thread.
+thread_local int t_delivery_depth = 0;
 
 const char* NodeName(const Graph& g, std::uintptr_t node) {
   auto it = g.names.find(node);
@@ -189,7 +191,30 @@ std::size_t LockOrderEdgeCountForTesting() {
   return g.edge_count;
 }
 
+DeliveryThreadScope::DeliveryThreadScope() { ++t_delivery_depth; }
+
+DeliveryThreadScope::~DeliveryThreadScope() { --t_delivery_depth; }
+
 void AssertBlockingAllowed(const char* what) {
+  if (!DeadlockDetectionEnabled()) return;
+  if (t_delivery_depth > 0) {
+    std::fprintf(stderr,
+                 "\n[dstampede] deadlock detector: blocking operation \"%s\" "
+                 "on a delivery thread\n"
+                 "  a thread running a transport's delivery upcall may be "
+                 "the one that would deliver what it waits for\n"
+                 "  --- current stack ---\n",
+                 what);
+    Backtrace now;
+    now.Capture();
+    now.Dump();
+    std::fflush(stderr);
+    std::abort();
+  }
+  AssertNoLockHeld(what);
+}
+
+void AssertNoLockHeld(const char* what) {
   if (!DeadlockDetectionEnabled()) return;
   for (const HeldLock& held : t_held) {
     if (held.mu->blocking_allowed()) continue;

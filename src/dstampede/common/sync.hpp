@@ -193,12 +193,31 @@ bool DeadlockDetectionEnabled();
 // regardless of death-test style.
 void SetDeadlockDetectionForTesting(bool enabled);
 
+// Marks the calling thread, while the scope lives, as one that runs a
+// transport's delivery or peer-event upcalls: the CLF receiver thread,
+// or an shm sender inside its peer's upcall. Such a thread must not
+// wait for a message, because it may be the thread that would deliver
+// it. Marks nest; the mark is kept whether or not detection is on.
+class DeliveryThreadScope {
+ public:
+  DeliveryThreadScope();
+  ~DeliveryThreadScope();
+  DeliveryThreadScope(const DeliveryThreadScope&) = delete;
+  DeliveryThreadScope& operator=(const DeliveryThreadScope&) = delete;
+};
+
 // Call before an operation that may block indefinitely on something
 // other than a ds::Mutex (socket reads, CLF request round-trips).
 // Aborts if this thread holds any ds::Mutex not constructed with
 // kBlockingAllowed — the invariant whose violation produced the PR 2
-// Resume-reply deadlock. `what` names the operation in the report.
+// Resume-reply deadlock — or runs under a DeliveryThreadScope. `what`
+// names the operation in the report.
 void AssertBlockingAllowed(const char* what);
+
+// The lock half of AssertBlockingAllowed, for operations that never
+// wait but may run other code's upcalls on this thread (CLF Send, whose
+// shm fast path delivers to the peer inline).
+void AssertNoLockHeld(const char* what);
 
 // Number of distinct lock-order edges recorded so far (testing aid).
 std::size_t LockOrderEdgeCountForTesting();

@@ -1,9 +1,9 @@
 // Fixed-size worker pool used by each address space's dispatcher.
 //
-// STM requests arriving from remote address spaces may block (a GET can
-// wait for a timestamp to be produced), so the CLF delivery upcall hands
-// each request to a pool worker instead of servicing it on the thread
-// that delivered it.
+// The CLF delivery upcall serves a peer's container ops itself (they
+// never block), and hands the requests that may (name service,
+// replication, the metrics snapshot) to a pool worker, so the thread
+// that delivers messages never waits. User GC handlers run here too.
 #pragma once
 
 #include <deque>

@@ -51,7 +51,7 @@ namespace dstampede {
 inline constexpr std::uint32_t kNoWaiterOrigin = 0xffffffffu;
 
 // A once-only reply slot for a request suspended into a waiter. The
-// dispatcher worker that suspends the request creates one; the
+// thread serving the request when it suspends creates one; the
 // completing thread — item arrival, deadline expiry, peer death,
 // container close — encodes the reply and calls Complete(). Exactly
 // one completer wins; the rest are no-ops, so racing completion paths

@@ -22,6 +22,27 @@ std::string TraceTag(const trace::TraceContext& ctx) {
   return buf;
 }
 
+// Whether serving a peer's `op` may wait. The container ops never do
+// (Park turns a put or get that would block into a waiter), so the
+// thread that delivers them serves them. The name-service, session-
+// registry and replication ops run consensus and lease logic, and
+// kMetrics snapshots the whole space: those go to the dispatcher pool.
+constexpr bool MayBlock(Op op) {
+  switch (op) {
+    case Op::kCreateChannel:
+    case Op::kCreateQueue:
+    case Op::kAttach:
+    case Op::kDetach:
+    case Op::kPut:
+    case Op::kGet:
+    case Op::kConsume:
+    case Op::kSetFilter:
+      return false;
+    default:
+      return true;
+  }
+}
+
 }  // namespace
 
 Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
@@ -30,7 +51,8 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
   AddressSpace* raw = as.get();
   as->wheel_ = std::make_unique<TimerWheel>();
   // Its workers reply through endpoint_, so they start after it exists;
-  // requests delivered before then wait in the queue.
+  // requests delivered before then wait in the queue (OnMessage serves
+  // none inline until started_).
   as->dispatcher_ = std::make_unique<ThreadPool>(
       options.dispatcher_threads,
       "AS" + std::to_string(AsIndex(options.id)));
@@ -50,7 +72,8 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
       },
       /*peer_dead=*/[raw](AsId peer) { return raw->IsPeerDown(peer); });
   // Delivery starts as soon as the socket binds, so this comes after
-  // everything OnMessage and the peer upcalls touch.
+  // everything OnMessage and the peer upcalls touch (the container
+  // instruments are bound at construction).
   clf::Endpoint::Options ep_opts;
   ep_opts.port = options.clf_port;
   ep_opts.enable_shm_fastpath = options.shm_fastpath;
@@ -71,17 +94,11 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
   as->gc_->Start();
   as->dispatcher_->Start();
   as->ns_->Start();
+  as->started_.store(true, std::memory_order_release);
   return as;
 }
 
 void AddressSpace::InitObservability() {
-  // Hot-path instruments, cached once: registry addresses are stable
-  // for the registry's lifetime, so the fast paths hit only atomics.
-  stm_metrics_.puts = &registry_.GetCounter("stm.puts");
-  stm_metrics_.gets = &registry_.GetCounter("stm.gets");
-  stm_metrics_.reclaimed = &registry_.GetCounter("stm.reclaimed_items");
-  stm_metrics_.reclaim_lag_us = &registry_.GetHistogram("stm.reclaim_lag_us");
-
   // Pull providers, evaluated at snapshot time. They read atomics or
   // take only leaf locks (containers_mu_, then each container's own
   // lock after releasing it), and this object outlives the registry's
@@ -355,24 +372,17 @@ void AddressSpace::OnMessage(const transport::SockAddr& from,
                   << from.ToString();
     return;
   }
-  if (hdr->op != Op::kReply) {
-    const std::size_t body_offset = message.size() - peek.remaining();
-    DispatchRequest(from, *hdr, std::move(message), body_offset);
+  if (hdr->op == Op::kReply) {
+    std::shared_ptr<SyncWaiter<Result<Buffer>>> reply;
+    {
+      ds::MutexLock lock(calls_mu_);
+      auto node = calls_.extract(hdr->request_id);
+      if (node.empty()) return;  // late: the call timed out or failed
+      reply = std::move(node.mapped().reply);
+    }
+    reply->Complete(std::move(message));
     return;
   }
-  std::shared_ptr<SyncWaiter<Result<Buffer>>> reply;
-  {
-    ds::MutexLock lock(calls_mu_);
-    auto node = calls_.extract(hdr->request_id);
-    if (node.empty()) return;  // late: the call timed out or failed
-    reply = std::move(node.mapped().reply);
-  }
-  reply->Complete(std::move(message));
-}
-
-void AddressSpace::DispatchRequest(const transport::SockAddr& from,
-                                   const RequestHeader& hdr, Buffer message,
-                                   std::size_t body_offset) {
   // Attribute the request to the sending address space (for attachment
   // bookkeeping); requests from unknown addresses stay anonymous.
   Peer peer{from, kInvalidAsId};
@@ -382,39 +392,49 @@ void AddressSpace::DispatchRequest(const transport::SockAddr& from,
     if (it != peer_by_addr_.end()) peer.id = it->second;
   }
   m_dispatch_requests_->Add();
-  auto task = [this, peer, hdr, body_offset, msg = std::move(message)]() {
-    // The caller's context rides the whole execution of this request:
-    // spans opened below parent onto it and every outgoing
-    // EncodeRequestHeader re-emits it (trace propagation).
-    trace::ScopedContext tracing(hdr.trace);
-    if (stopping_.load()) {
-      m_dropped_or_expired_->Add();
-      DS_LOG(kWarn) << "dropping request " << hdr.request_id
-                    << " (address space shutting down), trace="
-                    << TraceTag(hdr.trace);
-      (void)endpoint_->Send(
-          peer.addr, EncodeStatusReply(
-                         hdr.request_id,
-                         UnavailableError("address space shutting down")));
-      return;
-    }
-    marshal::XdrDecoder body(
-        std::span<const std::uint8_t>(msg).subspan(body_offset));
-    Buffer reply = Serve(hdr, body, &peer);
-    if (!reply.empty()) {
-      (void)endpoint_->Send(peer.addr, reply);
-    }
+  const std::size_t body_offset = message.size() - peek.remaining();
+  if (!MayBlock(hdr->op) && started_.load(std::memory_order_acquire)) {
+    ServeRequest(peer, *hdr,
+                 std::span<const std::uint8_t>(message).subspan(body_offset));
+    return;
+  }
+  auto task = [this, peer, hdr = *hdr, body_offset,
+               msg = std::move(message)] {
+    ServeRequest(peer, hdr,
+                 std::span<const std::uint8_t>(msg).subspan(body_offset));
   };
   if (!dispatcher_->Submit(std::move(task))) {
     // Refused on the delivering thread.
     m_dropped_or_expired_->Add();
     DS_LOG(kWarn) << "AS" << AsIndex(options_.id)
-                  << ": dispatcher rejected request " << hdr.request_id
-                  << " (shutting down), trace=" << TraceTag(hdr.trace);
+                  << ": dispatcher rejected request " << hdr->request_id
+                  << " (shutting down), trace=" << TraceTag(hdr->trace);
     (void)endpoint_->Send(
-        from, EncodeStatusReply(hdr.request_id,
+        from, EncodeStatusReply(hdr->request_id,
                                 UnavailableError("dispatcher shutting down")));
   }
+}
+
+void AddressSpace::ServeRequest(const Peer& peer, const RequestHeader& hdr,
+                                std::span<const std::uint8_t> body) {
+  // The caller's context rides the whole execution of this request:
+  // spans opened below parent onto it and every outgoing
+  // EncodeRequestHeader re-emits it (trace propagation).
+  trace::ScopedContext tracing(hdr.trace);
+  if (stopping_.load()) {
+    m_dropped_or_expired_->Add();
+    DS_LOG(kWarn) << "dropping request " << hdr.request_id
+                  << " (address space shutting down), trace="
+                  << TraceTag(hdr.trace);
+    (void)endpoint_->Send(
+        peer.addr,
+        EncodeStatusReply(hdr.request_id,
+                          UnavailableError("address space shutting down")));
+    return;
+  }
+  marshal::XdrDecoder fields(body);
+  Buffer reply = Serve(hdr, fields, &peer);
+  if (!reply.empty()) (void)endpoint_->Send(peer.addr, reply);
 }
 
 Buffer AddressSpace::ExecuteWireRequest(
@@ -926,7 +946,19 @@ Status AddressSpace::SetGcHandler(std::uint64_t bits, bool is_queue,
     return FailedPreconditionError(
         "GC handlers install at the owner address space");
   }
-  (*container)->set_gc_handler(std::move(handler));
+  // Off the reclaiming thread, onto the pool (see SetChannelGcHandler).
+  // Once the pool has stopped the space is shutting down: the
+  // reclaiming thread runs it then, and a remote call it makes fails
+  // at once.
+  (*container)->set_gc_handler(
+      [this, handler = std::move(handler)](Timestamp ts,
+                                           const SharedBuffer& payload) {
+        if (!dispatcher_->Submit([handler, ts, payload] {
+              handler(ts, payload);
+            })) {
+          handler(ts, payload);
+        }
+      });
   return OkStatus();
 }
 

@@ -3,17 +3,19 @@
 // The paper's computation model (Fig 2) is a dynamic graph of threads
 // and channels spread over address spaces; this class is one such
 // address space. It owns the channels and queues created in it, runs a
-// CLF endpoint plus a dispatcher pool that services STM requests from
-// peer address spaces, hosts (optionally) the name server, runs the GC
-// service, and exposes the location-transparent STM API: the same
-// Connect/Put/Get/Consume calls work whether the container lives here
-// or in a peer — exactly the paper's "uniform set of API calls".
+// CLF endpoint that serves peers' container ops as they arrive plus a
+// dispatcher pool for their requests that may block, hosts
+// (optionally) the name server, runs the GC service, and exposes the
+// location-transparent STM API: the same Connect/Put/Get/Consume calls
+// work whether the container lives here or in a peer — exactly the
+// paper's "uniform set of API calls".
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -144,6 +146,10 @@ class AddressSpace {
   Status SetFilter(const Connection& conn, const ItemFilter& filter);
 
   // --- handler functions (owner-side) -----------------------------------
+  // The handler runs on a dispatcher worker, once per reclaimed item,
+  // never on the thread that reclaimed it: that may be the CLF
+  // delivery thread serving a peer's consume, and a handler that makes
+  // a remote call there would wait for a reply only that thread reads.
   Status SetChannelGcHandler(ChannelId ch, GcHandler handler);
   Status SetQueueGcHandler(QueueId q, GcHandler handler);
 
@@ -190,10 +196,11 @@ class AddressSpace {
   // come back with a fresh incarnation).
   bool IsPeerDown(AsId peer) const;
   // Registers a callback fired (from the CLF receiver thread, outside
-  // internal locks) whenever a peer AS is declared dead. Listeners use
-  // this to migrate parked surrogate sessions off dead hosts; the
-  // Federation uses it for cluster-level fast-fail. Observers cannot be
-  // removed — keep captured state alive as long as this AS.
+  // internal locks) whenever a peer AS is declared dead. The Federation
+  // uses it for cluster-level fast-fail. The callback runs on a
+  // delivery thread, so it must not block (sync::DeliveryThreadScope).
+  // Observers cannot be removed — keep captured state alive as long as
+  // this AS.
   void AddPeerDownObserver(std::function<void(AsId)> observer);
   // Counterpart fired when a dead peer comes back with a fresh
   // incarnation (CLF epoch reset): the Federation un-counts it from its
@@ -329,28 +336,29 @@ class AddressSpace {
 
   // The CLF delivery upcall, on the endpoint's receiver thread (UDP)
   // or the sender's thread (shm). It decodes the header once: a reply
-  // completes its call's waiter inline, and a request goes to
-  // DispatchRequest. Never waits.
+  // completes its call's waiter inline; a request whose op cannot
+  // block is served right here by ServeRequest, and any other goes to
+  // the dispatcher pool, which runs ServeRequest on a worker (or is
+  // refused once the pool stops). Never waits.
   void OnMessage(const transport::SockAddr& from, Buffer message);
-  // Queues a request on the pool, which serves its op fields (from
-  // `body_offset` on) under the decoded header; or refuses it once the
-  // pool stops.
-  void DispatchRequest(const transport::SockAddr& from,
-                       const RequestHeader& hdr, Buffer message,
-                       std::size_t body_offset);
-  // Serves one request: a peer's (`peer` set, from the pool) or an end
-  // device's (`peer` null, from ExecuteWireRequest). `body` is
+  // Serves a peer's request under its trace context and sends the
+  // reply: `body` holds its op fields. Refuses it once Shutdown began.
+  void ServeRequest(const Peer& peer, const RequestHeader& hdr,
+                    std::span<const std::uint8_t> body);
+  // Serves one request: a peer's (`peer` set, from ServeRequest) or an
+  // end device's (`peer` null, from ExecuteWireRequest). `body` is
   // positioned at the op fields, which each op decodes once. Returns
   // the encoded reply, or an empty buffer when Park took it over.
   Buffer Serve(const RequestHeader& hdr, marshal::XdrDecoder& body,
                const Peer* peer);
   // A peer's kPut or kGet (`Req`) runs through the two-phase waiter
-  // API: the try phase runs on the dispatcher worker, and when the op
-  // would block, a continuation waiter (carrying a once-only
-  // DeferredReply) is registered and the worker returns to the pool —
-  // the thread that later resolves the wait (putter, consumer, GC
-  // sweep, timer wheel, peer death, close) encodes and sends the reply.
-  // Returns the refusal when the container is not here, else empty.
+  // API: the try phase runs on the thread serving the request (for
+  // these ops, the one that delivered it), and when the op would
+  // block, a continuation waiter (carrying a once-only DeferredReply)
+  // is registered and that thread moves on — the thread that later
+  // resolves the wait (putter, consumer, GC sweep, timer wheel, peer
+  // death, close) encodes and sends the reply. Returns the refusal
+  // when the container is not here, else empty.
   template <typename Req>
   Buffer Park(const RequestHeader& hdr, Req& req, const Peer& peer);
 
@@ -390,7 +398,12 @@ class AddressSpace {
       &registry_.GetCounter("api.bytes_put");
   metrics::Counter* const m_api_bytes_got_ =
       &registry_.GetCounter("api.bytes_got");
-  StmMetrics stm_metrics_;
+  // The owner's container instruments, handed to every container it
+  // creates; bound before the endpoint can deliver a peer's create.
+  const StmMetrics stm_metrics_{
+      &registry_.GetCounter("stm.puts"), &registry_.GetCounter("stm.gets"),
+      &registry_.GetCounter("stm.reclaimed_items"),
+      &registry_.GetHistogram("stm.reclaim_lag_us")};
   std::unique_ptr<clf::Endpoint> endpoint_;
   // Deadline service for parked container waiters. Declared before the
   // container maps so it outlives every channel/queue holding a raw
@@ -440,6 +453,10 @@ class AddressSpace {
   std::vector<Thread> threads_ DS_GUARDED_BY(threads_mu_);
   std::uint32_t next_thread_slot_ DS_GUARDED_BY(threads_mu_) = 1;
 
+  // Set once Create has finished: OnMessage serves requests inline
+  // only from then on (before, endpoint_ may not be set yet, and they
+  // wait on the pool, which starts last).
+  std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
 };
 

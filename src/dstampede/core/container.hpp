@@ -32,9 +32,11 @@
 
 namespace dstampede::core {
 
-// Invoked (outside the container lock) for every reclaimed item. This
-// is the paper's user-defined GC handler (§3.1): applications free any
-// user-space state associated with the item here.
+// Invoked (outside the container lock, on the thread that reclaimed
+// it) for every reclaimed item. This is the paper's user-defined GC
+// handler (§3.1): applications free any user-space state associated
+// with the item here. AddressSpace installs handlers that hand the call
+// to its dispatcher pool.
 using GcHandler = std::function<void(Timestamp, const SharedBuffer&)>;
 
 // Continuations for the two-phase async container API. They run
@@ -95,8 +97,8 @@ class LocalContainer {
   void set_gc_handler(GcHandler handler);
   // Reclaims whatever became garbage, re-evaluates parked waiters and
   // drains the accumulated notices for the GC service to fan out,
-  // stamped with `container_bits`. Handlers have already run for
-  // drained notices.
+  // stamped with `container_bits`. The handler has already been called
+  // for drained notices.
   std::vector<GcNotice> Sweep(std::uint64_t container_bits);
 
   // Completes every parked waiter with kCancelled and fails subsequent

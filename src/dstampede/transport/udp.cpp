@@ -55,19 +55,31 @@ Status UdpSocket::SendTo(const SockAddr& to,
 }
 
 Status UdpSocket::RecvFrom(Buffer& out, SockAddr& from, Deadline deadline) {
-  DS_RETURN_IF_ERROR(WaitReadable(fd_.get(), deadline));
   out.resize(kMaxUdpDatagram);
+  Result<std::size_t> n = RecvInto(out, from, deadline);
+  DS_RETURN_IF_ERROR(n.status());
+  out.resize(*n);
+  return OkStatus();
+}
+
+Result<std::size_t> UdpSocket::RecvInto(std::span<std::uint8_t> buf,
+                                        SockAddr& from, Deadline deadline) {
+  if (!deadline.expired()) {
+    DS_RETURN_IF_ERROR(WaitReadable(fd_.get(), deadline));
+  }
   sockaddr_in sin{};
   socklen_t len = sizeof sin;
-  ssize_t n = ::recvfrom(fd_.get(), out.data(), out.size(), 0,
+  ssize_t n = ::recvfrom(fd_.get(), buf.data(), buf.size(), MSG_DONTWAIT,
                          reinterpret_cast<sockaddr*>(&sin), &len);
   if (n < 0) {
     if (errno == EINTR) return TimeoutError("interrupted");
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return TimeoutError("no datagram queued");
+    }
     return ErrnoStatus("recvfrom");
   }
-  out.resize(static_cast<std::size_t>(n));
   from = SockAddr{ntohl(sin.sin_addr.s_addr), ntohs(sin.sin_port)};
-  return OkStatus();
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace dstampede::transport

@@ -35,6 +35,13 @@ class UdpSocket {
   // Fills from with the sender address.
   Status RecvFrom(Buffer& out, SockAddr& from,
                   Deadline deadline = Deadline::Infinite());
+  // Receives one datagram into the front of `buf` (at least
+  // kMaxUdpDatagram bytes, or a longer datagram is cut) and returns its
+  // length; fills from with the sender address. An expired deadline
+  // (Deadline::Poll()) reads only what is already queued: kTimeout when
+  // nothing is.
+  Result<std::size_t> RecvInto(std::span<std::uint8_t> buf, SockAddr& from,
+                               Deadline deadline = Deadline::Infinite());
 
   int fd() const { return fd_.get(); }
 

@@ -3,9 +3,14 @@
 // blocking semantics, remote GC, dynamic join.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "clf_sink.hpp"
 #include "dstampede/core/runtime.hpp"
@@ -695,6 +700,199 @@ TEST(RuntimeDeliveryTest, CreateOnABoundPortFailsCleanly) {
   opts.clf_port = (*first)->clf_addr().port;
   auto second = AddressSpace::Create(opts);
   EXPECT_FALSE(second.ok());
+}
+
+// --- peer ops served where they arrive -------------------------------------
+
+Runtime::Options UdpRuntime(std::size_t spaces) {
+  Runtime::Options opts;
+  opts.num_address_spaces = spaces;
+  opts.shm_fastpath = false;
+  return opts;
+}
+
+TEST(RuntimeInlineServeTest, RemotePutsShedTheOwnersStandaloneAcks) {
+  auto rt = Runtime::Create(UdpRuntime(2));
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  AddressSpace& owner = (*rt)->as(1);
+  auto ch = owner.CreateChannel();
+  ASSERT_TRUE(ch.ok()) << ch.status();
+  auto out = (*rt)->as(0).Connect(*ch, ConnMode::kOutput);
+  ASSERT_TRUE(out.ok()) << out.status();
+  metrics::Registry& registry = owner.metrics_registry();
+  const std::uint64_t acks = registry.GetCounter("clf.acks_sent").Value();
+  const std::uint64_t rode =
+      registry.GetCounter("clf.acks_piggybacked").Value();
+
+  constexpr int kPuts = 50;
+  for (int ts = 1; ts <= kPuts; ++ts) {
+    ASSERT_TRUE((*rt)->as(0).Put(*out, ts, Buffer(64)).ok());
+  }
+  // The owner served each put on its receiver thread, so the reply
+  // carried the ack of the request it answered.
+  EXPECT_LT(registry.GetCounter("clf.acks_sent").Value() - acks,
+            std::uint64_t{kPuts / 2});
+  EXPECT_GE(registry.GetCounter("clf.acks_piggybacked").Value() - rode,
+            std::uint64_t{kPuts / 2});
+}
+
+TEST(RuntimeInlineServeTest, GcHandlerMakingARemoteCallCompletesOnAPeersConsume) {
+  auto rt = Runtime::Create(UdpRuntime(2));
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  AddressSpace& as0 = (*rt)->as(0);
+  AddressSpace& as1 = (*rt)->as(1);
+  auto ch = as1.CreateChannel();
+  auto report = as0.CreateChannel();
+  ASSERT_TRUE(ch.ok() && report.ok());
+  auto report_out = as1.Connect(*report, ConnMode::kOutput);
+  auto report_in = as0.Connect(*report, ConnMode::kInput);
+  ASSERT_TRUE(report_out.ok() && report_in.ok());
+  // 0 until the handler's remote put returns, then 1 (OK) or 2.
+  auto handled = std::make_shared<std::atomic<int>>(0);
+  ASSERT_TRUE(as1.SetChannelGcHandler(
+                     *ch, [as = &as1, to = *report_out, handled](
+                              Timestamp ts, const SharedBuffer&) {
+                       const Status put = as->Put(
+                           to, ts, Buffer{1}, Deadline::AfterMillis(5000));
+                       handled->store(put.ok() ? 1 : 2);
+                     })
+                  .ok());
+
+  auto out = as0.Connect(*ch, ConnMode::kOutput);
+  auto in = as0.Connect(*ch, ConnMode::kInput);
+  ASSERT_TRUE(out.ok() && in.ok());
+  ASSERT_TRUE(as0.Put(*out, 7, Buffer(32)).ok());
+  ASSERT_TRUE(as0.Get(*in, GetSpec::Exact(7), Deadline::AfterMillis(5000)).ok());
+  // AS1 reclaims the item while it serves this consume.
+  ASSERT_TRUE(as0.Consume(*in, 7).ok());
+  auto reported =
+      as0.Get(*report_in, GetSpec::Exact(7), Deadline::AfterMillis(5000));
+  ASSERT_TRUE(reported.ok()) << reported.status();
+  const TimePoint give_up = Now() + Millis(5000);
+  while (handled->load() == 0 && Now() < give_up) {
+    std::this_thread::sleep_for(Millis(1));
+  }
+  EXPECT_EQ(handled->load(), 1);
+}
+
+// Container code on the delivery thread, racing the owner's own
+// threads: AS0 puts into a channel and a queue on AS2 while an AS2
+// thread does the same; an AS1 thread gets every channel item by
+// timestamp (often parking until a put completes it) and consumes it,
+// and an AS1 thread and an AS2 thread share the queue. GC handlers
+// count the reclaims.
+TEST(RuntimeInlineServeTest, PeersAndLocalThreadsShareOwnedContainers) {
+  auto rt = Runtime::Create(UdpRuntime(3));
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  AddressSpace& as0 = (*rt)->as(0);
+  AddressSpace& as1 = (*rt)->as(1);
+  AddressSpace& owner = (*rt)->as(2);
+  auto ch = owner.CreateChannel();
+  auto q = owner.CreateQueue();
+  ASSERT_TRUE(ch.ok() && q.ok());
+  auto reclaimed = std::make_shared<std::atomic<int>>(0);
+  auto count = [reclaimed](Timestamp, const SharedBuffer&) {
+    reclaimed->fetch_add(1);
+  };
+  ASSERT_TRUE(owner.SetChannelGcHandler(*ch, count).ok());
+  ASSERT_TRUE(owner.SetQueueGcHandler(*q, count).ok());
+
+  constexpr int kPerProducer = 100;
+  constexpr int kItems = 2 * kPerProducer;  // per container
+  auto payload = [](Timestamp ts) {
+    Buffer b(100 + static_cast<std::size_t>(ts % 50));
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = static_cast<std::uint8_t>(ts * 31 + static_cast<Timestamp>(i));
+    }
+    return b;
+  };
+  std::atomic<int> failures{0};
+  auto check = [&](const Status& s) {
+    if (!s.ok()) {
+      ADD_FAILURE() << s;
+      failures.fetch_add(1);
+    }
+    return s.ok();
+  };
+  const Deadline kBound = Deadline::AfterMillis(20000);
+
+  // Producers: AS0 puts odd channel timestamps and queue items 1..N,
+  // the owner's thread even timestamps and queue items N+1..2N.
+  auto produce = [&](AddressSpace& as, int first_ts, int queue_base) {
+    auto ch_out = as.Connect(*ch, ConnMode::kOutput);
+    auto q_out = as.Connect(*q, ConnMode::kOutput);
+    if (!check(ch_out.status()) || !check(q_out.status())) return;
+    for (int i = 0; i < kPerProducer; ++i) {
+      const Timestamp ts = first_ts + 2 * i;
+      if (!check(as.Put(*ch_out, ts, payload(ts), kBound))) return;
+      const Timestamp qts = queue_base + i + 1;
+      if (!check(as.Put(*q_out, qts, payload(qts), kBound))) return;
+    }
+  };
+  // Queue consumers claim a get each until every item is claimed.
+  std::atomic<int> claimed{0};
+  ds::Mutex seen_mu("test.seen_mu");
+  std::multiset<Timestamp> seen;
+  auto drain_queue = [&](AddressSpace& as) {
+    auto in = as.Connect(*q, ConnMode::kInput);
+    if (!check(in.status())) return;
+    while (claimed.fetch_add(1) < kItems) {
+      auto item = as.Get(*in, kBound);
+      if (!check(item.status())) return;
+      if (item->payload.size() != payload(item->timestamp).size() ||
+          !std::equal(item->payload.data(),
+                      item->payload.data() + item->payload.size(),
+                      payload(item->timestamp).begin())) {
+        ADD_FAILURE() << "queue item " << item->timestamp << " corrupted";
+      }
+      {
+        ds::MutexLock lock(seen_mu);
+        seen.insert(item->timestamp);
+      }
+      if (!check(as.Consume(*in, item->timestamp))) return;
+    }
+  };
+  // The channel's one reader gets each timestamp in order.
+  auto read_channel = [&] {
+    auto in = as1.Connect(*ch, ConnMode::kInput);
+    if (!check(in.status())) return;
+    for (Timestamp ts = 1; ts <= kItems; ++ts) {
+      auto item = as1.Get(*in, GetSpec::Exact(ts), kBound);
+      if (!check(item.status())) return;
+      const Buffer want = payload(ts);
+      if (item->payload.size() != want.size() ||
+          !std::equal(want.begin(), want.end(), item->payload.data())) {
+        ADD_FAILURE() << "channel item " << ts << " corrupted";
+      }
+      if (!check(as1.Consume(*in, ts))) return;
+    }
+  };
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(read_channel);
+  threads.emplace_back([&] { drain_queue(as1); });
+  threads.emplace_back([&] { drain_queue(owner); });
+  threads.emplace_back([&] { produce(as0, 1, 0); });
+  threads.emplace_back([&] { produce(owner, 2, kPerProducer); });
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  std::multiset<Timestamp> want;
+  for (Timestamp ts = 1; ts <= kItems; ++ts) want.insert(ts);
+  EXPECT_EQ(seen, want);  // every queue item exactly once
+  for (const auto& container :
+       {std::static_pointer_cast<LocalContainer>(owner.FindChannel(ch->bits())),
+        std::static_pointer_cast<LocalContainer>(owner.FindQueue(q->bits()))}) {
+    ASSERT_NE(container, nullptr);
+    EXPECT_EQ(container->parked_get_waiters(), 0u);
+    EXPECT_EQ(container->parked_put_waiters(), 0u);
+    EXPECT_EQ(container->total_reclaimed(), std::uint64_t{kItems});
+  }
+  const TimePoint give_up = Now() + Millis(10000);
+  while (reclaimed->load() < 2 * kItems && Now() < give_up) {
+    std::this_thread::sleep_for(Millis(1));
+  }
+  EXPECT_EQ(reclaimed->load(), 2 * kItems);
 }
 
 }  // namespace

@@ -330,6 +330,88 @@ TEST(ClfTest, OverCapFirstFragmentIsDroppedAndStreamContinues) {
   EXPECT_EQ(b.registry->GetCounter("clf.messages_delivered").Value(), 1u);
 }
 
+TEST(ClfTest, DataPacketsCarryAcksBothWaysAndDropThemOnAnEpochChange) {
+  // A one-packet window, so b's second message waits for an ack.
+  Endpoint::Options one;
+  one.window_packets = 1;
+  auto b = MakeEndpoint(one);
+  auto raw = transport::UdpSocket::Bind(0);
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  // The layout OverCapFirstFragmentIsDroppedAndStreamContinues builds.
+  auto packet = [](std::uint8_t type, std::uint8_t flags, std::uint32_t seq,
+                   std::uint32_t ack, std::uint32_t epoch,
+                   const Buffer& payload) {
+    Buffer p = {0xC1, 0xF0, type, flags};
+    for (std::uint32_t v : {seq, ack, epoch}) {
+      for (int shift = 24; shift >= 0; shift -= 8) {
+        p.push_back(static_cast<std::uint8_t>(v >> shift));
+      }
+    }
+    p.insert(p.end(), payload.begin(), payload.end());
+    return p;
+  };
+  // Incarnation 7's one-byte message `seq`, carrying `ack`.
+  auto message = [&](std::uint8_t seq, std::uint32_t ack, std::uint32_t epoch) {
+    return packet(1, 1, seq, ack, epoch, {0, 0, 0, 1, seq});
+  };
+  auto field = [](const Buffer& p, std::size_t at) {
+    return (std::uint32_t{p[at]} << 24) | (std::uint32_t{p[at + 1]} << 16) |
+           (std::uint32_t{p[at + 2]} << 8) | p[at + 3];
+  };
+  // Reads what b sends `raw` until a packet of `type` arrives whose last
+  // byte is `last` (any, when negative), skipping the rest (acks,
+  // retransmissions of other messages), until `deadline`.
+  auto await = [&](std::uint8_t type, int last, Buffer& got,
+                   Deadline deadline = Deadline::AfterMillis(5000)) {
+    transport::SockAddr from;
+    while (raw->RecvFrom(got, from, deadline).ok()) {
+      if (got.size() >= 16 && got[2] == type &&
+          (last < 0 || got.back() == last)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  Buffer got;
+  transport::SockAddr from;
+  auto delivered = [&] {
+    return b.Next(got, from, Deadline::AfterMillis(5000)).ok();
+  };
+
+  // Incarnation 7 sends messages 0 to 2; b's data packet back carries
+  // the cumulative ack of that stream.
+  for (std::uint8_t seq = 0; seq < 3; ++seq) {
+    ASSERT_TRUE(raw->SendTo(b->addr(), message(seq, 0, 7)).ok());
+    ASSERT_TRUE(delivered());
+  }
+  ASSERT_TRUE(b->Send(raw->bound_addr(), Buffer{0x61}).ok());
+  ASSERT_TRUE(await(1, 0x61, got));
+  EXPECT_EQ(field(got, 4), 0u);  // seq
+  EXPECT_EQ(field(got, 8), 3u);  // ack
+
+  // The second message waits behind the window. An ack past what b has
+  // sent (another stream's) opens nothing; a data packet's real ack
+  // does, and the admitted packet carries b's ack in turn.
+  ASSERT_TRUE(b->Send(raw->bound_addr(), Buffer{0x62}).ok());
+  ASSERT_TRUE(raw->SendTo(b->addr(), message(3, 5, 7)).ok());
+  ASSERT_TRUE(delivered());
+  EXPECT_FALSE(await(1, 0x62, got, Deadline::Poll()));
+  ASSERT_TRUE(raw->SendTo(b->addr(), message(4, 1, 7)).ok());
+  ASSERT_TRUE(await(1, 0x62, got));
+  EXPECT_EQ(field(got, 4), 1u);
+  EXPECT_EQ(field(got, 8), 5u);
+
+  // Incarnation 8 speaks on the same address; b answers its ping once
+  // it has dropped the old incarnation's stream state.
+  ASSERT_TRUE(raw->SendTo(b->addr(), packet(3, 0, 0, 0, 8, {})).ok());
+  ASSERT_TRUE(await(4, -1, got)) << "no pong";
+  ASSERT_TRUE(b->Send(raw->bound_addr(), Buffer{0x63}).ok());
+  ASSERT_TRUE(await(1, 0x63, got));
+  EXPECT_EQ(field(got, 4), 0u);  // a fresh stream to the successor...
+  EXPECT_EQ(field(got, 8), 0u);  // ...acking nothing of the old one
+  EXPECT_EQ(b.registry->GetCounter("clf.epoch_resets").Value(), 1u);
+}
+
 // --- mutating datagrams ---------------------------------------------------
 //
 // HandleDatagram parses whatever reaches the endpoint's port. Start from

@@ -221,6 +221,12 @@ TEST(ClfStatsTest, CountersReflectTraffic) {
   ASSERT_TRUE(b->Next(got, from, Deadline::AfterMillis(10000)).ok());
   EXPECT_GE(a->registry->GetCounter("clf.data_packets_sent").Value(), 3u);
   EXPECT_GE(b->registry->GetCounter("clf.data_packets_received").Value(), 3u);
+  // The ack follows delivery: it leaves once b has read its socket empty.
+  const TimePoint give_up = Now() + Millis(10000);
+  while (b->registry->GetCounter("clf.acks_sent").Value() < 1 &&
+         Now() < give_up) {
+    std::this_thread::sleep_for(Millis(1));
+  }
   EXPECT_GE(b->registry->GetCounter("clf.acks_sent").Value(), 1u);
   EXPECT_EQ(b->registry->GetCounter("clf.messages_delivered").Value(), 1u);
 }

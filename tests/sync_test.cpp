@@ -224,6 +224,29 @@ TEST(SyncBlockingDeathTest, BlockingWhileHoldingOrdinaryMutexAborts) {
       "blocking operation");
 }
 
+TEST(SyncBlockingDeathTest, BlockingOnAMarkedDeliveryThreadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SetDeadlockDetectionForTesting(true);
+        DeliveryThreadScope delivery;
+        AssertBlockingAllowed("sync_test fake I/O");
+      },
+      "on a delivery thread");
+}
+
+TEST(SyncBlockingTest, DeliveryMarkEndsWithItsScope) {
+  SetDeadlockDetectionForTesting(true);
+  {
+    DeliveryThreadScope outer;
+    DeliveryThreadScope inner;
+    // A send from a delivery thread only checks the locks it holds.
+    AssertNoLockHeld("sync_test fake send");
+  }
+  AssertBlockingAllowed("sync_test fake I/O");  // must not abort
+  SetDeadlockDetectionForTesting(false);
+}
+
 TEST(SyncBlockingTest, BlockingAllowedMutexPassesTheAssert) {
   SetDeadlockDetectionForTesting(true);
   ds::Mutex mu("test.blocking_ok_mu", ds::Mutex::kBlockingAllowed);
