@@ -12,6 +12,14 @@
 // timeout with exponential backoff. Send never waits on the window:
 // fragments past it queue on the peer and go out as acks open it.
 //
+// One user-space copy per side: a fragment is a slice of the sent
+// message, and each wire send gathers a header built at that moment
+// with the slice (only an active FaultInjector, which holds datagrams,
+// gets them flattened). The receiver appends each in-order fragment
+// from its receive buffer straight into the message's reassembly
+// buffer, stashes only fragments that arrive ahead of a gap, and
+// delivers the message as a SharedBuffer that owns that buffer.
+//
 // Acks follow delivery and ride data: the receiver records the ack it
 // owes a peer before it delivers an in-order run, and every data
 // packet carries the cumulative ack of the reverse stream in its
@@ -113,9 +121,9 @@ class Endpoint {
   // peer until acks open the window (delivery is then guaranteed by
   // retransmission as long as both ends live). kUnavailable once the
   // peer is dead or its shm ring closed, kCancelled on shutdown,
-  // kInvalidArgument over transport::kMaxFrame.
-  Status Send(const transport::SockAddr& to,
-              std::span<const std::uint8_t> message);
+  // kInvalidArgument over transport::kMaxFrame. The message is kept,
+  // without a copy, until its last fragment is acked.
+  Status Send(const transport::SockAddr& to, Buffer message);
 
   // --- failure detection ------------------------------------------------
   // Starts keepalive monitoring of `peer` before any traffic flows
@@ -143,8 +151,14 @@ class Endpoint {
   // ARQ stream, its liveness and its RTT histogram. Records are never
   // erased; death and epoch changes reset the ARQ part in place.
   struct Peer {
+    // Data packet `seq`: bytes [offset, offset + length) of `message`.
+    // The one at offset 0 is the message's first fragment, which also
+    // carries its length.
     struct Packet {
-      Buffer datagram;
+      SharedBuffer message;
+      std::size_t offset = 0;
+      std::size_t length = 0;
+      std::uint32_t seq = 0;
       TimePoint sent_at{};  // first wire send, for the RTT histogram
       TimePoint resend_at{};
       Duration rto{};
@@ -184,12 +198,18 @@ class Endpoint {
 
   struct RecvPeer {
     std::uint32_t expected_seq = 0;
-    std::map<std::uint32_t, Buffer> out_of_order;  // seq -> payload w/ flags
-    // Message reassembly.
+    // Copies of the packets that arrived ahead of a gap:
+    // seq -> flags byte, then the payload.
+    std::map<std::uint32_t, Buffer> out_of_order;
+    // Message reassembly, into a buffer sized from the first fragment.
     bool assembling = false;
     std::size_t message_length = 0;
     Buffer partial;
   };
+
+  // A data packet on its way to the wire: a header stamped with the ack
+  // owed when it left, and its payload, a slice of its message.
+  struct Outgoing;
 
   void ReceiverLoop();
   void HandleDatagram(const transport::SockAddr& from,
@@ -204,18 +224,21 @@ class Endpoint {
   void DeliverInOrderFragment(const transport::SockAddr& from, RecvPeer& peer,
                               std::span<const std::uint8_t> payload,
                               bool first_fragment);
-  void Deliver(const transport::SockAddr& from, Buffer message);
+  void Deliver(const transport::SockAddr& from, SharedBuffer message);
   // Writes a standalone ack; the caller counts it in clf.acks_sent.
   void SendAck(const transport::SockAddr& to, std::uint32_t ack);
   // Moves packets of `peer` from its queue onto the wire while the
-  // window has room: copies of their datagrams, stamped with the ack
-  // owed to the peer, go to `out`, for the caller to write once it
-  // releases send_mu_.
-  void AdmitLocked(Peer& peer, TimePoint now, std::vector<Buffer>& out)
+  // window has room: each goes to `out`, stamped with the ack owed to
+  // the peer, for the caller to write once it releases send_mu_.
+  void AdmitLocked(Peer& peer, TimePoint now, std::vector<Outgoing>& out)
       DS_REQUIRES(send_mu_);
   void RetransmitScan();
-  // Applies fault injection and writes datagrams to the socket.
-  void WireSend(const transport::SockAddr& to, Buffer datagram);
+  // Writes one datagram, `header` then `payload`, to the socket in one
+  // gathering send; under an active injector, flattened through it.
+  void WireSend(const transport::SockAddr& to,
+                std::span<const std::uint8_t> header,
+                std::span<const std::uint8_t> payload = {});
+  void WireSend(const transport::SockAddr& to, const Outgoing& packet);
   // Sends every modeled-network packet due at or before `now`
   // (TimePoint::max() drains the whole queue on shutdown).
   void DrainModeledNetwork(TimePoint now);

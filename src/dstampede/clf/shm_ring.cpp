@@ -20,7 +20,7 @@ Status ShmRing::Transfer(const transport::SockAddr& from,
       off += n;
     }
   }
-  deliver_(from, std::move(assembled));
+  deliver_(from, SharedBuffer(std::move(assembled)));
   ds::MutexLock lock(mu_);
   if (--in_flight_ == 0 && closed_) drained_cv_.NotifyAll();
   return OkStatus();

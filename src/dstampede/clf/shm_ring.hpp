@@ -21,9 +21,10 @@
 namespace dstampede::clf {
 
 // A message sink: the owner's delivery upcall, fixed when the endpoint
-// (or ring) is created. Both the UDP receiver and the shm ring call it.
+// (or ring) is created. Both the UDP receiver and the shm ring call it,
+// each handing over a message that nothing else refers to.
 using DeliverFn =
-    std::function<void(const transport::SockAddr& from, Buffer message)>;
+    std::function<void(const transport::SockAddr& from, SharedBuffer message)>;
 
 // Bounded staging buffer through which fast-path messages are copied in
 // fixed-size chunks. One ring per receiving endpoint; senders serialize

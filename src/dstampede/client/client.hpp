@@ -228,9 +228,9 @@ class BasicClient {
   // request and sends it until the reply that carries its id arrives.
   // Transparently reconnects and replays per ReconnectPolicy; notices
   // from Resume replies land in `notices`.
-  Result<Buffer> CallLocked(core::Op op, const BodyFn& body,
-                            Deadline deadline,
-                            std::vector<core::GcNotice>& notices)
+  Result<SharedBuffer> CallLocked(core::Op op, const BodyFn& body,
+                                  Deadline deadline,
+                                  std::vector<core::GcNotice>& notices)
       DS_REQUIRES(mu_);
   // Encodes one request: the header, then the fields `body` writes.
   // With `stamp`, a thread that carries no sampled trace context gets a

@@ -12,11 +12,12 @@ namespace dstampede::client {
 
 namespace internal {
 // One request/reply exchange on `conn`: sends `request`, then receives
-// until the reply that carries `id`. A reply to an earlier call (one
-// that timed out here but still ran on the surrogate) is skipped.
-inline Result<Buffer> Exchange(transport::TcpConnection& conn,
-                               const Buffer& request, std::uint64_t id,
-                               Deadline wait) {
+// until the reply that carries `id`, a frame of its own that the result
+// decoded from it may alias. A reply to an earlier call (one that timed
+// out here but still ran on the surrogate) is skipped.
+inline Result<SharedBuffer> Exchange(transport::TcpConnection& conn,
+                                     const Buffer& request, std::uint64_t id,
+                                     Deadline wait) {
   DS_RETURN_IF_ERROR(conn.SendFrame(request));
   Buffer reply;
   for (;;) {
@@ -27,7 +28,7 @@ inline Result<Buffer> Exchange(transport::TcpConnection& conn,
     auto hdr = core::DecodeRequestHeader(peek);
     // Framing desync — unsafe to keep using this connection.
     if (!hdr.ok()) return ConnectionClosedError("malformed reply frame");
-    if (hdr->request_id == id) return reply;
+    if (hdr->request_id == id) return SharedBuffer(std::move(reply));
   }
 }
 }  // namespace internal
@@ -80,7 +81,7 @@ template <typename Read>
 std::invoke_result_t<Read&, typename Codec::Decoder&> BasicClient<Codec>::Call(
     core::Op op, const BodyFn& body, Deadline deadline, Read read) {
   std::vector<core::GcNotice> notices;
-  const Result<Buffer> reply = [&]() -> Result<Buffer> {
+  const Result<SharedBuffer> reply = [&]() -> Result<SharedBuffer> {
     ds::MutexLock lock(mu_);
     return CallLocked(op, body, deadline, notices);
   }();
@@ -90,7 +91,7 @@ std::invoke_result_t<Read&, typename Codec::Decoder&> BasicClient<Codec>::Call(
 }
 
 template <typename Codec>
-Result<Buffer> BasicClient<Codec>::CallLocked(
+Result<SharedBuffer> BasicClient<Codec>::CallLocked(
     core::Op op, const BodyFn& body, Deadline deadline,
     std::vector<core::GcNotice>& notices) {
   const Deadline wait =
@@ -109,7 +110,7 @@ Result<Buffer> BasicClient<Codec>::CallLocked(
 
   for (std::uint32_t attempt = 0;; ++attempt) {
     if (attempt > 0) ++replays_;
-    Result<Buffer> reply = internal::Exchange(conn_, request, id, wait);
+    Result<SharedBuffer> reply = internal::Exchange(conn_, request, id, wait);
     if (reply.ok()) {
       last_acked_id_ = id;
       return reply;
@@ -369,7 +370,7 @@ Status BasicClient<Codec>::Put(const core::Connection& conn, Timestamp ts,
   req.slot = conn.slot();
   req.ts = ts;
   req.deadline_ms = core::EncodeDeadline(deadline);
-  req.payload = std::move(payload);
+  req.payload = SharedBuffer(std::move(payload));
   return Call(core::Op::kPut, core::BodyOf(req), deadline, NoResult);
 }
 

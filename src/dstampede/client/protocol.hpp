@@ -106,12 +106,13 @@ constexpr auto WireFields(const SetGcInterestReq*) {
 // std::vector<core::GcNotice> that is the LAST section of every
 // response frame.
 // Returns the failure, the reply's error status, or what `read(dec)`
-// decodes from the result fields. The trailer's notices are appended to
-// `notices`, after an error status too, but not after result fields
-// that fail to decode (the trailer's position is then unknown).
+// decodes from the result fields (an XdrDecoder's payloads as slices of
+// the reply). The trailer's notices are appended to `notices`, after an
+// error status too, but not after result fields that fail to decode
+// (the trailer's position is then unknown).
 template <class Dec, class Read>
 std::invoke_result_t<Read&, Dec&> DecodeClientReply(
-    const Result<Buffer>& reply, Read read,
+    const Result<SharedBuffer>& reply, Read read,
     std::vector<core::GcNotice>& notices) {
   if (!reply.ok()) return reply.status();
   Dec dec(*reply);

@@ -6,6 +6,7 @@
 // be handed to many consumers without copying.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -21,32 +22,55 @@ namespace dstampede {
 
 using Buffer = std::vector<std::uint8_t>;
 
-// Immutable, reference-counted payload. Channels store these; gets in
-// the same process alias the same bytes.
+// Immutable, reference-counted payload: a run of bytes inside a Buffer
+// that every copy and slice shares. Channels store these; gets in the
+// same process alias the same bytes, and a payload decoded from a
+// delivered message is a slice of that message (it keeps the whole
+// message alive).
 class SharedBuffer {
  public:
   SharedBuffer() = default;
   explicit SharedBuffer(Buffer data)
-      : rep_(std::make_shared<const Buffer>(std::move(data))) {}
+      : owner_(std::make_shared<const Buffer>(std::move(data))),
+        data_(owner_->data()),
+        size_(owner_->size()) {}
+  // Takes ownership of `data`, as the constructor does.
+  SharedBuffer& operator=(Buffer data) {
+    return *this = SharedBuffer(std::move(data));
+  }
 
   static SharedBuffer FromString(std::string_view s) {
     return SharedBuffer(Buffer(s.begin(), s.end()));
   }
 
-  bool empty() const { return !rep_ || rep_->empty(); }
-  std::size_t size() const { return rep_ ? rep_->size() : 0; }
-  const std::uint8_t* data() const { return rep_ ? rep_->data() : nullptr; }
-  std::span<const std::uint8_t> span() const {
-    return rep_ ? std::span<const std::uint8_t>(*rep_)
-                : std::span<const std::uint8_t>();
+  // Bytes [offset, offset + length) of this buffer, sharing its owner;
+  // cut at the end, so a slice never reaches past its owner.
+  SharedBuffer Slice(std::size_t offset, std::size_t length) const {
+    SharedBuffer out;
+    out.owner_ = owner_;
+    offset = std::min(offset, size_);
+    out.data_ = data_ + offset;
+    out.size_ = std::min(length, size_ - offset);
+    return out;
   }
-  Buffer ToVector() const { return rep_ ? *rep_ : Buffer{}; }
-  std::string ToString() const {
-    return rep_ ? std::string(rep_->begin(), rep_->end()) : std::string();
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  const std::uint8_t* data() const { return data_; }
+  std::span<const std::uint8_t> span() const { return {data_, size_}; }
+  // Bytes the owner holds allocated: what this buffer keeps alive.
+  std::size_t capacity() const { return owner_ ? owner_->capacity() : 0; }
+  Buffer ToVector() const { return Buffer(data_, data_ + size_); }
+  std::string ToString() const { return std::string(data_, data_ + size_); }
+
+  friend bool operator==(const SharedBuffer& a, const SharedBuffer& b) {
+    return std::ranges::equal(a.span(), b.span());
   }
 
  private:
-  std::shared_ptr<const Buffer> rep_;
+  std::shared_ptr<const Buffer> owner_;
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 // Appends big-endian primitives to a Buffer. Never fails: it grows.

@@ -277,7 +277,7 @@ class AddressSpace {
   // reply frame (or the transport failure) lands.
   struct OutstandingCall {
     AsId target = kInvalidAsId;
-    std::shared_ptr<SyncWaiter<Result<Buffer>>> reply;
+    std::shared_ptr<SyncWaiter<Result<SharedBuffer>>> reply;
   };
 
   // The space a CLF request came from: where its reply goes, and its id
@@ -315,6 +315,10 @@ class AddressSpace {
   Status SetGcHandler(std::uint64_t bits, bool is_queue, GcHandler handler);
   // Consume or ConsumeUntil, through the API or on a container held here.
   Status ConsumeAt(const Connection& conn, Timestamp ts, bool until);
+  // Put with the payload already shared: stored as is when the
+  // container is here (a decoded payload stays a slice of its message).
+  Status PutItem(const Connection& conn, Timestamp ts, SharedBuffer payload,
+                 Deadline deadline);
   Status ConsumeHere(std::uint64_t bits, bool is_queue, std::uint32_t slot,
                      Timestamp ts, bool until);
 
@@ -323,8 +327,8 @@ class AddressSpace {
   // `body` writes (into a buffer of `size_hint` bytes), sends it and
   // waits. Same shape as RepLog::SendFn, which it backs.
   using BodyFn = std::function<void(marshal::XdrEncoder&)>;
-  Result<Buffer> Call(AsId target, Op op, const BodyFn& body,
-                      Deadline deadline, std::size_t size_hint = 0);
+  Result<SharedBuffer> Call(AsId target, Op op, const BodyFn& body,
+                            Deadline deadline, std::size_t size_hint = 0);
   // Completes, with `status`, every outstanding call whose target
   // `doomed` selects.
   void FailCalls(const std::function<bool(AsId)>& doomed,
@@ -340,11 +344,13 @@ class AddressSpace {
   // block is served right here by ServeRequest, and any other goes to
   // the dispatcher pool, which runs ServeRequest on a worker (or is
   // refused once the pool stops). Never waits.
-  void OnMessage(const transport::SockAddr& from, Buffer message);
+  void OnMessage(const transport::SockAddr& from, SharedBuffer message);
   // Serves a peer's request under its trace context and sends the
-  // reply: `body` holds its op fields. Refuses it once Shutdown began.
+  // reply: `body`, a slice of the delivered message, holds its op
+  // fields, so a put's payload is stored as a slice of it too. Refuses
+  // it once Shutdown began.
   void ServeRequest(const Peer& peer, const RequestHeader& hdr,
-                    std::span<const std::uint8_t> body);
+                    const SharedBuffer& body);
   // Serves one request: a peer's (`peer` set, from ServeRequest) or an
   // end device's (`peer` null, from ExecuteWireRequest). `body` is
   // positioned at the op fields, which each op decodes once. Returns

@@ -112,7 +112,7 @@ class NameService {
   // rotates through the replica set, following "leader=<id>" hints and
   // pausing between rounds so an election can settle. Returns the raw
   // reply frame of the first definitive answer.
-  Result<Buffer> Route(Op op, const BodyFn& body, Deadline deadline);
+  Result<SharedBuffer> Route(Op op, const BodyFn& body, Deadline deadline);
   void NoteLeader(AsId leader);
   // Appends a purge of `dead`'s names; `what` names it in the warning
   // logged if the append fails.

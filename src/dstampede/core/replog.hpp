@@ -84,7 +84,7 @@ class RepLog {
   // Sends one framed replication request to a peer replica and returns
   // the raw response frame. The callee owns request-id assignment and
   // transport (AddressSpace::Call underneath).
-  using SendFn = std::function<Result<Buffer>(
+  using SendFn = std::function<Result<SharedBuffer>(
       AsId target, Op op, const std::function<void(marshal::XdrEncoder&)>& body,
       Deadline deadline)>;
   // True when CLF has declared the replica dead (election input).

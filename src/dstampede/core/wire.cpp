@@ -33,7 +33,7 @@ Buffer EncodeItemReply(std::uint64_t request_id, const ItemView& item) {
   return enc.Take();
 }
 
-Status ReplyStatus(const Result<Buffer>& reply) {
+Status ReplyStatus(const Result<SharedBuffer>& reply) {
   if (!reply.ok()) return reply.status();
   marshal::XdrDecoder dec(*reply);
   DS_ASSIGN_OR_RETURN(ResponseHeader hdr, DecodeResponseHeader(dec));

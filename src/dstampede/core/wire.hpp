@@ -115,7 +115,10 @@ Result<RequestHeader> DecodeRequestHeader(marshal::XdrDecoder& dec);
 //   other integer, bool, enum       [u32]; an enum other than AsId (an
 //                                   index) decodes only inside its
 //                                   WireRange
-//   std::string, Buffer, SharedBuffer  opaque: [u32 n][n bytes][pad]
+//   std::string, Buffer, SharedBuffer  opaque: [u32 n][n bytes][pad]; a
+//                                   SharedBuffer decodes as a slice of
+//                                   an XdrDecoder's owner (a copy under
+//                                   the Java-style decoder)
 //   std::vector<T>                  [u32 count][count T's]; the count is
 //                                   bounded by MinWireBytes<T>()
 //   a type with WireFields          its fields, inline
@@ -223,8 +226,12 @@ Status DecodeInto(Dec& dec, T& out) {
   } else if constexpr (std::is_same_v<T, Buffer>) {
     DS_ASSIGN_OR_RETURN(out, dec.GetOpaque());
   } else if constexpr (std::is_same_v<T, SharedBuffer>) {
-    DS_ASSIGN_OR_RETURN(Buffer bytes, dec.GetOpaque());
-    out = SharedBuffer(std::move(bytes));
+    if constexpr (requires { dec.GetSharedOpaque(); }) {
+      DS_ASSIGN_OR_RETURN(out, dec.GetSharedOpaque());
+    } else {
+      DS_ASSIGN_OR_RETURN(Buffer bytes, dec.GetOpaque());
+      out = SharedBuffer(std::move(bytes));
+    }
   } else if constexpr (kIsWireVector<T>) {
     using Element = typename T::value_type;
     DS_ASSIGN_OR_RETURN(std::uint32_t count,
@@ -356,7 +363,7 @@ struct PutReq {  // kPut
   std::uint32_t slot = 0;
   Timestamp ts = 0;
   std::int64_t deadline_ms = kDeadlineInfinite;
-  Buffer payload;
+  SharedBuffer payload;
 };
 constexpr auto WireFields(const PutReq*) {
   return std::tuple(&PutReq::container_bits, &PutReq::is_queue,
@@ -568,9 +575,9 @@ Buffer EncodeReply(std::uint64_t request_id, const Result<T>& result,
 // The inverse, on the calling side: `reply` is a reply frame or the
 // transport failure that stands in for one. Returns the failure or the
 // reply's error status; for an ok reply, what `read(dec)` decodes from
-// its result fields.
+// its result fields (payloads as slices of the reply).
 template <typename Read>
-auto DecodeReply(const Result<Buffer>& reply, Read read)
+auto DecodeReply(const Result<SharedBuffer>& reply, Read read)
     -> decltype(read(std::declval<marshal::XdrDecoder&>())) {
   if (!reply.ok()) return reply.status();
   marshal::XdrDecoder dec(*reply);
@@ -579,6 +586,6 @@ auto DecodeReply(const Result<Buffer>& reply, Read read)
   return read(dec);
 }
 // The same for an op whose reply carries no result fields.
-Status ReplyStatus(const Result<Buffer>& reply);
+Status ReplyStatus(const Result<SharedBuffer>& reply);
 
 }  // namespace dstampede::core

@@ -106,6 +106,10 @@ class JavaStyleDecoder {
  public:
   explicit JavaStyleDecoder(std::span<const std::uint8_t> data)
       : data_(data) {}
+  // Reads the bytes of `frame`, which must outlive the decoder; opaque
+  // fields are still copied, one boxed byte at a time.
+  explicit JavaStyleDecoder(const SharedBuffer& frame)
+      : data_(frame.span()) {}
 
   Result<std::uint32_t> GetU32();
   Result<std::int32_t> GetI32();

@@ -106,6 +106,13 @@ Result<Buffer> XdrDecoder::GetOpaque() {
   return Buffer(view.begin(), view.end());
 }
 
+Result<SharedBuffer> XdrDecoder::GetSharedOpaque() {
+  DS_ASSIGN_OR_RETURN(auto view, GetOpaqueView());
+  if (!owned_) return SharedBuffer(Buffer(view.begin(), view.end()));
+  return owner_.Slice(static_cast<std::size_t>(view.data() - data_.data()),
+                      view.size());
+}
+
 Result<std::string> XdrDecoder::GetString() {
   DS_ASSIGN_OR_RETURN(auto view, GetOpaqueView());
   return std::string(view.begin(), view.end());

@@ -43,7 +43,12 @@ class XdrEncoder {
 
 class XdrDecoder {
  public:
+  // Reads `data`, which must outlive the decoder; opaque fields come
+  // out as copies.
   explicit XdrDecoder(std::span<const std::uint8_t> data) : data_(data) {}
+  // Reads the bytes of `owner`; GetSharedOpaque hands out slices of it.
+  explicit XdrDecoder(const SharedBuffer& owner)
+      : data_(owner.span()), owner_(owner), owned_(true) {}
 
   Result<std::uint32_t> GetU32();
   Result<std::int32_t> GetI32();
@@ -54,6 +59,9 @@ class XdrDecoder {
   Result<Buffer> GetOpaque();
   // Zero-copy view of an opaque field (valid while the input lives).
   Result<std::span<const std::uint8_t>> GetOpaqueView();
+  // An opaque field as a SharedBuffer: a slice of the owner when the
+  // decoder was built over one, else a copy.
+  Result<SharedBuffer> GetSharedOpaque();
   Result<std::string> GetString();
   // An element count (u32) that the remaining bytes can hold, given
   // that one element encodes to at least `min_element_bytes` (> 0). A
@@ -69,6 +77,8 @@ class XdrDecoder {
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+  SharedBuffer owner_;
+  bool owned_ = false;
 };
 
 }  // namespace dstampede::marshal

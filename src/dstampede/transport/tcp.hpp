@@ -27,9 +27,13 @@ class TcpConnection {
   bool valid() const { return fd_.valid(); }
   void Close() { fd_.Reset(); }
 
-  // Framed messages: u32 big-endian length, then payload.
+  // Framed messages: u32 big-endian length, then payload, gathered
+  // into one send.
   Status SendFrame(std::span<const std::uint8_t> payload);
-  // Receives one frame into out (replacing its contents).
+  // Receives one frame into out (replacing its contents). A frame that
+  // the deadline cuts short stays with the connection, and the next
+  // call resumes it, so a kTimeout never splits the stream's framing.
+  // The body grows as its bytes arrive, not to the claimed length.
   Status RecvFrame(Buffer& out, Deadline deadline = Deadline::Infinite());
 
   // Raw stream I/O for baseline benchmarks.
@@ -42,7 +46,16 @@ class TcpConnection {
  private:
   Status RecvSome(std::uint8_t* dst, std::size_t n, std::size_t& got,
                   Deadline deadline);
+  // RecvFrame's reads, from where the frame in progress stands.
+  Status ContinueFrame(Buffer& out, Deadline deadline);
+
   FdHandle fd_;
+  // The frame in progress (none while header_got_ is 0): its header
+  // bytes, the body bytes read, and, between calls, the body itself.
+  std::uint8_t header_[4] = {};
+  std::size_t header_got_ = 0;
+  std::size_t body_got_ = 0;
+  Buffer partial_;
 };
 
 class TcpListener {

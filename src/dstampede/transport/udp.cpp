@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace dstampede::transport {
@@ -32,19 +33,21 @@ Result<UdpSocket> UdpSocket::Bind(std::uint16_t port) {
   return sock;
 }
 
-Status UdpSocket::SendTo(const SockAddr& to,
-                         std::span<const std::uint8_t> data) {
-  if (data.size() > kMaxUdpDatagram) {
-    return InvalidArgumentError("datagram exceeds UDP limit");
-  }
+namespace {
+
+sockaddr_in ToSockaddr(const SockAddr& to) {
   sockaddr_in sin{};
   sin.sin_family = AF_INET;
   sin.sin_addr.s_addr = htonl(to.ip_host_order);
   sin.sin_port = htons(to.port);
+  return sin;
+}
+
+// Runs `send` (a sendto or sendmsg) until it is not interrupted.
+template <typename Send>
+Status SendDatagram(Send send) {
   for (;;) {
-    ssize_t n = ::sendto(fd_.get(), data.data(), data.size(), 0,
-                         reinterpret_cast<sockaddr*>(&sin), sizeof sin);
-    if (n >= 0) return OkStatus();
+    if (send() >= 0) return OkStatus();
     if (errno == EINTR) continue;
     if (errno == ENOBUFS || errno == EAGAIN) {
       // Loopback send buffer momentarily full: drop, CLF retransmits.
@@ -52,6 +55,38 @@ Status UdpSocket::SendTo(const SockAddr& to,
     }
     return ErrnoStatus("sendto");
   }
+}
+
+}  // namespace
+
+Status UdpSocket::SendTo(const SockAddr& to,
+                         std::span<const std::uint8_t> data) {
+  if (data.size() > kMaxUdpDatagram) {
+    return InvalidArgumentError("datagram exceeds UDP limit");
+  }
+  sockaddr_in sin = ToSockaddr(to);
+  return SendDatagram([&] {
+    return ::sendto(fd_.get(), data.data(), data.size(), 0,
+                    reinterpret_cast<sockaddr*>(&sin), sizeof sin);
+  });
+}
+
+Status UdpSocket::SendTo(const SockAddr& to,
+                         std::span<const std::uint8_t> header,
+                         std::span<const std::uint8_t> payload) {
+  if (header.size() + payload.size() > kMaxUdpDatagram) {
+    return InvalidArgumentError("datagram exceeds UDP limit");
+  }
+  sockaddr_in sin = ToSockaddr(to);
+  iovec parts[2] = {
+      {const_cast<std::uint8_t*>(header.data()), header.size()},
+      {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_name = &sin;
+  msg.msg_namelen = sizeof sin;
+  msg.msg_iov = parts;
+  msg.msg_iovlen = 2;
+  return SendDatagram([&] { return ::sendmsg(fd_.get(), &msg, 0); });
 }
 
 Status UdpSocket::RecvFrom(Buffer& out, SockAddr& from, Deadline deadline) {

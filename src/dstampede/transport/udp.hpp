@@ -30,6 +30,10 @@ class UdpSocket {
   void Close() { fd_.Reset(); }
 
   Status SendTo(const SockAddr& to, std::span<const std::uint8_t> data);
+  // Sends `header` then `payload` as one datagram, gathered by one
+  // sendmsg, so neither is copied into a joined buffer first.
+  Status SendTo(const SockAddr& to, std::span<const std::uint8_t> header,
+                std::span<const std::uint8_t> payload);
 
   // Receives one datagram into out (resized to the datagram length).
   // Fills from with the sender address.

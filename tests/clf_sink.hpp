@@ -20,7 +20,7 @@ class MessageSink {
   // The delivery upcall for Endpoint::Create. The sink must outlive
   // the endpoint.
   DeliverFn Deliver() {
-    return [this](const transport::SockAddr& from, Buffer message) {
+    return [this](const transport::SockAddr& from, SharedBuffer message) {
       {
         ds::MutexLock lock(mu_);
         messages_.emplace_back(from, std::move(message));
@@ -29,8 +29,10 @@ class MessageSink {
     };
   }
 
-  // kTimeout if nothing is delivered by `deadline`.
-  Status Next(Buffer& out, transport::SockAddr& from, Deadline deadline) {
+  // The delivered message itself; kTimeout if nothing is delivered by
+  // `deadline`.
+  Status Next(SharedBuffer& out, transport::SockAddr& from,
+              Deadline deadline) {
     ds::MutexLock lock(mu_);
     while (messages_.empty()) {
       if (!cv_.WaitUntil(mu_, deadline) && messages_.empty()) {
@@ -42,11 +44,18 @@ class MessageSink {
     messages_.pop_front();
     return OkStatus();
   }
+  // A copy of its bytes, for callers that compare or resend them.
+  Status Next(Buffer& out, transport::SockAddr& from, Deadline deadline) {
+    SharedBuffer message;
+    DS_RETURN_IF_ERROR(Next(message, from, deadline));
+    out = message.ToVector();
+    return OkStatus();
+  }
 
  private:
   ds::Mutex mu_{"test.sink_mu"};
   ds::CondVar cv_;
-  std::deque<std::pair<transport::SockAddr, Buffer>> messages_
+  std::deque<std::pair<transport::SockAddr, SharedBuffer>> messages_
       DS_GUARDED_BY(mu_);
 };
 
@@ -60,7 +69,8 @@ struct SinkEndpoint {
   std::unique_ptr<Endpoint> endpoint;
 
   Endpoint* operator->() const { return endpoint.get(); }
-  Status Next(Buffer& out, transport::SockAddr& from, Deadline deadline) {
+  template <typename Out>  // SharedBuffer or Buffer, as MessageSink::Next
+  Status Next(Out& out, transport::SockAddr& from, Deadline deadline) {
     return sink->Next(out, from, deadline);
   }
 };

@@ -97,8 +97,8 @@ TEST(FaultInjectorTest, ReorderHoldsThenReleases) {
 // --- shm ring & registry ---------------------------------------------------
 
 TEST(ShmRingTest, TransfersMessagesThroughChunks) {
-  std::vector<std::pair<transport::SockAddr, Buffer>> delivered;
-  ShmRing ring([&](const transport::SockAddr& from, Buffer message) {
+  std::vector<std::pair<transport::SockAddr, SharedBuffer>> delivered;
+  ShmRing ring([&](const transport::SockAddr& from, SharedBuffer message) {
     delivered.emplace_back(from, std::move(message));
   });
   Buffer big(3 * ShmRing::kChunk + 500);
@@ -108,12 +108,12 @@ TEST(ShmRingTest, TransfersMessagesThroughChunks) {
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].first, from);
   EXPECT_EQ(delivered[0].second.size(), big.size());
-  EXPECT_TRUE(CheckPattern(delivered[0].second, 4));
+  EXPECT_TRUE(CheckPattern(delivered[0].second.span(), 4));
 }
 
 TEST(ShmRingTest, EmptyMessage) {
   std::size_t calls = 0;
-  ShmRing ring([&](const transport::SockAddr&, Buffer message) {
+  ShmRing ring([&](const transport::SockAddr&, SharedBuffer message) {
     ++calls;
     EXPECT_TRUE(message.empty());
   });
@@ -123,7 +123,7 @@ TEST(ShmRingTest, EmptyMessage) {
 
 TEST(ShmRingTest, ClosedRingRefusesTransfers) {
   std::size_t calls = 0;
-  ShmRing ring([&](const transport::SockAddr&, Buffer) { ++calls; });
+  ShmRing ring([&](const transport::SockAddr&, SharedBuffer) { ++calls; });
   ring.Close();
   EXPECT_EQ(ring.Transfer(transport::SockAddr::Loopback(1), Buffer{1}).code(),
             StatusCode::kUnavailable);
@@ -134,7 +134,7 @@ TEST(ShmRingTest, CloseWaitsForTransferInFlight) {
   std::atomic<bool> delivering{false};
   std::atomic<bool> release{false};
   std::atomic<bool> closed{false};
-  ShmRing ring([&](const transport::SockAddr&, Buffer) {
+  ShmRing ring([&](const transport::SockAddr&, SharedBuffer) {
     delivering = true;
     while (!release.load()) std::this_thread::sleep_for(Millis(1));
   });
@@ -159,7 +159,7 @@ TEST(ShmRegistryTest, RegisterLookupUnregister) {
   const auto addr = transport::SockAddr::Loopback(54321);
   EXPECT_EQ(registry.Lookup(addr), nullptr);
   auto ring = std::make_shared<ShmRing>(
-      [](const transport::SockAddr&, Buffer) {});
+      [](const transport::SockAddr&, SharedBuffer) {});
   registry.Register(addr, ring);
   EXPECT_EQ(registry.Lookup(addr), ring);
   registry.Unregister(addr);

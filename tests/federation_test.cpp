@@ -265,7 +265,7 @@ TEST(FederationFailureTest, RevivedClusterIsNoLongerDown) {
   ep_opts.peer_timeout = Millis(150);
   metrics::Registry registry;
   auto revived = clf::Endpoint::Create(
-      ep_opts, registry, [](const transport::SockAddr&, Buffer) {});
+      ep_opts, registry, [](const transport::SockAddr&, SharedBuffer) {});
   ASSERT_TRUE(revived.ok()) << revived.status();
   (*revived)->WatchPeer(fed->cluster(0).as(0).clf_addr());
 

@@ -81,7 +81,7 @@ class TestCluster {
   }
 
  private:
-  Result<Buffer> Dispatch(
+  Result<SharedBuffer> Dispatch(
       std::size_t from, AsId target, Op op,
       const std::function<void(marshal::XdrEncoder&)>& body) {
     {
@@ -114,7 +114,7 @@ class TestCluster {
     } else {
       return InvalidArgumentError("unexpected op");
     }
-    return resp.Take();
+    return SharedBuffer(resp.Take());
   }
 
   std::vector<std::unique_ptr<RepLog>> nodes_;
@@ -278,7 +278,9 @@ TEST(RepLogTest, ElectionCheckReadsLivenessOutsideItsLock) {
   RepLog follower(
       opts, [](const Buffer&) {},
       [](AsId, Op, const std::function<void(marshal::XdrEncoder&)>&,
-         Deadline) -> Result<Buffer> { return UnavailableError("no peers"); },
+         Deadline) -> Result<SharedBuffer> {
+        return UnavailableError("no peers");
+      },
       [&checks](AsId) {
         sync::AssertBlockingAllowed("peer-dead callback");
         ++checks;
