@@ -736,6 +736,51 @@ TEST(RuntimeInlineServeTest, RemotePutsShedTheOwnersStandaloneAcks) {
             std::uint64_t{kPuts / 2});
 }
 
+TEST(RuntimeInlineServeTest, RelayedPayloadsAliasTheMessagesThatCarriedThem) {
+  // AS0 puts into AS1's channel and AS2 gets, over UDP, at sizes of 1, 2
+  // and 4 CLF fragments. The owner stores each payload as a slice of
+  // the put's request, and AS2's payload is a slice of the get's reply:
+  // each keeps its message alive, the payload plus a header of tens of
+  // bytes.
+  auto rt = Runtime::Create(UdpRuntime(3));
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  AddressSpace& owner = (*rt)->as(1);
+  auto ch = owner.CreateChannel();
+  ASSERT_TRUE(ch.ok()) << ch.status();
+  auto out = (*rt)->as(0).Connect(*ch, ConnMode::kOutput);
+  auto in = (*rt)->as(2).Connect(*ch, ConnMode::kInput);
+  auto here = owner.Connect(*ch, ConnMode::kInput);
+  ASSERT_TRUE(out.ok() && in.ok() && here.ok());
+
+  Timestamp ts = 0;
+  for (const std::size_t size : {1000u, 100000u, 190000u}) {
+    ++ts;
+    Buffer payload(size);
+    FillPattern(payload, ts);
+    ASSERT_TRUE((*rt)->as(0).Put(*out, ts, payload).ok()) << size;
+
+    auto got = (*rt)->as(2).Get(*in, GetSpec::Exact(ts),
+                                Deadline::AfterMillis(10000));
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->payload.size(), size);
+    EXPECT_TRUE(CheckPattern(got->payload.span(), ts)) << size;
+    EXPECT_GT(got->payload.capacity(), size);
+    EXPECT_LT(got->payload.capacity(), size + 100);
+
+    auto stored = owner.Get(*here, GetSpec::Exact(ts), Deadline::Poll());
+    ASSERT_TRUE(stored.ok()) << stored.status();
+    EXPECT_EQ(stored->payload, got->payload);
+    EXPECT_GT(stored->payload.capacity(), size);
+    EXPECT_LT(stored->payload.capacity(), size + 100);
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ((*rt)->as(i).metrics_registry()
+                  .GetCounter("clf.retransmissions").Value(),
+              0u)
+        << "AS" << i;
+  }
+}
+
 TEST(RuntimeInlineServeTest, GcHandlerMakingARemoteCallCompletesOnAPeersConsume) {
   auto rt = Runtime::Create(UdpRuntime(2));
   ASSERT_TRUE(rt.ok()) << rt.status();

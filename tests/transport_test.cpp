@@ -2,6 +2,8 @@
 // teardown; UDP datagrams and size limits.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <span>
 #include <thread>
 
 #include "dstampede/common/bytes.hpp"
@@ -134,6 +136,89 @@ TEST(TcpTest, PeerCloseSurfacesAsConnectionClosed) {
   Buffer frame;
   Status s = conn->RecvFrame(frame, Deadline::AfterMillis(1000));
   EXPECT_EQ(s.code(), StatusCode::kConnectionClosed);
+}
+
+TEST(TcpTest, TimeoutMidFrameResumesOnTheNextCall) {
+  // A 1000-byte frame whose second half comes 300 ms after the first,
+  // read with 100 ms deadlines: the calls that time out mid-frame keep
+  // what they read, so the frame, and the one after it, arrive intact.
+  auto listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  auto conn = TcpConnection::Connect(listener->bound_addr());
+  ASSERT_TRUE(conn.ok());
+  auto server_side = listener->Accept();
+  ASSERT_TRUE(server_side.ok());
+  Buffer payload(1000);
+  FillPattern(payload, 5);
+  Buffer stream = {0, 0, 0x03, 0xE8};  // length 1000
+  stream.insert(stream.end(), payload.begin(), payload.end());
+  const std::span<const std::uint8_t> bytes(stream);
+  std::thread writer([&] {
+    ASSERT_TRUE(server_side->SendAll(bytes.first(502)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ASSERT_TRUE(server_side->SendAll(bytes.subspan(502)).ok());
+    ASSERT_TRUE(server_side->SendFrame(Buffer{7, 8, 9}).ok());
+  });
+  Buffer frame;
+  int timeouts = 0;
+  Status s;
+  for (int call = 0; call < 50; ++call) {
+    s = conn->RecvFrame(frame, Deadline::AfterMillis(100));
+    if (s.code() != StatusCode::kTimeout) break;
+    ++timeouts;
+  }
+  writer.join();
+  ASSERT_TRUE(s.ok()) << s << " after " << timeouts << " timeouts";
+  EXPECT_GE(timeouts, 1);
+  EXPECT_EQ(frame, payload);
+  ASSERT_TRUE(conn->RecvFrame(frame, Deadline::AfterMillis(5000)).ok());
+  EXPECT_EQ(frame, (Buffer{7, 8, 9}));
+}
+
+TEST(TcpTest, ClaimedLengthAllocatesOnlyWhatArrives) {
+  // A header claiming the largest frame, a few bytes, then a close: the
+  // read ends in kConnectionClosed without reserving the claimed size.
+  auto listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  auto conn = TcpConnection::Connect(listener->bound_addr());
+  ASSERT_TRUE(conn.ok());
+  {
+    auto server_side = listener->Accept();
+    ASSERT_TRUE(server_side.ok());
+    const std::uint8_t claim[] = {
+        static_cast<std::uint8_t>(kMaxFrame >> 24),
+        static_cast<std::uint8_t>(kMaxFrame >> 16),
+        static_cast<std::uint8_t>(kMaxFrame >> 8),
+        static_cast<std::uint8_t>(kMaxFrame), 1, 2, 3};
+    ASSERT_TRUE(server_side->SendAll(claim).ok());
+  }
+  Buffer frame;
+  Status s = conn->RecvFrame(frame, Deadline::AfterMillis(5000));
+  EXPECT_EQ(s.code(), StatusCode::kConnectionClosed) << s;
+  EXPECT_LT(frame.capacity(), std::size_t{1} << 20);
+}
+
+TEST(TcpTest, GatheredFrameLargerThanTheSocketBuffersRoundTrips) {
+  // 8 MiB is more than both loopback socket buffers hold, so the one
+  // gathering send writes in parts while another thread reads.
+  auto listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  auto conn = TcpConnection::Connect(listener->bound_addr());
+  ASSERT_TRUE(conn.ok());
+  auto server_side = listener->Accept();
+  ASSERT_TRUE(server_side.ok());
+  Buffer big(8u << 20);
+  FillPattern(big, 8);
+  Buffer in;
+  Status received;
+  std::thread reader([&] {
+    received = server_side->RecvFrame(in, Deadline::AfterMillis(30000));
+  });
+  ASSERT_TRUE(conn->SendFrame(big).ok());
+  reader.join();
+  ASSERT_TRUE(received.ok()) << received;
+  ASSERT_EQ(in.size(), big.size());
+  EXPECT_TRUE(CheckPattern(in, 8));
 }
 
 TEST(TcpTest, RawExchange) {
