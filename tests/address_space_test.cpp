@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,6 +13,7 @@
 
 #include "clf_sink.hpp"
 #include "dstampede/core/runtime.hpp"
+#include "thread_count.hpp"
 
 namespace dstampede::core {
 namespace {
@@ -625,16 +625,6 @@ std::uint16_t FreeUdpPort() {
   return probe->bound_addr().port;
 }
 
-// "Threads:" of /proc/self/status.
-int ThreadCount() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
-  }
-  return -1;
-}
-
 TEST(RuntimeDeliveryTest, RequestRetransmittedBeforeSpaceExistsIsAnswered) {
   auto client = clf::CreateSinkEndpoint({});
   ASSERT_TRUE(client.ok()) << client.status();
@@ -678,19 +668,27 @@ TEST(RuntimeDeliveryTest, ShmRequestDeliveredDuringCreateIsAnswered) {
   ExpectAnswered(*client, 42);
 }
 
-TEST(RuntimeDeliveryTest, PlainSpaceRunsDispatcherPlusThreeThreads) {
-  // The dispatcher workers, the CLF receiver, the timer wheel and the
-  // GC service: delivery has no thread of its own.
-  constexpr int kWorkers = 3;
-  // A sanitizer runtime starts its helper thread with the process's
-  // first thread; let that happen before the baseline.
-  std::thread([] {}).join();
-  const int before = ThreadCount();
+TEST(RuntimeDeliveryTest, PlainSpaceRunsThreeThreadsUntilAPeerNeedsAWorker) {
+  // The CLF receiver, the timer wheel and the GC service: delivery has
+  // no thread of its own, and a dispatcher worker starts only for a
+  // request that goes to the pool.
+  const int before = BaselineThreadCount();
   AddressSpace::Options opts;
-  opts.dispatcher_threads = kWorkers;
+  opts.dispatcher_threads = 3;
+  opts.ns_replicas = {AsId{0}};
   auto as = AddressSpace::Create(opts);
   ASSERT_TRUE(as.ok()) << as.status();
-  EXPECT_EQ(ThreadCount() - before, kWorkers + 3);
+  EXPECT_EQ(ThreadCount() - before, 3);
+
+  auto peer = clf::CreateSinkEndpoint({});
+  ASSERT_TRUE(peer.ok()) << peer.status();
+  marshal::XdrEncoder enc;
+  EncodeRequestHeader(enc, Op::kNsList, 43);
+  Encode(enc, NsLookupReq{});
+  ASSERT_TRUE((*peer)->Send((*as)->clf_addr(), enc.Take()).ok());
+  ExpectAnswered(*peer, 43);
+  // The peer's endpoint brought its own receiver.
+  EXPECT_EQ(ThreadCount() - before, 3 + 1 + 1);
 }
 
 TEST(RuntimeDeliveryTest, CreateOnABoundPortFailsCleanly) {

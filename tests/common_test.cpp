@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <thread>
 
 #include "dstampede/common/bytes.hpp"
@@ -10,6 +13,7 @@
 #include "dstampede/common/ids.hpp"
 #include "dstampede/common/status.hpp"
 #include "dstampede/common/thread_pool.hpp"
+#include "thread_count.hpp"
 
 namespace dstampede {
 namespace {
@@ -253,6 +257,98 @@ TEST(ThreadPoolTest, WorkQueuedBeforeStartRunsOnceStarted) {
   pool.Start();
   pool.Shutdown();
   EXPECT_EQ(count.load(), 10);
+}
+
+// Tasks that run until Release: how many have started, and a gate
+// that holds them.
+class HeldTasks {
+ public:
+  std::function<void()> Task() {
+    return [this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++started_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    };
+  }
+  void AwaitStarted(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return started_ >= n; });
+  }
+  int started() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return started_;
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int started_ = 0;
+  bool released_ = false;
+};
+
+TEST(ThreadPoolTest, StartsNoWorkerBeforeTheFirstSubmit) {
+  const int before = BaselineThreadCount();
+  ThreadPool pool(4);
+  pool.Start();
+  EXPECT_EQ(ThreadCount(), before);
+  std::atomic<bool> ran{false};
+  ASSERT_TRUE(pool.Submit([&] { ran = true; }));
+  EXPECT_EQ(ThreadCount(), before + 1);
+  pool.Shutdown();
+  EXPECT_TRUE(ran.load());
+}
+
+TEST(ThreadPoolTest, HeldTasksStartWorkersUpToTheCap) {
+  const int before = BaselineThreadCount();
+  ThreadPool pool(4);
+  pool.Start();
+  HeldTasks held;
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(pool.Submit(held.Task()));
+  held.AwaitStarted(4);
+  EXPECT_EQ(ThreadCount(), before + 4);
+  EXPECT_EQ(pool.pending(), 2u);
+  EXPECT_EQ(held.started(), 4);
+  held.Release();
+  pool.Shutdown();
+  EXPECT_EQ(held.started(), 6);
+}
+
+TEST(ThreadPoolTest, FinishedWorkersTakeLaterTasks) {
+  const int before = BaselineThreadCount();
+  ThreadPool pool(8);
+  pool.Start();
+  HeldTasks first;
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(pool.Submit(first.Task()));
+  first.AwaitStarted(2);
+  EXPECT_EQ(ThreadCount(), before + 2);
+  first.Release();
+  // Both workers are back for work before the next tasks arrive.
+  while (pool.idle() != 2) std::this_thread::yield();
+  HeldTasks later;
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(pool.Submit(later.Task()));
+  later.AwaitStarted(2);
+  EXPECT_EQ(ThreadCount(), before + 2);
+  later.Release();
+  pool.Shutdown();
+}
+
+TEST(ThreadPoolTest, ShutdownJoinsEveryStartedWorker) {
+  const int before = BaselineThreadCount();
+  ThreadPool pool(8);
+  pool.Start();
+  HeldTasks held;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(pool.Submit(held.Task()));
+  held.AwaitStarted(3);
+  EXPECT_EQ(ThreadCount(), before + 3);
+  held.Release();
+  pool.Shutdown();
+  EXPECT_EQ(ThreadCountOnceItReads(before), before);
 }
 
 TEST(ThreadPoolTest, WaitGroupWaitsForAll) {
