@@ -101,7 +101,7 @@ void Listener::AcceptLoop() {
     auto conn = listener_.Accept(Deadline::AfterMillis(100));
     if (!conn.ok()) {
       if (conn.status().code() == StatusCode::kTimeout) continue;
-      break;  // listener socket closed
+      break;  // Shutdown stopped the listening socket
     }
     Handshake(std::move(conn).value());
   }
@@ -374,8 +374,11 @@ void Listener::Shutdown() {
   if (!ns_name_.empty() && !runtime_.as(0).stopped()) {
     (void)runtime_.as(0).NsUnregister(ns_name_);
   }
-  listener_.Close();
+  // Wake the accept loop out of its poll; close the socket only once
+  // nothing waits on it.
+  listener_.ShutdownRead();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
   if (janitor_thread_.joinable()) janitor_thread_.join();
   std::vector<RunThread> to_join;
   {

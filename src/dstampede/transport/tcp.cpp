@@ -189,6 +189,8 @@ Result<TcpListener> TcpListener::Bind(std::uint16_t port) {
   return listener;
 }
 
+void TcpListener::ShutdownRead() { (void)::shutdown(fd_.get(), SHUT_RD); }
+
 Result<TcpConnection> TcpListener::Accept(Deadline deadline) {
   DS_RETURN_IF_ERROR(WaitReadable(fd_.get(), deadline));
   sockaddr_in sin{};

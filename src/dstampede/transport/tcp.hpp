@@ -69,6 +69,10 @@ class TcpListener {
   const SockAddr& bound_addr() const { return bound_; }
   bool valid() const { return fd_.valid(); }
   void Close() { fd_.Reset(); }
+  // Stops listening and wakes a thread waiting in Accept, whose accept
+  // then fails, as does every later one. Closing the socket would not
+  // wake the waiter, which sleeps out its poll.
+  void ShutdownRead();
 
  private:
   FdHandle fd_;

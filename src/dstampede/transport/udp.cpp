@@ -89,6 +89,12 @@ Status UdpSocket::SendTo(const SockAddr& to,
   return SendDatagram([&] { return ::sendmsg(fd_.get(), &msg, 0); });
 }
 
+void UdpSocket::ShutdownRead() {
+  // An unconnected socket reports ENOTCONN, and its pollers wake all
+  // the same.
+  (void)::shutdown(fd_.get(), SHUT_RD);
+}
+
 Status UdpSocket::RecvFrom(Buffer& out, SockAddr& from, Deadline deadline) {
   out.resize(kMaxUdpDatagram);
   Result<std::size_t> n = RecvInto(out, from, deadline);

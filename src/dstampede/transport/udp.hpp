@@ -28,6 +28,10 @@ class UdpSocket {
   const SockAddr& bound_addr() const { return bound_; }
   bool valid() const { return fd_.valid(); }
   void Close() { fd_.Reset(); }
+  // Wakes a thread waiting in RecvInto or RecvFrom, and every later
+  // wait returns at once; sends still work. Closing the socket would
+  // not wake the waiter, which sleeps out its poll.
+  void ShutdownRead();
 
   Status SendTo(const SockAddr& to, std::span<const std::uint8_t> data);
   // Sends `header` then `payload` as one datagram, gathered by one

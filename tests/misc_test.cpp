@@ -153,6 +153,19 @@ TEST(ClientEdgeTest, DoubleLeaveIsSafe) {
   (*rt)->Shutdown();
 }
 
+TEST(ListenerEdgeTest, ShutdownWithNoSessionWakesTheAcceptLoop) {
+  auto rt = core::Runtime::Create({});
+  ASSERT_TRUE(rt.ok());
+  auto listener = client::Listener::Start(**rt);
+  ASSERT_TRUE(listener.ok());
+  // The accept loop polls in 100 ms rounds; Shutdown wakes it.
+  std::this_thread::sleep_for(Millis(20));  // in its first poll by now
+  const TimePoint start = Now();
+  (*listener)->Shutdown();
+  EXPECT_LT(ToMicros(Now() - start), 50000);
+  (*rt)->Shutdown();
+}
+
 TEST(ListenerEdgeTest, ShutdownWhileDevicesActive) {
   core::Runtime::Options opts;
   auto rt = core::Runtime::Create(opts);
