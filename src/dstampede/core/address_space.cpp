@@ -50,9 +50,9 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
   auto as = std::unique_ptr<AddressSpace>(new AddressSpace(options));
   AddressSpace* raw = as.get();
   as->wheel_ = std::make_unique<TimerWheel>();
-  // Its workers reply through endpoint_, so they start after it exists;
-  // requests delivered before then wait in the queue (OnMessage serves
-  // none inline until started_).
+  // Its workers reply through endpoint_, so the pool starts none before
+  // Start below; requests delivered before then wait in the queue
+  // (OnMessage serves none inline until started_).
   as->dispatcher_ = std::make_unique<ThreadPool>(
       options.dispatcher_threads,
       "AS" + std::to_string(AsIndex(options.id)));

@@ -72,7 +72,7 @@ class AddressSpace {
   struct Options {
     AsId id = static_cast<AsId>(0);
     std::uint16_t clf_port = 0;       // 0: pick a free port
-    std::size_t dispatcher_threads = 8;
+    std::size_t dispatcher_threads = 8;  // cap; workers start on demand
     bool shm_fastpath = false;        // CLF fast path for in-process peers
     Duration gc_interval = Millis(20);
     clf::FaultInjector::Config faults;
