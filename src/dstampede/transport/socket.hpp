@@ -40,10 +40,11 @@ struct SockAddr {
 };
 
 // Owns a file descriptor; closes on destruction. The descriptor is
-// held atomically because Close()/Reset() is the documented way to
-// wake another thread blocked in accept/recv on the same handle
-// (shutdown paths do this deliberately); the waker and the blocked
-// reader must not race on the int itself.
+// held atomically because shutdown paths may Close()/Reset() a handle
+// that another thread is reading; the closer and the reader must not
+// race on the int itself. Closing does not wake a thread already in
+// poll: a reader that must stop at once is woken by shutting the
+// socket's read side (UdpSocket/TcpListener::ShutdownRead).
 class FdHandle {
  public:
   FdHandle() = default;
