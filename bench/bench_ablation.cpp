@@ -141,7 +141,6 @@ std::unique_ptr<core::Runtime> MakeRuntime(std::size_t dispatchers,
   opts.num_address_spaces = 2;
   opts.dispatcher_threads = dispatchers;
   opts.shm_fastpath = shm_fastpath;
-  opts.gc_interval = Millis(10);
   auto rt = core::Runtime::Create(opts);
   if (!rt.ok()) bench::Die(rt.status(), "runtime");
   return std::move(rt).value();
@@ -272,7 +271,6 @@ int main() {
   for (long timeout_ms : {50L, 100L, 250L, 500L, 1000L}) {
     core::Runtime::Options opts;
     opts.num_address_spaces = 2;
-    opts.gc_interval = Millis(10);
     opts.clf_max_retransmits = 8;
     opts.peer_keepalive_interval = Millis(timeout_ms / 4 + 1);
     opts.peer_timeout = Millis(timeout_ms);

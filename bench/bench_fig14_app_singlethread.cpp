@@ -25,7 +25,6 @@ int main() {
   core::Runtime::Options rt_opts;
   rt_opts.num_address_spaces = 3;
   rt_opts.dispatcher_threads = 16;
-  rt_opts.gc_interval = Millis(10);
   auto runtime = core::Runtime::Create(rt_opts);
   if (!runtime.ok()) bench::Die(runtime.status(), "runtime");
   auto listener = client::Listener::Start(**runtime);

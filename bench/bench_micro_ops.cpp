@@ -4,7 +4,7 @@
 //   * local channel put/get (space-time memory bookkeeping)
 //   * queue put/get/consume
 //   * CLF round trip over UDP vs the shared-memory fast path
-//   * GC sweep cost against channel population
+//   * GC reclaim cost against channel population
 //   * compositor blend and name-server lookup
 #include <benchmark/benchmark.h>
 
@@ -166,21 +166,34 @@ void BM_ClfRoundTripShm(benchmark::State& state) {
 }
 BENCHMARK(BM_ClfRoundTripShm)->Arg(1000)->Arg(55000);
 
-// --- GC sweep cost -----------------------------------------------------------------
+// --- GC reclaim cost ---------------------------------------------------------------
 
-void BM_GcSweepPopulation(benchmark::State& state) {
-  // Sweep cost over a channel holding N live (non-garbage) items.
+void BM_GcReclaimPopulation(benchmark::State& state) {
+  // A put and the consume that reclaims it, while N older items stay
+  // held: the reclaim rescans the channel, so its cost grows with N.
   core::LocalChannel ch{core::ChannelAttr{}};
-  ch.Attach(core::ConnMode::kInput, "holder");  // never consumes
+  const Timestamp held = state.range(0);
+  const std::uint32_t reader = ch.Attach(core::ConnMode::kInput, "reader");
+  // Claims the first N items only, and never consumes them.
+  const std::uint32_t holder = ch.Attach(core::ConnMode::kInput, "holder");
+  core::ItemFilter first_n;
+  first_n.ts_max = held - 1;
+  (void)ch.SetFilter(holder, first_n);
   SharedBuffer payload(MakePayload(64));
-  for (Timestamp ts = 0; ts < state.range(0); ++ts) {
+  for (Timestamp ts = 0; ts < held; ++ts) {
     (void)ch.Put(ts, payload, Deadline::Poll());
   }
+  Timestamp ts = held;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ch.Sweep(1));
+    benchmark::DoNotOptimize(ch.Put(ts, payload, Deadline::Poll()));
+    benchmark::DoNotOptimize(ch.Consume(reader, ts));
+    ++ts;
+  }
+  if (ch.live_items() != static_cast<std::size_t>(held)) {
+    state.SkipWithError("a consume left its item unreclaimed");
   }
 }
-BENCHMARK(BM_GcSweepPopulation)->Arg(16)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_GcReclaimPopulation)->Arg(16)->Arg(1024)->Arg(16384);
 
 // --- app + naming --------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ void PrintAsStats(core::AddressSpace& as) {
       "      stm: puts=%llu gets=%llu reclaimed=%llu\n"
       "      clf: data_tx=%llu data_rx=%llu retx=%llu acks=%llu "
       "acks_on_data=%llu dups=%llu msgs=%llu shm=%llu\n"
-      "      gc : sweeps=%llu notices=%llu\n",
+      "      gc : notices=%llu\n",
       AsIndex(as.id()), n("api.puts"), n("api.gets"), n("api.consumes"),
       n("api.attaches"), n("api.detaches"), n("api.ns_ops"),
       n("api.remote_calls"), n("dispatch.requests"), mb("api.bytes_put"),
@@ -45,7 +45,6 @@ void PrintAsStats(core::AddressSpace& as) {
       n("clf.acks_sent"), n("clf.acks_piggybacked"),
       n("clf.duplicates_discarded"),
       n("clf.messages_delivered"), n("clf.shm_messages"),
-      static_cast<unsigned long long>(as.gc().sweeps()),
       static_cast<unsigned long long>(as.gc().notices_total()));
 }
 
@@ -59,7 +58,6 @@ int main(int argc, char** argv) {
   core::Runtime::Options rt_opts;
   rt_opts.num_address_spaces = 3;
   rt_opts.dispatcher_threads = 16;
-  rt_opts.gc_interval = Millis(10);
   auto runtime = core::Runtime::Create(rt_opts);
   if (!runtime.ok()) return 1;
   auto listener = client::Listener::Start(**runtime);

@@ -23,14 +23,13 @@ int main(int argc, char** argv) {
       argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 8;
 
   // Two heterogeneous clusters: A is a small edge cluster, B a larger
-  // compute cluster with a faster GC cadence.
+  // compute cluster with a wider dispatcher pool.
   core::Federation::Options fed_opts;
   fed_opts.clusters = {
       core::Federation::ClusterSpec{.num_address_spaces = 1,
                                     .dispatcher_threads = 4},
       core::Federation::ClusterSpec{.num_address_spaces = 2,
-                                    .dispatcher_threads = 8,
-                                    .gc_interval = Millis(5)},
+                                    .dispatcher_threads = 8},
   };
   auto federation = core::Federation::Create(fed_opts);
   if (!federation.ok()) {

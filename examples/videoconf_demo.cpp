@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   core::Runtime::Options rt_opts;
   rt_opts.num_address_spaces = 3;
   rt_opts.dispatcher_threads = 16;
-  rt_opts.gc_interval = Millis(10);
   auto runtime = core::Runtime::Create(rt_opts);
   if (!runtime.ok()) {
     std::fprintf(stderr, "runtime: %s\n", runtime.status().ToString().c_str());

@@ -636,6 +636,16 @@ void Endpoint::ReceiverLoop() {
     // Read until the socket is empty, then pay the acks still owed:
     // replies sent from the upcalls meanwhile carried the others.
     Deadline wait = Deadline::AfterMillis(5);
+    // RetransmitScan judges retransmit timers and peer liveness against
+    // Now(). Under a VirtualClock this pass is registered with it, so a
+    // controller advancing time steps no further than the pass and
+    // gives the receivers real time to answer each other's keepalives;
+    // unregistered, time could outrun them and a peer that answers
+    // would be declared silent.
+    VirtualClock* virtual_clock = InstalledVirtualClock();
+    const VirtualClock::WaitToken pass =
+        virtual_clock != nullptr ? virtual_clock->RegisterDeadline(wait.when())
+                                 : 0;
     for (int read = 0; read < kMaxDatagramsPerDrain; ++read) {
       Result<std::size_t> n = socket_.RecvInto(buffer, from, wait);
       if (!n.ok()) {
@@ -647,6 +657,7 @@ void Endpoint::ReceiverLoop() {
       HandleDatagram(from, std::span<const std::uint8_t>(buffer.data(), *n));
       wait = Deadline::Poll();
     }
+    if (virtual_clock != nullptr) virtual_clock->UnregisterTimedWait(pass);
     PayOwedAcks();
     RetransmitScan();
   }

@@ -123,9 +123,17 @@ std::size_t Listener::PickLiveAs(std::int32_t preferred) {
 void Listener::Handshake(transport::TcpConnection conn) {
   // Read the first frame to learn whether this is a fresh join (Hello)
   // or a session resumption (Resume); either way the surrogate must be
-  // bound before it can answer anything else.
+  // bound before it can answer anything else. A client gets 5 s to send
+  // it, read in 100 ms slices so Shutdown need not wait out one that
+  // has sent nothing; RecvFrame resumes a frame a slice cut short.
   Buffer frame;
-  if (!conn.RecvFrame(frame, Deadline::AfterMillis(5000)).ok()) return;
+  Status got = TimeoutError("no first frame");
+  for (int slice = 0; slice < 50 && got.code() == StatusCode::kTimeout &&
+                      !stopping_.load();
+       ++slice) {
+    got = conn.RecvFrame(frame, Deadline::AfterMillis(100));
+  }
+  if (!got.ok()) return;
 
   marshal::XdrDecoder dec(frame);
   auto hdr = core::DecodeRequestHeader(dec);

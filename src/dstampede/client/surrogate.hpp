@@ -176,8 +176,10 @@ class Surrogate {
   metrics::Counter* m_redo_replayed_ = nullptr;
 
   // GC interest set (bits -> is_queue) and pending notices, fed by the
-  // GC-service sink. Leaf lock: taken inside the GC sink callback, so
-  // it must never be held while calling into the host address space.
+  // host's GC sink on whichever thread reclaimed the items (this
+  // surrogate's, another's, or a CLF delivery thread). Leaf lock: taken
+  // inside the sink, so it must never be held while calling into the
+  // host address space.
   ds::Mutex gc_mu_{"surrogate.gc_mu"};
   std::unordered_map<std::uint64_t, bool> gc_interest_ DS_GUARDED_BY(gc_mu_);
   std::deque<core::GcNotice> gc_pending_ DS_GUARDED_BY(gc_mu_);

@@ -4,14 +4,14 @@
 //
 // Every piece of time-dependent machinery in the tree (Deadline math,
 // TimerWheel, CLF retransmission/keepalive timers, reconnect backoff,
-// GC cadence) reads time through dstampede::Now() and sleeps through
-// dstampede::SleepFor()/ds::CondVar::WaitUntil(). By default those hit
-// std::chrono::steady_clock and real waits. When a VirtualClock is
-// installed (sim::SimController does this), the same call sites read
-// settable virtual time instead, virtual sleeps block until the
-// controller advances the clock, and timed condition waits are woken
-// by Advance — so a simulated minute of timeouts runs in milliseconds
-// of wall time, deterministically. See docs/SIMULATION.md.
+// the listener's janitor) reads time through dstampede::Now() and
+// sleeps through dstampede::SleepFor()/ds::CondVar::WaitUntil(). By
+// default those hit std::chrono::steady_clock and real waits. When a
+// VirtualClock is installed (sim::SimController does this), the same
+// call sites read settable virtual time instead, virtual sleeps block
+// until the controller advances the clock, and timed condition waits
+// are woken by Advance — so a simulated minute of timeouts runs in
+// milliseconds of wall time, deterministically. See docs/SIMULATION.md.
 #pragma once
 
 #include <atomic>
@@ -97,6 +97,13 @@ class VirtualClock {
   // `when` notify_all()s `cv`. The waiter unregisters after waking.
   WaitToken RegisterTimedWait(TimePoint when, std::condition_variable* cv);
   void UnregisterTimedWait(WaitToken token);
+  // Registers `when` as a deadline that no wait blocks on, so
+  // AdvanceUntilQuiescent steps no further than it while it lies ahead.
+  // For a thread that polls on real time but judges deadlines against
+  // Now() (a CLF receiver). Unregister with UnregisterTimedWait.
+  WaitToken RegisterDeadline(TimePoint when) {
+    return RegisterTimedWait(when, &sleep_cv_);
+  }
 
   // Earliest pending virtual wake-up (sleep target or registered timed
   // wait), including already-due entries whose owners have not yet run.

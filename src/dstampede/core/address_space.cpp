@@ -56,8 +56,6 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
   as->dispatcher_ = std::make_unique<ThreadPool>(
       options.dispatcher_threads,
       "AS" + std::to_string(AsIndex(options.id)));
-  as->gc_ = std::make_unique<GcService>(options.gc_interval,
-                                        [raw] { return raw->Containers(); });
   NameService::Options ns;
   ns.self = options.id;
   ns.replicas = options.ns_replicas;
@@ -91,7 +89,6 @@ Result<std::unique_ptr<AddressSpace>> AddressSpace::Create(
           [raw](const transport::SockAddr& addr) { raw->OnPeerDown(addr); },
           [raw](const transport::SockAddr& addr) { raw->OnPeerUp(addr); }));
   as->InitObservability();
-  as->gc_->Start();
   as->dispatcher_->Start();
   as->ns_->Start();
   as->started_.store(true, std::memory_order_release);
@@ -170,7 +167,6 @@ void AddressSpace::Shutdown() {
   // (containers, endpoint). New waiters cannot register: the containers
   // are closed.
   if (wheel_) wheel_->Shutdown();
-  gc_->Stop();
   dispatcher_->Shutdown();
   // Fences delivery. Null only when Create failed to bind the endpoint.
   if (endpoint_) endpoint_->Shutdown();
@@ -707,19 +703,31 @@ Result<std::uint64_t> AddressSpace::CreateOn(AsId owner, bool is_queue,
                                              const std::string& debug_name) {
   if (owner == options_.id) {
     if (stopping_.load()) return CancelledError("address space shut down");
+    std::uint32_t slot = 0;
+    {
+      ds::MutexLock lock(containers_mu_);
+      slot = next_container_slot_++;
+    }
+    const std::uint64_t bits = ChannelId(options_.id, slot).bits();
+    // Every reclaimed item leaves through here, on the reclaiming thread.
+    ReclaimHook on_reclaim = [gc = &gc_, bits,
+                              is_queue](const ReclaimedItems& freed) {
+      gc->Publish(bits, is_queue, freed);
+    };
     std::shared_ptr<LocalContainer> container;
     if (is_queue) {
       container = std::make_shared<LocalQueue>(QueueAttr{capacity, debug_name},
-                                               wheel_.get());
+                                               wheel_.get(),
+                                               std::move(on_reclaim));
     } else {
       container = std::make_shared<LocalChannel>(
-          ChannelAttr{capacity, debug_name}, wheel_.get());
+          ChannelAttr{capacity, debug_name}, wheel_.get(),
+          std::move(on_reclaim));
     }
     container->set_metrics(stm_metrics_);
     ds::MutexLock lock(containers_mu_);
-    const std::uint32_t slot = next_container_slot_++;
     containers_.emplace(slot, std::move(container));
-    return ChannelId(options_.id, slot).bits();
+    return bits;
   }
   CreateReq req;
   req.capacity = capacity;
@@ -746,8 +754,8 @@ Result<std::shared_ptr<LocalContainer>> AddressSpace::FindContainer(
   return NotFoundError(is_queue ? "queue" : "channel");
 }
 
-GcService::ContainerList AddressSpace::Containers() {
-  GcService::ContainerList out;
+AddressSpace::ContainerList AddressSpace::Containers() {
+  ContainerList out;
   ds::MutexLock lock(containers_mu_);
   out.reserve(containers_.size());
   for (auto& [slot, container] : containers_) {
@@ -972,7 +980,7 @@ Status AddressSpace::SetGcHandler(std::uint64_t bits, bool is_queue,
 std::string AddressSpace::MetricsJson() {
   // Copy the container table, then query each container outside
   // containers_mu_ (each query takes only the container's own lock).
-  const GcService::ContainerList containers = Containers();
+  const ContainerList containers = Containers();
 
   std::string out;
   out += "{\"as\":" + std::to_string(AsIndex(options_.id));

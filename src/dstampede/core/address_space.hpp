@@ -5,7 +5,7 @@
 // address space. It owns the channels and queues created in it, runs a
 // CLF endpoint that serves peers' container ops as they arrive plus a
 // dispatcher pool for their requests that may block, hosts
-// (optionally) the name server, runs the GC service, and exposes the
+// (optionally) the name server, publishes GC notices, and exposes the
 // location-transparent STM API: the same Connect/Put/Get/Consume calls
 // work whether the container lives here or in a peer — exactly the
 // paper's "uniform set of API calls".
@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dstampede/clf/endpoint.hpp"
@@ -74,7 +75,6 @@ class AddressSpace {
     std::uint16_t clf_port = 0;       // 0: pick a free port
     std::size_t dispatcher_threads = 8;  // cap; workers start on demand
     bool shm_fastpath = false;        // CLF fast path for in-process peers
-    Duration gc_interval = Millis(20);
     clf::FaultInjector::Config faults;
     // Deadline for the runtime's own control-plane RPCs (create-on,
     // attach, detach, consume, ns ops). Data-plane Put/Get keep the
@@ -242,7 +242,7 @@ class AddressSpace {
   Status AdvertiseNsReplica();
 
   // --- services ------------------------------------------------------------
-  GcService& gc() { return *gc_; }
+  GcService& gc() { return gc_; }
   // Null unless this AS hosts the name server.
   NameServer* local_name_server() { return ns_->name_server(); }
   // Null unless this AS hosts a NameServer replica in a replicated
@@ -303,8 +303,10 @@ class AddressSpace {
   Result<std::shared_ptr<LocalContainer>> FindContainer(std::uint64_t bits,
                                                         bool is_queue);
   // Every container with its id bits, copied under containers_mu_ so
-  // callers can close, cancel, sweep or query them without holding it.
-  GcService::ContainerList Containers();
+  // callers can close, cancel or query them without holding it.
+  using ContainerList =
+      std::vector<std::pair<std::uint64_t, std::shared_ptr<LocalContainer>>>;
+  ContainerList Containers();
   // Creates a container of either kind on `owner` (here, or over CLF)
   // and returns its id bits.
   Result<std::uint64_t> CreateOn(AsId owner, bool is_queue,
@@ -362,8 +364,8 @@ class AddressSpace {
   // these ops, the one that delivered it), and when the op would
   // block, a continuation waiter (carrying a once-only DeferredReply)
   // is registered and that thread moves on — the thread that later
-  // resolves the wait (putter, consumer, GC sweep, timer wheel, peer
-  // death, close) encodes and sends the reply. Returns the refusal
+  // resolves the wait (putter, consumer, timer wheel, peer death,
+  // close) encodes and sends the reply. Returns the refusal
   // when the container is not here, else empty.
   template <typename Req>
   Buffer Park(const RequestHeader& hdr, Req& req, const Peer& peer);
@@ -417,7 +419,9 @@ class AddressSpace {
   // torn down so late timer callbacks cannot touch a dead endpoint.
   std::unique_ptr<TimerWheel> wheel_;
   std::unique_ptr<ThreadPool> dispatcher_;
-  std::unique_ptr<GcService> gc_;
+  // Declared before the container table: each container's reclaim hook
+  // publishes through it.
+  GcService gc_;
   // Name server, replication log and name-service routing. Declared
   // after the endpoint and the pool its callbacks use.
   std::unique_ptr<NameService> ns_;

@@ -71,8 +71,8 @@ std::optional<Status> LocalChannel::TryPutLocked(Timestamp ts,
   if (frontier_ == kInvalidTimestamp || ts > frontier_) frontier_ = ts;
   if (metrics_.reclaim_lag_us != nullptr) put_times_[ts] = Now();
   // An item can be born garbage: every attached input has already
-  // consumed past it (or filters it out). Reclaim it on the spot so
-  // its GC handler fires promptly instead of on the next sweep.
+  // consumed past it (or filters it out). Reclaim it on the spot, as
+  // every operation that makes garbage does.
   if (IsGarbageLocked(ts, bytes)) ReclaimLocked(out);
   return OkStatus();
 }

@@ -10,7 +10,8 @@
 // Reclamation rule (the heart of the paper's automatic distributed GC):
 // an item is garbage once *every currently attached input connection*
 // has consumed it — either individually or via a consume-until
-// watermark. Reclaimed items are handed to the channel's GC handler.
+// watermark. Reclaimed items are handed to the channel's GC handler
+// and reclaim hook by the operation that reclaimed them.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +33,11 @@ namespace dstampede::core {
 
 class LocalChannel final : public LocalContainer {
  public:
-  // `wheel`: see LocalContainer.
-  explicit LocalChannel(ChannelAttr attr, TimerWheel* wheel = nullptr)
-      : LocalContainer(/*is_queue=*/false, wheel), attr_(std::move(attr)) {}
+  // `wheel`, `on_reclaim`: see LocalContainer.
+  explicit LocalChannel(ChannelAttr attr, TimerWheel* wheel = nullptr,
+                        ReclaimHook on_reclaim = {})
+      : LocalContainer(/*is_queue=*/false, wheel, std::move(on_reclaim)),
+        attr_(std::move(attr)) {}
 
   const ChannelAttr& attr() const { return attr_; }
 
@@ -111,7 +114,8 @@ class LocalChannel final : public LocalContainer {
   std::optional<Status> TryPutLocked(Timestamp ts, SharedBuffer& payload,
                                      Wakeups& out)
       DS_REQUIRES(mu_) override;
-  void ReclaimLocked(Wakeups& out) DS_REQUIRES(mu_) override;
+  // Removes every item that has become garbage (via ReclaimedLocked).
+  void ReclaimLocked(Wakeups& out) DS_REQUIRES(mu_);
 
   ChannelAttr attr_;
 

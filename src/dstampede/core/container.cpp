@@ -223,8 +223,6 @@ void LocalContainer::EvaluateWaitersLocked(Wakeups& out) {
 
 void LocalContainer::ReclaimedLocked(Timestamp ts, SharedBuffer payload,
                                      TimePoint born, Wakeups& out) {
-  pending_notices_.push_back(
-      GcNotice{/*container_bits=*/0, is_queue_, ts, payload.size()});
   ++total_reclaimed_;
   if (metrics_.reclaimed != nullptr) metrics_.reclaimed->Add();
   if (metrics_.reclaim_lag_us != nullptr && born != TimePoint{}) {
@@ -242,6 +240,7 @@ void LocalContainer::Finish(Wakeups& wakeups) {
   if (wakeups.handler) {
     for (auto& [ts, payload] : wakeups.freed) wakeups.handler(ts, payload);
   }
+  if (on_reclaim_ && !wakeups.freed.empty()) on_reclaim_(wakeups.freed);
   for (auto& completion : wakeups.completions) completion();
 }
 
@@ -259,20 +258,6 @@ void LocalContainer::Close() {
 void LocalContainer::set_gc_handler(GcHandler handler) {
   ds::MutexLock lock(mu_);
   gc_handler_ = std::move(handler);
-}
-
-std::vector<GcNotice> LocalContainer::Sweep(std::uint64_t container_bits) {
-  Wakeups wakeups;
-  std::vector<GcNotice> notices;
-  {
-    ds::MutexLock lock(mu_);
-    ReclaimLocked(wakeups);
-    notices.swap(pending_notices_);
-    EvaluateWaitersLocked(wakeups);
-  }
-  for (auto& notice : notices) notice.container_bits = container_bits;
-  Finish(wakeups);
-  return notices;
 }
 
 std::size_t LocalContainer::parked_get_waiters() const {

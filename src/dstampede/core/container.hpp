@@ -39,10 +39,17 @@ namespace dstampede::core {
 // to its dispatcher pool.
 using GcHandler = std::function<void(Timestamp, const SharedBuffer&)>;
 
+// Every item one container operation reclaimed, with its timestamp.
+using ReclaimedItems = std::vector<std::pair<Timestamp, SharedBuffer>>;
+// Told once per operation that reclaimed items, with all of them,
+// outside the container lock and on the reclaiming thread. The owning
+// space installs it at creation to publish GC notices (core/gc.hpp).
+using ReclaimHook = std::function<void(const ReclaimedItems&)>;
+
 // Continuations for the two-phase async container API. They run
 // exactly once, with no container lock held, on whichever thread
-// resolved the wait: the inline caller, a putter/consumer, the GC
-// sweeper, the timer wheel, or a lifecycle path (close, peer death).
+// resolved the wait: the inline caller, a putter/consumer, the timer
+// wheel, or a lifecycle path (close, peer death).
 using GetCompletion = std::function<void(Result<ItemView>)>;
 using PutCompletion = std::function<void(Status)>;
 
@@ -95,11 +102,6 @@ class LocalContainer {
 
   // --- garbage collection ---------------------------------------------
   void set_gc_handler(GcHandler handler);
-  // Reclaims whatever became garbage, re-evaluates parked waiters and
-  // drains the accumulated notices for the GC service to fan out,
-  // stamped with `container_bits`. The handler has already been called
-  // for drained notices.
-  std::vector<GcNotice> Sweep(std::uint64_t container_bits);
 
   // Completes every parked waiter with kCancelled and fails subsequent
   // blocking calls; used when the owning address space shuts down.
@@ -130,14 +132,18 @@ class LocalContainer {
   // of parked async waiters. Without one, finite-deadline async waiters
   // only resolve through progress or an explicit CancelWaiter — the
   // sync wrappers are unaffected (they enforce their own deadline).
-  LocalContainer(bool is_queue, TimerWheel* wheel)
-      : is_queue_(is_queue), wheel_(wheel) {}
+  // `on_reclaim` (optional) hears of every reclaimed item.
+  LocalContainer(bool is_queue, TimerWheel* wheel, ReclaimHook on_reclaim)
+      : is_queue_(is_queue),
+        wheel_(wheel),
+        on_reclaim_(std::move(on_reclaim)) {}
 
   // Work discovered under mu_ that must run only after it is released:
-  // reclaimed payloads for the GC handler, waiter completions, and
-  // timer cancellations for waiters that completed early.
+  // reclaimed payloads for the GC handler and the reclaim hook, waiter
+  // completions, and timer cancellations for waiters that completed
+  // early.
   struct Wakeups {
-    std::vector<std::pair<Timestamp, SharedBuffer>> freed;
+    ReclaimedItems freed;
     GcHandler handler;
     std::vector<std::function<void()>> completions;
     std::vector<TimerWheel::TimerId> timers;
@@ -152,13 +158,10 @@ class LocalContainer {
   virtual std::optional<Status> TryPutLocked(Timestamp ts,
                                              SharedBuffer& payload,
                                              Wakeups& out) DS_REQUIRES(mu_) = 0;
-  // Removes every item that has become garbage (via ReclaimedLocked).
-  // Queues reclaim on consume only, so theirs does nothing.
-  virtual void ReclaimLocked(Wakeups& /*out*/) DS_REQUIRES(mu_) {}
 
-  // Books one reclaimed item: queues its notice, counts it, observes
-  // its reclaim lag when `born` is set, and hands the payload to the
-  // GC handler through `out`.
+  // Books one reclaimed item: counts it, observes its reclaim lag when
+  // `born` is set, and hands the payload to the GC handler and the
+  // reclaim hook through `out`.
   void ReclaimedLocked(Timestamp ts, SharedBuffer payload, TimePoint born,
                        Wakeups& out) DS_REQUIRES(mu_);
   // Re-runs phase one for every parked waiter, to fixpoint: an admitted
@@ -167,8 +170,9 @@ class LocalContainer {
   // move into `out`.
   void EvaluateWaitersLocked(Wakeups& out) DS_REQUIRES(mu_);
   // Post-mutation tail shared by every path: cancels obsolete timers,
-  // runs the GC handler, then the waiter completions — all outside the
-  // lock (handlers and completions may call back into the container).
+  // runs the GC handler and the reclaim hook, then the waiter
+  // completions — all outside the lock (handlers and completions may
+  // call back into the container).
   // By reference: a path with nothing to wake pays no move.
   void Finish(Wakeups& wakeups) DS_EXCLUDES(mu_);
 
@@ -208,6 +212,7 @@ class LocalContainer {
 
   const bool is_queue_;
   TimerWheel* const wheel_;
+  const ReclaimHook on_reclaim_;
 
   bool closed_ DS_GUARDED_BY(mu_) = false;
   // Waiter id order is registration order: the maps double as FIFO
@@ -218,8 +223,6 @@ class LocalContainer {
   std::uint64_t next_waiter_id_ DS_GUARDED_BY(mu_) = 1;
 
   GcHandler gc_handler_ DS_GUARDED_BY(mu_);
-  // Drained by Sweep.
-  std::vector<GcNotice> pending_notices_ DS_GUARDED_BY(mu_);
   std::uint64_t total_puts_ DS_GUARDED_BY(mu_) = 0;
   std::uint64_t total_reclaimed_ DS_GUARDED_BY(mu_) = 0;
 };

@@ -35,7 +35,6 @@ Result<std::unique_ptr<Federation>> Federation::Create(
     Runtime::Options rt_opts;
     rt_opts.num_address_spaces = spec.num_address_spaces;
     rt_opts.dispatcher_threads = spec.dispatcher_threads;
-    rt_opts.gc_interval = spec.gc_interval;
     rt_opts.shm_fastpath = spec.shm_fastpath;
     rt_opts.first_as_id =
         static_cast<std::uint32_t>(i) * options.as_id_stride;

@@ -15,8 +15,8 @@
 //   * cluster 0's first address space hosts the one name server, which
 //     every address space (and thus every end device) resolves against;
 //   * clusters may be heterogeneous: each has its own size, dispatcher
-//     width and GC cadence, and each can run its own Listener for the
-//     end devices near it.
+//     width and CLF fast path, and each can run its own Listener for
+//     the end devices near it.
 #pragma once
 
 #include <memory>
@@ -34,7 +34,6 @@ class Federation {
   struct ClusterSpec {
     std::size_t num_address_spaces = 1;
     std::size_t dispatcher_threads = 8;
-    Duration gc_interval = Millis(20);
     bool shm_fastpath = false;
   };
 

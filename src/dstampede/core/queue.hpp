@@ -36,9 +36,11 @@ namespace dstampede::core {
 
 class LocalQueue final : public LocalContainer {
  public:
-  // `wheel`: see LocalContainer.
-  explicit LocalQueue(QueueAttr attr, TimerWheel* wheel = nullptr)
-      : LocalContainer(/*is_queue=*/true, wheel), attr_(std::move(attr)) {}
+  // `wheel`, `on_reclaim`: see LocalContainer.
+  explicit LocalQueue(QueueAttr attr, TimerWheel* wheel = nullptr,
+                      ReclaimHook on_reclaim = {})
+      : LocalContainer(/*is_queue=*/true, wheel, std::move(on_reclaim)),
+        attr_(std::move(attr)) {}
 
   const QueueAttr& attr() const { return attr_; }
 

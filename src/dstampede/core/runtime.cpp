@@ -25,7 +25,6 @@ Result<AddressSpace*> Runtime::AddAddressSpace() {
                                  static_cast<std::uint32_t>(spaces_.size()));
   as_opts.dispatcher_threads = options_.dispatcher_threads;
   as_opts.shm_fastpath = options_.shm_fastpath;
-  as_opts.gc_interval = options_.gc_interval;
   // Every space — name-server holder or not — carries the replica list
   // so its name-service calls route to the leader and fail over on
   // replica death. Spaces added dynamically later use the same (fixed)

@@ -23,7 +23,6 @@ class Runtime {
     std::size_t num_address_spaces = 1;
     std::size_t dispatcher_threads = 8;
     bool shm_fastpath = false;
-    Duration gc_interval = Millis(20);
     clf::FaultInjector::Config faults;
     // Multi-cluster support (Federation): the base of this cluster's
     // AsId range. A standalone cluster keeps the default.

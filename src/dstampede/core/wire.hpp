@@ -556,7 +556,7 @@ Result<ResponseHeader> DecodeResponseHeader(Dec& dec) {
 
 // Fully-encoded replies, shared by the synchronous dispatch path and
 // the deferred-completion path (which encodes on whatever thread
-// resolved the waiter — putter, GC sweeper, timer wheel, shutdown).
+// resolved the waiter — putter, consumer, timer wheel, shutdown).
 Buffer EncodeStatusReply(std::uint64_t request_id, const Status& status);
 // Successful kGet reply: status header + the item's fields.
 Buffer EncodeItemReply(std::uint64_t request_id, const ItemView& item);

@@ -44,12 +44,21 @@ void SimController::RunFor(Duration d) {
 bool SimController::RunUntil(const std::function<bool()>& done,
                              Duration horizon) {
   Record("sim.run_until horizon_us=" + std::to_string(ToMicros(horizon)));
+  // The check that held decides: a predicate can hold only for a moment
+  // (a surrogate parks, then its device resumes it), so asking again
+  // after the loop stopped could answer false.
+  bool held = false;
   // Mild coalescing: `done` is re-checked every step, so the predicate
   // is detected at worst ~5 virtual ms later than the exact-deadline
   // stepping would — while dense cluster timers cost 10x less wall.
-  clock_.AdvanceUntilQuiescent(horizon, done, Millis(50), Micros(200),
-                               Millis(5));
-  const bool ok = done();
+  clock_.AdvanceUntilQuiescent(
+      horizon,
+      [&] {
+        held = done();
+        return held;
+      },
+      Millis(50), Micros(200), Millis(5));
+  const bool ok = held || done();
   Record(ok ? "sim.run_until done" : "sim.run_until horizon");
   return ok;
 }

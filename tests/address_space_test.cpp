@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,7 +24,6 @@ class RuntimeTest : public ::testing::Test {
   void SetUp() override {
     Runtime::Options opts;
     opts.num_address_spaces = 3;
-    opts.gc_interval = Millis(10);
     auto rt = Runtime::Create(opts);
     ASSERT_TRUE(rt.ok()) << rt.status();
     rt_ = std::move(rt).value();
@@ -121,6 +121,58 @@ TEST_F(RuntimeTest, RemoteConsumeDrivesDistributedGc) {
   ASSERT_TRUE(rt_->as(2).Consume(*in_b, 1).ok());
   EXPECT_EQ(channel->live_items(), 0u)
       << "all input connections consumed: reclaimed";
+}
+
+TEST_F(RuntimeTest, PeersConsumePublishesTheOwnersNoticeBeforeItsReply) {
+  // The owner's sinks hear of a reclaim on the thread that made it —
+  // for a peer's consume, the one serving it — stamped with the id bits
+  // of the container, before the reply goes back.
+  AddressSpace& owner = rt_->as(1);
+  AddressSpace& peer = rt_->as(0);
+  auto ch = owner.CreateChannel();
+  auto q = owner.CreateQueue();
+  ASSERT_TRUE(ch.ok());
+  ASSERT_TRUE(q.ok());
+  std::mutex mu;
+  std::vector<GcNotice> notices;
+  // Removes the sink on every exit, a failed ASSERT's included, before
+  // what it captures goes.
+  struct SinkGuard {
+    GcService& gc;
+    std::uint64_t token;
+    ~SinkGuard() { gc.RemoveSink(token); }
+  } sink{owner.gc(),
+         owner.gc().AddSink([&](const std::vector<GcNotice>& batch) {
+           std::lock_guard<std::mutex> lock(mu);
+           notices.insert(notices.end(), batch.begin(), batch.end());
+         })};
+  auto noticed = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return notices;
+  };
+
+  auto ch_out = peer.Connect(*ch, ConnMode::kOutput);
+  auto ch_in = peer.Connect(*ch, ConnMode::kInput);
+  auto q_out = peer.Connect(*q, ConnMode::kOutput);
+  auto q_in = peer.Connect(*q, ConnMode::kInput);
+  ASSERT_TRUE(ch_out.ok() && ch_in.ok() && q_out.ok() && q_in.ok());
+  ASSERT_TRUE(peer.Put(*ch_out, 1, Bytes("abc")).ok());
+  ASSERT_TRUE(peer.Consume(*ch_in, 1).ok());
+  std::vector<GcNotice> seen = noticed();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].container_bits, ch->bits());
+  EXPECT_FALSE(seen[0].is_queue);
+  EXPECT_EQ(seen[0].timestamp, 1);
+  EXPECT_EQ(seen[0].payload_size, 3u);
+
+  ASSERT_TRUE(peer.Put(*q_out, 2, Bytes("q")).ok());
+  ASSERT_TRUE(peer.Get(*q_in).ok());
+  ASSERT_TRUE(peer.Consume(*q_in, 2).ok());
+  seen = noticed();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[1].container_bits, q->bits());
+  EXPECT_TRUE(seen[1].is_queue);
+  EXPECT_EQ(owner.gc().notices_total(), 2u);
 }
 
 TEST_F(RuntimeTest, RemoteConsumeUntil) {
@@ -668,17 +720,17 @@ TEST(RuntimeDeliveryTest, ShmRequestDeliveredDuringCreateIsAnswered) {
   ExpectAnswered(*client, 42);
 }
 
-TEST(RuntimeDeliveryTest, PlainSpaceRunsThreeThreadsUntilAPeerNeedsAWorker) {
-  // The CLF receiver, the timer wheel and the GC service: delivery has
-  // no thread of its own, and a dispatcher worker starts only for a
-  // request that goes to the pool.
+TEST(RuntimeDeliveryTest, PlainSpaceRunsTwoThreadsUntilAPeerNeedsAWorker) {
+  // The CLF receiver and the timer wheel: delivery has no thread of its
+  // own, GC runs on the thread that reclaims, and a dispatcher worker
+  // starts only for a request that goes to the pool.
   const int before = BaselineThreadCount();
   AddressSpace::Options opts;
   opts.dispatcher_threads = 3;
   opts.ns_replicas = {AsId{0}};
   auto as = AddressSpace::Create(opts);
   ASSERT_TRUE(as.ok()) << as.status();
-  EXPECT_EQ(ThreadCount() - before, 3);
+  EXPECT_EQ(ThreadCount() - before, 2);
 
   auto peer = clf::CreateSinkEndpoint({});
   ASSERT_TRUE(peer.ok()) << peer.status();
@@ -688,7 +740,7 @@ TEST(RuntimeDeliveryTest, PlainSpaceRunsThreeThreadsUntilAPeerNeedsAWorker) {
   ASSERT_TRUE((*peer)->Send((*as)->clf_addr(), enc.Take()).ok());
   ExpectAnswered(*peer, 43);
   // The peer's endpoint brought its own receiver.
-  EXPECT_EQ(ThreadCount() - before, 3 + 1 + 1);
+  EXPECT_EQ(ThreadCount() - before, 2 + 1 + 1);
 }
 
 TEST(RuntimeDeliveryTest, CreateOnABoundPortFailsCleanly) {

@@ -29,7 +29,6 @@ class ConferenceSweep : public ::testing::TestWithParam<ConferenceCase> {
     core::Runtime::Options opts;
     opts.num_address_spaces = 3;
     opts.dispatcher_threads = 16;
-    opts.gc_interval = Millis(10);
     auto rt = core::Runtime::Create(opts);
     ASSERT_TRUE(rt.ok());
     rt_ = std::move(rt).value().release();

@@ -70,7 +70,6 @@ class VideoConfTest : public ::testing::Test {
   void SetUp() override {
     core::Runtime::Options opts;
     opts.num_address_spaces = 3;
-    opts.gc_interval = Millis(10);
     opts.dispatcher_threads = 12;
     auto rt = core::Runtime::Create(opts);
     ASSERT_TRUE(rt.ok()) << rt.status();
@@ -194,7 +193,6 @@ class TrackerTest : public ::testing::Test {
   void SetUp() override {
     core::Runtime::Options opts;
     opts.num_address_spaces = 2;
-    opts.gc_interval = Millis(10);
     auto rt = core::Runtime::Create(opts);
     ASSERT_TRUE(rt.ok()) << rt.status();
     rt_ = std::move(rt).value();

@@ -1,13 +1,15 @@
 // LocalChannel semantics: timestamp-indexed storage, the four get
 // selectors, blocking behaviour, per-connection consume state, the
 // reclamation rule (GC safety and liveness), capacity back-pressure,
-// the reclaim horizon, and close/cancellation.
+// the reclaim horizon, GC notices from every reclaiming operation, and
+// close/cancellation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
 #include "dstampede/core/channel.hpp"
+#include "dstampede/core/gc.hpp"
 
 namespace dstampede::core {
 namespace {
@@ -144,7 +146,6 @@ TEST_F(ChannelTest, OutputConnectionsDoNotHoldItems) {
 
 TEST_F(ChannelTest, NoInputConnectionsMeansNoReclamation) {
   ASSERT_TRUE(ch_.Put(1, Payload("x"), Deadline::Infinite()).ok());
-  ch_.Sweep(0);
   EXPECT_EQ(ch_.live_items(), 1u)
       << "items retained for consumers that may join later";
 }
@@ -216,18 +217,87 @@ TEST_F(ChannelTest, GetOfReclaimedTimestampReportsGarbage) {
   EXPECT_EQ(gone.message(), "timestamp below reclaim horizon");
 }
 
-TEST_F(ChannelTest, SweepReportsNoticesWithContainerBits) {
+// --- GC notices ------------------------------------------------------------
+
+// A channel wired the way its owning space wires one: the reclaim hook
+// publishes through a GcService, stamped with the channel's id bits,
+// and a sink records every notice it hears.
+class ChannelNoticeTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kBits = 0x1234;
+
+  void SetUp() override {
+    gc_.AddSink([this](const std::vector<GcNotice>& batch) {
+      notices_.insert(notices_.end(), batch.begin(), batch.end());
+    });
+  }
+
+  std::vector<Timestamp> NoticedTimestamps() const {
+    std::vector<Timestamp> out;
+    for (const GcNotice& notice : notices_) {
+      EXPECT_EQ(notice.container_bits, kBits);
+      EXPECT_FALSE(notice.is_queue);
+      out.push_back(notice.timestamp);
+    }
+    return out;
+  }
+
+  GcService gc_;
+  std::vector<GcNotice> notices_;
+  LocalChannel ch_{ChannelAttr{}, /*wheel=*/nullptr,
+                   [this](const ReclaimedItems& freed) {
+                     gc_.Publish(kBits, /*is_queue=*/false, freed);
+                   }};
+};
+
+TEST_F(ChannelNoticeTest, ReclaimingConsumePublishesBeforeItReturns) {
   std::uint32_t conn = ch_.Attach(ConnMode::kInput, "t");
   ASSERT_TRUE(ch_.Put(1, Payload("abc"), Deadline::Infinite()).ok());
+  EXPECT_TRUE(notices_.empty());
   ASSERT_TRUE(ch_.Consume(conn, 1).ok());
-  auto notices = ch_.Sweep(0x1234);
-  ASSERT_EQ(notices.size(), 1u);
-  EXPECT_EQ(notices[0].container_bits, 0x1234u);
-  EXPECT_EQ(notices[0].timestamp, 1);
-  EXPECT_EQ(notices[0].payload_size, 3u);
-  EXPECT_FALSE(notices[0].is_queue);
-  // Already drained: a second sweep reports nothing.
-  EXPECT_TRUE(ch_.Sweep(0x1234).empty());
+  ASSERT_EQ(notices_.size(), 1u);
+  EXPECT_EQ(notices_[0].container_bits, kBits);
+  EXPECT_EQ(notices_[0].timestamp, 1);
+  EXPECT_EQ(notices_[0].payload_size, 3u);
+  EXPECT_FALSE(notices_[0].is_queue);
+  EXPECT_EQ(gc_.notices_total(), 1u);
+}
+
+TEST_F(ChannelNoticeTest, ConsumeUntilPublishesEveryItemItReclaims) {
+  std::uint32_t conn = ch_.Attach(ConnMode::kInput, "t");
+  for (Timestamp ts = 0; ts < 5; ++ts) {
+    ASSERT_TRUE(ch_.Put(ts, Payload("x"), Deadline::Infinite()).ok());
+  }
+  ASSERT_TRUE(ch_.ConsumeUntil(conn, 2).ok());
+  EXPECT_EQ(NoticedTimestamps(), (std::vector<Timestamp>{0, 1, 2}));
+}
+
+TEST_F(ChannelNoticeTest, DetachPublishesWhatOnlyTheDepartedConnectionHeld) {
+  std::uint32_t stays = ch_.Attach(ConnMode::kInput, "stays");
+  std::uint32_t leaves = ch_.Attach(ConnMode::kInput, "leaves");
+  ASSERT_TRUE(ch_.Put(1, Payload("x"), Deadline::Infinite()).ok());
+  ASSERT_TRUE(ch_.Consume(stays, 1).ok());
+  EXPECT_TRUE(notices_.empty()) << "the other connection still holds it";
+  ASSERT_TRUE(ch_.Detach(leaves).ok());
+  EXPECT_EQ(NoticedTimestamps(), (std::vector<Timestamp>{1}));
+}
+
+TEST_F(ChannelNoticeTest, SetFilterPublishesWhatTheNarrowedFilterDrops) {
+  std::uint32_t conn = ch_.Attach(ConnMode::kInput, "t");
+  for (Timestamp ts = 0; ts < 4; ++ts) {
+    ASSERT_TRUE(ch_.Put(ts, Payload("x"), Deadline::Infinite()).ok());
+  }
+  ItemFilter even_only;
+  even_only.stride = 2;
+  ASSERT_TRUE(ch_.SetFilter(conn, even_only).ok());
+  EXPECT_EQ(NoticedTimestamps(), (std::vector<Timestamp>{1, 3}));
+}
+
+TEST_F(ChannelNoticeTest, PutThatIsGarbageOnArrivalPublishes) {
+  std::uint32_t conn = ch_.Attach(ConnMode::kInput, "t");
+  ASSERT_TRUE(ch_.ConsumeUntil(conn, 10).ok());
+  ASSERT_TRUE(ch_.Put(5, Payload("x"), Deadline::Infinite()).ok());
+  EXPECT_EQ(NoticedTimestamps(), (std::vector<Timestamp>{5}));
 }
 
 // --- capacity back-pressure ------------------------------------------------

@@ -3,6 +3,7 @@
 // piggybacking, C/Java interop, clean leave vs parked surrogate.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "dstampede/client/java_client.hpp"
@@ -22,7 +23,6 @@ class ClientTest : public ::testing::Test {
   void SetUp() override {
     core::Runtime::Options opts;
     opts.num_address_spaces = 2;
-    opts.gc_interval = Millis(10);
     auto rt = core::Runtime::Create(opts);
     ASSERT_TRUE(rt.ok()) << rt.status();
     rt_ = std::move(rt).value();
@@ -198,8 +198,9 @@ TEST_F(ClientTest, GcNoticesPiggybackToInterestedDevice) {
   ASSERT_TRUE(device->Put(*out, 1, Bytes("x")).ok());
   ASSERT_TRUE(device->Consume(*in, 1).ok());
 
-  // The notice is generated by the owner AS's GC service and forwarded
-  // "at an opportune time": on a later call. Poke with harmless calls.
+  // The surrogate forwards the notice "at an opportune time" (§3.2.4):
+  // here, on the reply of the consume that reclaimed the item. The
+  // harmless calls only matter if it came later.
   for (int i = 0; i < 50 && reclaimed.empty(); ++i) {
     std::this_thread::sleep_for(Millis(10));
     (void)device->NsList("");
@@ -207,6 +208,61 @@ TEST_F(ClientTest, GcNoticesPiggybackToInterestedDevice) {
   ASSERT_EQ(reclaimed.size(), 1u);
   EXPECT_EQ(reclaimed[0], 1);
   EXPECT_GE(device->gc_notices_received(), 1u);
+}
+
+TEST_F(ClientTest, GcHandlerRunsBeforeTheReclaimingConsumeReturns) {
+  // The host owns the channel, so the consume that reclaims the item
+  // publishes its notice on the surrogate's own thread, and the notice
+  // rides that consume's reply: no later call is needed.
+  auto device = JoinC();
+  auto ch = device->CreateChannel();
+  ASSERT_TRUE(ch.ok());
+  std::vector<Timestamp> reclaimed;
+  ASSERT_TRUE(device
+                  ->SetGcHandler(ch->bits(), /*is_queue=*/false,
+                                 [&](const core::GcNotice& notice) {
+                                   reclaimed.push_back(notice.timestamp);
+                                 })
+                  .ok());
+  auto out = device->Connect(*ch, ConnMode::kOutput);
+  auto in = device->Connect(*ch, ConnMode::kInput);
+  ASSERT_TRUE(out.ok());
+  ASSERT_TRUE(in.ok());
+  ASSERT_TRUE(device->Put(*out, 1, Bytes("x")).ok());
+  EXPECT_TRUE(reclaimed.empty());
+  ASSERT_TRUE(device->Consume(*in, 1).ok());
+  EXPECT_EQ(reclaimed, (std::vector<Timestamp>{1}));
+}
+
+// A known gap, pinned: a surrogate's sink registers on its host, but
+// notices are published where the items are reclaimed, on the owner.
+// So a device hears only of containers its host owns; closing the gap
+// needs an owner-to-host notice route on the wire.
+TEST_F(ClientTest, DeviceHostedAwayFromTheOwnerGetsNoNotices) {
+  auto device = JoinC(/*preferred_as=*/1);
+  ASSERT_EQ(AsIndex(device->host_as()), 1u);
+  auto ch = rt_->as(0).CreateChannel();
+  ASSERT_TRUE(ch.ok());
+  std::atomic<int> notices{0};
+  ASSERT_TRUE(device
+                  ->SetGcHandler(ch->bits(), /*is_queue=*/false,
+                                 [&](const core::GcNotice&) { ++notices; })
+                  .ok());
+  auto out = device->Connect(*ch, ConnMode::kOutput);
+  auto in = device->Connect(*ch, ConnMode::kInput);
+  ASSERT_TRUE(out.ok());
+  ASSERT_TRUE(in.ok());
+  ASSERT_TRUE(device->Put(*out, 1, Bytes("x")).ok());
+  ASSERT_TRUE(device->Consume(*in, 1).ok());
+  auto channel = rt_->as(0).FindChannel(ch->bits());
+  ASSERT_NE(channel, nullptr);
+  EXPECT_EQ(channel->live_items(), 0u) << "the owner did reclaim the item";
+  for (int i = 0; i < 10; ++i) {
+    std::this_thread::sleep_for(Millis(10));
+    (void)device->NsList("");
+  }
+  EXPECT_EQ(notices.load(), 0);
+  EXPECT_EQ(device->gc_notices_received(), 0u);
 }
 
 TEST_F(ClientTest, UninterestedDeviceGetsNoNotices) {
@@ -369,7 +425,6 @@ class ResilienceTest : public ::testing::Test {
   void Start() {
     core::Runtime::Options opts;
     opts.num_address_spaces = 2;
-    opts.gc_interval = Millis(10);
     opts.clf_max_retransmits = 5;
     opts.peer_keepalive_interval = Millis(50);
     opts.peer_timeout = kPeerTimeout;
@@ -699,6 +754,7 @@ TEST_F(ResilienceTest, GcNoticeReentrancySurvivesTheDeadlockDetector) {
   auto client = JoinC();
   auto ch = client->CreateChannel();
   ASSERT_TRUE(ch.ok()) << ch.status();
+  core::AddressSpace& host = rt_->as(AsIndex(client->host_as()));
 
   std::atomic<int> notices{0};
   std::atomic<int> reentered{0};
@@ -712,17 +768,18 @@ TEST_F(ResilienceTest, GcNoticeReentrancySurvivesTheDeadlockDetector) {
                                  })
                   .ok());
   auto out = client->Connect(*ch, ConnMode::kOutput);
-  auto in = client->Connect(*ch, ConnMode::kInput);
+  auto in = host.Connect(*ch, ConnMode::kInput);
   ASSERT_TRUE(out.ok());
   ASSERT_TRUE(in.ok());
   ASSERT_TRUE(client->Put(*out, 1, Bytes("x")).ok());
-  ASSERT_TRUE(client->Consume(*in, 1).ok());
 
-  // Let the owner's GC sweep deliver the notice to the surrogate's
-  // pending set while the client makes no calls, then kill the link:
-  // the notice rides back on the Resume reply (the deferred-dispatch
-  // path) rather than a normal call's trailer.
-  std::this_thread::sleep_for(Millis(100));
+  // A thread of the host, not the client, consumes: the reclaim puts
+  // the notice in the surrogate's pending set while the client makes
+  // no calls. Then kill the link: the notice rides back on the Resume
+  // reply (the deferred-dispatch path) rather than a normal call's
+  // trailer.
+  ASSERT_TRUE(host.Consume(*in, 1).ok());
+  EXPECT_EQ(notices.load(), 0);
   edge_faults_.ArmConnectionKill(1,
                                  clf::FaultInjector::KillPoint::kBeforeExecute);
   for (int i = 0; i < 100 && notices.load() == 0; ++i) {

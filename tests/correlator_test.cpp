@@ -18,7 +18,6 @@ class CorrelatorTest : public ::testing::Test {
   void SetUp() override {
     core::Runtime::Options opts;
     opts.num_address_spaces = 2;
-    opts.gc_interval = Millis(10);
     auto rt = core::Runtime::Create(opts);
     ASSERT_TRUE(rt.ok());
     rt_ = std::move(rt).value();

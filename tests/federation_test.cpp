@@ -22,8 +22,7 @@ class FederationTest : public ::testing::Test {
     opts.clusters = {
         Federation::ClusterSpec{.num_address_spaces = 2},
         Federation::ClusterSpec{.num_address_spaces = 1,
-                                .dispatcher_threads = 4,
-                                .gc_interval = Millis(5)},
+                                .dispatcher_threads = 4},
     };
     auto fed = Federation::Create(opts);
     ASSERT_TRUE(fed.ok()) << fed.status();

@@ -9,6 +9,7 @@
 #include "dstampede/client/listener.hpp"
 #include "dstampede/common/logging.hpp"
 #include "dstampede/core/runtime.hpp"
+#include "dstampede/transport/tcp.hpp"
 
 namespace dstampede {
 namespace {
@@ -99,7 +100,6 @@ TEST(ConnectionEdgeTest, DefaultConnectionRejectedEverywhere) {
 
 TEST(ClientEdgeTest, GcHandlerUnsubscribeStopsNotices) {
   core::Runtime::Options opts;
-  opts.gc_interval = Millis(5);
   auto rt = core::Runtime::Create(opts);
   ASSERT_TRUE(rt.ok());
   auto listener = client::Listener::Start(**rt);
@@ -163,6 +163,23 @@ TEST(ListenerEdgeTest, ShutdownWithNoSessionWakesTheAcceptLoop) {
   const TimePoint start = Now();
   (*listener)->Shutdown();
   EXPECT_LT(ToMicros(Now() - start), 50000);
+  (*rt)->Shutdown();
+}
+
+TEST(ListenerEdgeTest, ShutdownDoesNotWaitOutASilentClient) {
+  auto rt = core::Runtime::Create({});
+  ASSERT_TRUE(rt.ok());
+  auto listener = client::Listener::Start(**rt);
+  ASSERT_TRUE(listener.ok());
+  // Connected, but never sends its first frame: the accept thread sits
+  // in the handshake read, which allows a client up to 5 s.
+  auto silent = transport::TcpConnection::Connect((*listener)->addr(),
+                                                  Deadline::AfterMillis(5000));
+  ASSERT_TRUE(silent.ok()) << silent.status();
+  std::this_thread::sleep_for(Millis(150));  // accepted by now
+  const TimePoint start = Now();
+  (*listener)->Shutdown();
+  EXPECT_LT(ToMicros(Now() - start), 500000);
   (*rt)->Shutdown();
 }
 

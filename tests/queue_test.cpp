@@ -7,6 +7,7 @@
 #include <set>
 #include <thread>
 
+#include "dstampede/core/gc.hpp"
 #include "dstampede/core/queue.hpp"
 
 namespace dstampede::core {
@@ -149,17 +150,28 @@ TEST_F(QueueTest, DetachReturnsInFlightItemsInOrder) {
   EXPECT_EQ(q_.Get(w2, Deadline::Poll())->timestamp, 2);
 }
 
-TEST_F(QueueTest, SweepDrainsNoticesWithBits) {
-  std::uint32_t conn = q_.Attach(ConnMode::kInput, "t");
-  ASSERT_TRUE(q_.Put(1, Payload("abc"), Deadline::Infinite()).ok());
-  ASSERT_TRUE(q_.Get(conn, Deadline::Poll()).ok());
-  ASSERT_TRUE(q_.Consume(conn, 1).ok());
-  auto notices = q_.Sweep(0x99);
+// A queue wired the way its owning space wires one (see
+// ChannelNoticeTest): only the consume that reclaims an item publishes.
+TEST(QueueNoticeTest, ReclaimingConsumePublishesBeforeItReturns) {
+  GcService gc;
+  std::vector<GcNotice> notices;
+  gc.AddSink([&](const std::vector<GcNotice>& batch) {
+    notices.insert(notices.end(), batch.begin(), batch.end());
+  });
+  LocalQueue q(QueueAttr{}, /*wheel=*/nullptr,
+               [&gc](const ReclaimedItems& freed) {
+                 gc.Publish(0x99, /*is_queue=*/true, freed);
+               });
+  std::uint32_t conn = q.Attach(ConnMode::kInput, "t");
+  ASSERT_TRUE(q.Put(1, Payload("abc"), Deadline::Infinite()).ok());
+  ASSERT_TRUE(q.Get(conn, Deadline::Poll()).ok());
+  EXPECT_TRUE(notices.empty()) << "a get takes the item but frees nothing";
+  ASSERT_TRUE(q.Consume(conn, 1).ok());
   ASSERT_EQ(notices.size(), 1u);
   EXPECT_EQ(notices[0].container_bits, 0x99u);
   EXPECT_TRUE(notices[0].is_queue);
+  EXPECT_EQ(notices[0].timestamp, 1);
   EXPECT_EQ(notices[0].payload_size, 3u);
-  EXPECT_TRUE(q_.Sweep(0x99).empty());
 }
 
 TEST(QueueCapacityTest, PutBlocksAtCapacityUntilGet) {

@@ -4,6 +4,7 @@
 // participants make progress.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <initializer_list>
 #include <thread>
 
@@ -22,7 +23,6 @@ class ReaperTest : public ::testing::Test {
   void SetUp() override {
     core::Runtime::Options opts;
     opts.num_address_spaces = 2;
-    opts.gc_interval = Millis(10);
     auto rt = core::Runtime::Create(opts);
     ASSERT_TRUE(rt.ok());
     rt_ = std::move(rt).value();
@@ -153,6 +153,48 @@ TEST_F(ReaperTest, AutoReapAfterTimeout) {
   WaitForState(Surrogate::State::kReaped);
   EXPECT_EQ(rt_->as(0).NsLookup("doomed/name").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(ReaperTest, ReapNotifiesALiveDeviceOfWhatItReleased) {
+  // A reap detaches the dead device's connection, which reclaims the
+  // items it pinned and publishes their notices from the reaping side
+  // into the sink of the live device's surrogate, while that device
+  // keeps calling.
+  StartListener();
+  auto ch = rt_->as(0).CreateChannel();
+  ASSERT_TRUE(ch.ok());
+  client::CClient::Options opts;
+  opts.server = listener_->addr();
+  opts.name = "survivor";
+  opts.preferred_as = 0;  // the owner, which publishes the notices
+  auto live = CClient::Join(opts);
+  ASSERT_TRUE(live.ok());
+  std::atomic<int> notices{0};
+  ASSERT_TRUE((*live)
+                  ->SetGcHandler(ch->bits(), /*is_queue=*/false,
+                                 [&](const core::GcNotice&) { ++notices; })
+                  .ok());
+  auto out = (*live)->Connect(*ch, ConnMode::kOutput);
+  auto in = (*live)->Connect(*ch, ConnMode::kInput);
+  ASSERT_TRUE(out.ok());
+  ASSERT_TRUE(in.ok());
+
+  RunDoomedDevice(*ch);
+  WaitForState(Surrogate::State::kParked);
+  for (Timestamp ts = 0; ts < 3; ++ts) {
+    ASSERT_TRUE((*live)->Put(*out, ts, Buffer(32)).ok());
+    ASSERT_TRUE((*live)->Consume(*in, ts).ok());
+  }
+  EXPECT_EQ(notices.load(), 0) << "the dead device still pins them";
+
+  std::thread reaper([&] { EXPECT_EQ(listener_->ReapParked(), 1u); });
+  for (int i = 0; i < 300 && notices.load() < 3; ++i) {
+    (void)(*live)->NsList("");
+    std::this_thread::sleep_for(Millis(1));
+  }
+  reaper.join();
+  (void)(*live)->NsList("");
+  EXPECT_EQ(notices.load(), 3);
 }
 
 TEST_F(ReaperTest, DefaultKeepsPaperBehaviour) {

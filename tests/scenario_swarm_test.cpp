@@ -157,8 +157,8 @@ TEST(ScenarioSwarmTest, FiftySpaceBringUpUnderTenSeconds) {
   sim.Record("bringup.spaces=" + std::to_string(spaces));
   sim.Record("bringup.traffic=ok");
 
-  // A simulated minute of idle cluster: GC and janitor loops tick in
-  // virtual time without costing a minute of wall clock.
+  // A simulated minute of idle cluster passes in virtual time without
+  // costing a minute of wall clock.
   sim.RunFor(Millis(60'000));
   if (!DriveToCompletion(sim, [st] { st->rt->Shutdown(); })) {
     // The detached worker's shared_ptr copy keeps the runtime alive.

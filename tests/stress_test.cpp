@@ -106,7 +106,6 @@ TEST(StressTest, ConcurrentSendersOverOneClfEndpoint) {
 TEST(StressTest, CrossingFlowsAcrossFourAddressSpaces) {
   core::Runtime::Options opts;
   opts.num_address_spaces = 4;
-  opts.gc_interval = Millis(10);
   auto rt = core::Runtime::Create(opts);
   ASSERT_TRUE(rt.ok());
 
@@ -208,8 +207,9 @@ TEST(StressTest, ReconnectChurnLosesAndDuplicatesNothing) {
   // surrogate drops the link before executing a request, forcing a
   // transparent reconnect + replay. Every acked put must land exactly
   // once and in order; the client must finish without a surfaced error.
-  auto rt = core::Runtime::Create(core::Runtime::Options{
-      .num_address_spaces = 2, .gc_interval = Millis(10)});
+  core::Runtime::Options opts;
+  opts.num_address_spaces = 2;
+  auto rt = core::Runtime::Create(opts);
   ASSERT_TRUE(rt.ok()) << rt.status();
 
   clf::FaultInjector::Config cfg;

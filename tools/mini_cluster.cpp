@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
 
   core::Runtime::Options opts;
   opts.num_address_spaces = 3;
-  opts.gc_interval = Millis(10);
   auto runtime = core::Runtime::Create(opts);
   if (!runtime.ok()) return Die(runtime.status(), "runtime");
   auto listener = client::Listener::Start(**runtime);
@@ -73,9 +72,6 @@ int main(int argc, char** argv) {
     s = (*runtime)->as(0).Consume(*q_in, work->timestamp);
     if (!s.ok()) return Die(s, "queue consume");
   }
-  // Give the GC sweep a chance to reclaim the consumed items.
-  dstampede::SleepFor(Millis(100));
-
   std::printf("DSCTL_PORT=%u\n", (*listener)->addr().port);
   std::fflush(stdout);
 
