@@ -1,7 +1,7 @@
 // Concurrency-correctness layer: annotated mutex/condvar wrappers.
 //
 // Space-time memory is served by dozens of cooperating threads (channel
-// waiters, timer wheels, CLF receive loops, surrogate service loops), and
+// waiters, CLF receive loops, surrogate service loops), and
 // the locking discipline between them is part of the system's
 // correctness contract. This header makes that contract checkable twice
 // over:

@@ -1,6 +1,7 @@
 #include "dstampede/core/channel.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace dstampede::core {
 
@@ -33,7 +34,7 @@ Status LocalChannel::Detach(std::uint32_t slot) {
     if (it == conns_.end()) return NotFoundError("connection");
     conns_.erase(it);
     // Items only the departed connection was holding up become garbage.
-    ReclaimLocked(wakeups);
+    ReclaimGarbageLocked(items_.begin(), items_.end(), wakeups);
     // Reclaim can admit back-pressured puts; gets parked on the now
     // dead slot complete with kNotFound.
     EvaluateWaitersLocked(wakeups);
@@ -67,13 +68,14 @@ std::optional<Status> LocalChannel::TryPutLocked(Timestamp ts,
     return std::nullopt;  // back-pressure: park
   }
   const std::size_t bytes = payload.size();
-  items_.emplace(ts, std::move(payload));
+  const TimePoint born =
+      metrics_.reclaim_lag_us != nullptr ? Now() : TimePoint{};
+  const auto it = items_.emplace(ts, Item{std::move(payload), born}).first;
   if (frontier_ == kInvalidTimestamp || ts > frontier_) frontier_ = ts;
-  if (metrics_.reclaim_lag_us != nullptr) put_times_[ts] = Now();
   // An item can be born garbage: every attached input has already
   // consumed past it (or filters it out). Reclaim it on the spot, as
   // every operation that makes garbage does.
-  if (IsGarbageLocked(ts, bytes)) ReclaimLocked(out);
+  if (IsGarbageLocked(ts, bytes)) ReclaimLocked(it, out);
   return OkStatus();
 }
 
@@ -83,30 +85,32 @@ Result<ItemView> LocalChannel::SelectLocked(const ConnState& conn,
     case GetSpec::Kind::kExact: {
       auto it = items_.find(spec.ts);
       if (it == items_.end()) return NotFoundError("ts not present");
-      if (!conn.filter.Matches(it->first, it->second.size())) {
+      if (!conn.filter.Matches(it->first, it->second.payload.size())) {
         // Present but size-filtered: invisible to this connection.
         return NotFoundError("item filtered out");
       }
-      return ItemView{it->first, it->second};
+      return ItemView{it->first, it->second.payload};
     }
     case GetSpec::Kind::kOldest: {
-      for (const auto& [ts, payload] : items_) {
-        if (conn.Wants(ts, payload.size())) return ItemView{ts, payload};
+      for (const auto& [ts, item] : items_) {
+        if (conn.Wants(ts, item.payload.size())) {
+          return ItemView{ts, item.payload};
+        }
       }
       return NotFoundError("no unconsumed item");
     }
     case GetSpec::Kind::kNewest: {
       for (auto it = items_.rbegin(); it != items_.rend(); ++it) {
-        if (conn.Wants(it->first, it->second.size())) {
-          return ItemView{it->first, it->second};
+        if (conn.Wants(it->first, it->second.payload.size())) {
+          return ItemView{it->first, it->second.payload};
         }
       }
       return NotFoundError("no unconsumed item");
     }
     case GetSpec::Kind::kNextAfter: {
       for (auto it = items_.upper_bound(spec.ts); it != items_.end(); ++it) {
-        if (conn.Wants(it->first, it->second.size())) {
-          return ItemView{it->first, it->second};
+        if (conn.Wants(it->first, it->second.payload.size())) {
+          return ItemView{it->first, it->second.payload};
         }
       }
       return NotFoundError("no item after ts");
@@ -167,7 +171,7 @@ Status LocalChannel::SetFilter(std::uint32_t slot, const ItemFilter& filter) {
     it->second.filter = filter;
     // Narrowing the filter can drop this connection's claim on items
     // it previously held up.
-    ReclaimLocked(wakeups);
+    ReclaimGarbageLocked(items_.begin(), items_.end(), wakeups);
     EvaluateWaitersLocked(wakeups);
   }
   Finish(wakeups);
@@ -186,10 +190,11 @@ Status LocalChannel::Consume(std::uint32_t slot, Timestamp ts) {
     }
     conn.consumed.insert(ts);
     conn.Compact();
+    // Only `ts` can have turned to garbage.
     auto item_it = items_.find(ts);
     if (item_it != items_.end() &&
-        IsGarbageLocked(ts, item_it->second.size())) {
-      ReclaimLocked(wakeups);
+        IsGarbageLocked(ts, item_it->second.payload.size())) {
+      ReclaimLocked(item_it, wakeups);
       EvaluateWaitersLocked(wakeups);
     }
   }
@@ -214,31 +219,32 @@ Status LocalChannel::ConsumeUntil(std::uint32_t slot, Timestamp ts) {
                           conn.consumed.upper_bound(ts));
       conn.Compact();
     }
-    ReclaimLocked(wakeups);
+    // Only the items at or below `ts` can have turned to garbage.
+    ReclaimGarbageLocked(items_.begin(), items_.upper_bound(ts), wakeups);
     EvaluateWaitersLocked(wakeups);
   }
   Finish(wakeups);
   return OkStatus();
 }
 
-void LocalChannel::ReclaimLocked(Wakeups& out) {
-  for (auto it = items_.begin(); it != items_.end();) {
-    if (!IsGarbageLocked(it->first, it->second.size())) {
-      ++it;
-      continue;
-    }
-    max_reclaimed_ = std::max(max_reclaimed_, it->first);
-    // The horizon now refuses this timestamp for good, so no consumer
-    // needs its entry; without this a Consume-only connection's set
-    // grows with every item.
-    for (auto& [slot, conn] : conns_) conn.consumed.erase(it->first);
-    TimePoint born{};
-    if (auto b = put_times_.find(it->first); b != put_times_.end()) {
-      born = b->second;
-      put_times_.erase(b);
-    }
-    ReclaimedLocked(it->first, std::move(it->second), born, out);
-    it = items_.erase(it);
+LocalChannel::Items::iterator LocalChannel::ReclaimLocked(Items::iterator it,
+                                                         Wakeups& out) {
+  max_reclaimed_ = std::max(max_reclaimed_, it->first);
+  // The horizon now refuses this timestamp for good, so no consumer
+  // needs its entry; without this a Consume-only connection's set
+  // grows with every item.
+  for (auto& [slot, conn] : conns_) conn.consumed.erase(it->first);
+  ReclaimedLocked(it->first, std::move(it->second.payload), it->second.put_at,
+                  out);
+  return items_.erase(it);
+}
+
+void LocalChannel::ReclaimGarbageLocked(Items::iterator first,
+                                        Items::iterator last, Wakeups& out) {
+  while (first != last) {
+    first = IsGarbageLocked(first->first, first->second.payload.size())
+                ? ReclaimLocked(first, out)
+                : std::next(first);
   }
 }
 

@@ -11,7 +11,10 @@
 // an item is garbage once *every currently attached input connection*
 // has consumed it — either individually or via a consume-until
 // watermark. Reclaimed items are handed to the channel's GC handler
-// and reclaim hook by the operation that reclaimed them.
+// and reclaim hook by the operation that reclaimed them. An operation
+// looks only where it can have made garbage, so none leaves any behind:
+// a consume at its timestamp, a put at its own, a consume-until at and
+// below its timestamp, and a detach or a new filter at every item.
 #pragma once
 
 #include <cstdint>
@@ -100,6 +103,14 @@ class LocalChannel final : public LocalContainer {
     void Compact();
   };
 
+  // A live item and its birth time, stamped only when the reclaim-lag
+  // histogram is wired (uninstrumented channels skip the clock read).
+  struct Item {
+    SharedBuffer payload;
+    TimePoint put_at{};
+  };
+  using Items = std::map<Timestamp, Item>;
+
   bool IsGarbageLocked(Timestamp ts, std::size_t bytes) const
       DS_REQUIRES(mu_);
   Result<ItemView> SelectLocked(const ConnState& conn, GetSpec spec) const
@@ -114,20 +125,20 @@ class LocalChannel final : public LocalContainer {
   std::optional<Status> TryPutLocked(Timestamp ts, SharedBuffer& payload,
                                      Wakeups& out)
       DS_REQUIRES(mu_) override;
-  // Removes every item that has become garbage (via ReclaimedLocked).
-  void ReclaimLocked(Wakeups& out) DS_REQUIRES(mu_);
+  // Removes the item `it` names (via ReclaimedLocked), which the caller
+  // found garbage; returns the item after it.
+  Items::iterator ReclaimLocked(Items::iterator it, Wakeups& out)
+      DS_REQUIRES(mu_);
+  // Removes every garbage item in [first, last).
+  void ReclaimGarbageLocked(Items::iterator first, Items::iterator last,
+                            Wakeups& out) DS_REQUIRES(mu_);
 
   ChannelAttr attr_;
 
-  std::map<Timestamp, SharedBuffer> items_ DS_GUARDED_BY(mu_);
+  Items items_ DS_GUARDED_BY(mu_);
   std::map<std::uint32_t, ConnState> conns_ DS_GUARDED_BY(mu_);
   std::uint32_t next_slot_ DS_GUARDED_BY(mu_) = 1;
   Timestamp max_reclaimed_ DS_GUARDED_BY(mu_) = kInvalidTimestamp;
-
-  // put_times_ shadows items_ with each item's birth time; only
-  // maintained when metrics_.reclaim_lag_us is wired, so uninstrumented
-  // channels skip the clock read per put.
-  std::map<Timestamp, TimePoint> put_times_ DS_GUARDED_BY(mu_);
   Timestamp frontier_ DS_GUARDED_BY(mu_) = kInvalidTimestamp;
 };
 

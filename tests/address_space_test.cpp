@@ -720,17 +720,18 @@ TEST(RuntimeDeliveryTest, ShmRequestDeliveredDuringCreateIsAnswered) {
   ExpectAnswered(*client, 42);
 }
 
-TEST(RuntimeDeliveryTest, PlainSpaceRunsTwoThreadsUntilAPeerNeedsAWorker) {
-  // The CLF receiver and the timer wheel: delivery has no thread of its
-  // own, GC runs on the thread that reclaims, and a dispatcher worker
-  // starts only for a request that goes to the pool.
+TEST(RuntimeDeliveryTest, PlainSpaceRunsOneThreadUntilAPeerNeedsAWorker) {
+  // The CLF receiver alone: delivery has no thread of its own, the
+  // receiver fires the space's timers, GC runs on the thread that
+  // reclaims, and a dispatcher worker starts only for a request that
+  // goes to the pool.
   const int before = BaselineThreadCount();
   AddressSpace::Options opts;
   opts.dispatcher_threads = 3;
   opts.ns_replicas = {AsId{0}};
   auto as = AddressSpace::Create(opts);
   ASSERT_TRUE(as.ok()) << as.status();
-  EXPECT_EQ(ThreadCount() - before, 2);
+  EXPECT_EQ(ThreadCount() - before, 1);
 
   auto peer = clf::CreateSinkEndpoint({});
   ASSERT_TRUE(peer.ok()) << peer.status();
@@ -740,7 +741,7 @@ TEST(RuntimeDeliveryTest, PlainSpaceRunsTwoThreadsUntilAPeerNeedsAWorker) {
   ASSERT_TRUE((*peer)->Send((*as)->clf_addr(), enc.Take()).ok());
   ExpectAnswered(*peer, 43);
   // The peer's endpoint brought its own receiver.
-  EXPECT_EQ(ThreadCount() - before, 2 + 1 + 1);
+  EXPECT_EQ(ThreadCount() - before, 1 + 1 + 1);
 }
 
 TEST(RuntimeDeliveryTest, CreateOnABoundPortFailsCleanly) {

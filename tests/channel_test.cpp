@@ -8,6 +8,7 @@
 #include <atomic>
 #include <thread>
 
+#include "dstampede/common/metrics.hpp"
 #include "dstampede/core/channel.hpp"
 #include "dstampede/core/gc.hpp"
 
@@ -298,6 +299,36 @@ TEST_F(ChannelNoticeTest, PutThatIsGarbageOnArrivalPublishes) {
   ASSERT_TRUE(ch_.ConsumeUntil(conn, 10).ok());
   ASSERT_TRUE(ch_.Put(5, Payload("x"), Deadline::Infinite()).ok());
   EXPECT_EQ(NoticedTimestamps(), (std::vector<Timestamp>{5}));
+}
+
+// --- reclaim lag -------------------------------------------------------------
+
+TEST(ChannelMetricsTest, EveryReclaimingPathObservesItsItemsLag) {
+  // Each item carries its birth time, so whichever path reclaims it
+  // (consume, consume-until, detach, garbage on arrival) observes it.
+  metrics::Registry registry;
+  metrics::Histogram& lag = registry.GetHistogram("stm.reclaim_lag_us");
+  LocalChannel ch{ChannelAttr{}};
+  ch.set_metrics(StmMetrics{nullptr, nullptr, nullptr, &lag});
+  std::uint32_t stays = ch.Attach(ConnMode::kInput, "stays");
+  std::uint32_t leaves = ch.Attach(ConnMode::kInput, "leaves");
+  for (Timestamp ts = 0; ts < 4; ++ts) {
+    ASSERT_TRUE(ch.Put(ts, Payload("x"), Deadline::Infinite()).ok());
+  }
+  ASSERT_TRUE(ch.Consume(stays, 0).ok());
+  ASSERT_TRUE(ch.Consume(leaves, 0).ok());
+  EXPECT_EQ(lag.Count(), 1u);
+  ASSERT_TRUE(ch.ConsumeUntil(stays, 2).ok());
+  ASSERT_TRUE(ch.ConsumeUntil(leaves, 1).ok());
+  EXPECT_EQ(lag.Count(), 2u);
+  ASSERT_TRUE(ch.Detach(leaves).ok());  // only `leaves` held 2
+  EXPECT_EQ(lag.Count(), 3u);
+  ASSERT_TRUE(ch.ConsumeUntil(stays, 10).ok());
+  EXPECT_EQ(lag.Count(), 4u);
+  ASSERT_TRUE(ch.Put(5, Payload("x"), Deadline::Infinite()).ok());
+  EXPECT_EQ(lag.Count(), 5u);
+  EXPECT_EQ(ch.live_items(), 0u);
+  EXPECT_EQ(ch.total_reclaimed(), 5u);
 }
 
 // --- capacity back-pressure ------------------------------------------------

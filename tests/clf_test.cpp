@@ -150,6 +150,22 @@ TEST(ClfTest, ShutdownRightAfterADatagramWakesTheReceiver) {
   EXPECT_LT(shutdown_us[shutdown_us.size() / 2], 2000);
 }
 
+TEST(EndpointTimerDeathTest, BlockingInATimerCallbackAborts) {
+  // Timer callbacks run on the receiver under its DeliveryThreadScope,
+  // so one that blocks aborts under the deadlock detector.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sync::SetDeadlockDetectionForTesting(true);
+        auto ep = MakeEndpoint();
+        ep->timers().Schedule(Deadline::Poll(), [] {
+          sync::AssertBlockingAllowed("clf_test fake I/O");
+        });
+        std::this_thread::sleep_for(std::chrono::seconds(10));
+      },
+      "on a delivery thread");
+}
+
 TEST(ClfTest, SendAfterShutdownFails) {
   auto a = MakeEndpoint();
   auto b = MakeEndpoint();

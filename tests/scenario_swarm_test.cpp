@@ -447,28 +447,21 @@ TEST(ScenarioSwarmTest, ThousandDeviceReconnectStormDisperses) {
     fleet.push_back(Device{client::ReconnectBackoff(policy, sim.NextU64()), 0});
   }
 
-  ds::Mutex mu{"storm.mu"};
   std::size_t recovered = 0;
   std::map<std::int64_t, std::size_t> attempts_per_ms;  // virtual ms → count
-  // Attempts are bucketed by their *scheduled* virtual time, not by
-  // Now() at callback execution: the controller legitimately advances
-  // past a tick while the wheel is still draining its 1000 callbacks,
-  // and the scheduled times are a pure function of the seed.
+  // Attempts are bucketed by their *scheduled* virtual time, a pure
+  // function of the seed.
   std::function<void(std::size_t, TimePoint)> attempt =
       [&](std::size_t i, TimePoint when) {
-        bool success;
-        {
-          ds::MutexLock lock(mu);
-          fleet[i].attempts += 1;
-          attempts_per_ms[ToMicros(when - t0) / 1000] += 1;
-          success = when >= recovery;
-          if (success) ++recovered;
+        fleet[i].attempts += 1;
+        attempts_per_ms[ToMicros(when - t0) / 1000] += 1;
+        if (when >= recovery) {
+          ++recovered;
+          return;
         }
-        if (!success) {
-          const TimePoint next = when + fleet[i].backoff.NextNap();
-          wheel.Schedule(Deadline::At(next),
-                         [&attempt, i, next] { attempt(i, next); });
-        }
+        const TimePoint next = when + fleet[i].backoff.NextNap();
+        wheel.Schedule(Deadline::At(next),
+                       [&attempt, i, next] { attempt(i, next); });
       };
   // The outage drops every device at once: the worst-case herd.
   for (std::size_t i = 0; i < devices; ++i) {
@@ -476,15 +469,16 @@ TEST(ScenarioSwarmTest, ThousandDeviceReconnectStormDisperses) {
     wheel.Schedule(Deadline::At(when), [&attempt, i, when] { attempt(i, when); });
   }
 
-  const bool all_back = sim.RunUntil(
-      [&] {
-        ds::MutexLock lock(mu);
-        return recovered == devices;
-      },
-      Millis(30'000));
-  wheel.Shutdown();
-  ASSERT_TRUE(all_back) << "only " << recovered << "/" << devices
-                        << " devices reconnected";
+  // The wheel has no thread: step virtual time onto each due attempt
+  // and fire the wheel there, until no device is left retrying or the
+  // horizon passes.
+  const TimePoint horizon = t0 + Millis(30'000);
+  for (TimePoint due = wheel.RunDue(sim.Now()); due <= horizon;
+       due = wheel.RunDue(sim.Now())) {
+    sim.clock().AdvanceTo(due);
+  }
+  ASSERT_EQ(recovered, devices) << "only " << recovered << "/" << devices
+                                << " devices reconnected";
 
   // Thundering-herd dispersion: the first round lands in one burst,
   // but by the time the server recovers the jittered backoff must have
@@ -492,15 +486,12 @@ TEST(ScenarioSwarmTest, ThousandDeviceReconnectStormDisperses) {
   // burst anywhere near the whole fleet.
   std::size_t first_burst = 0, worst_late_burst = 0;
   std::uint64_t total_attempts = 0;
-  {
-    ds::MutexLock lock(mu);
-    for (const auto& [ms, count] : attempts_per_ms) {
-      total_attempts += count;
-      if (ms <= 1) {
-        first_burst += count;
-      } else if (ms >= 100) {
-        worst_late_burst = std::max(worst_late_burst, count);
-      }
+  for (const auto& [ms, count] : attempts_per_ms) {
+    total_attempts += count;
+    if (ms <= 1) {
+      first_burst += count;
+    } else if (ms >= 100) {
+      worst_late_burst = std::max(worst_late_burst, count);
     }
   }
   EXPECT_EQ(first_burst, devices) << "round one is the synchronized herd";

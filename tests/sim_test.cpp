@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "dstampede/common/clock.hpp"
 #include "dstampede/common/sync.hpp"
 #include "dstampede/common/waiter.hpp"
+#include "dstampede/core/runtime.hpp"
 #include "dstampede/sim/scenario.hpp"
 #include "dstampede/sim/sim.hpp"
 
@@ -198,30 +200,24 @@ TEST(CondVarVirtualTest, NotifyBeatsVirtualDeadline) {
 }
 
 // --- TimerWheel under virtual time (satellite: two-on-a-tick,
-// cancel racing an advance, Poll/Infinite edges) ---------------------------
+// cancel racing an advance, Poll/Infinite edges). The wheel has no
+// thread: each test fires it through RunDue at the virtual now. ---------
 
 TEST(TimerWheelVirtualTest, TwoDeadlinesOnTheSameTickBothFire) {
   VirtualClock clock;
   clock.Install();
   TimerWheel wheel;
   const TimePoint tick = Now() + Millis(20);
-  std::atomic<int> fired{0};
+  int fired = 0;
   wheel.Schedule(Deadline::At(tick), [&] { fired += 1; });
   wheel.Schedule(Deadline::At(tick), [&] { fired += 10; });
   EXPECT_EQ(wheel.pending(), 2u);
-  // The controller can burn the whole virtual horizon in well under a
-  // real millisecond; under load the wheel's service thread may not
-  // have been scheduled yet. Keep driving on real time: once the tick
-  // has passed, the callbacks fire on the thread's next slice.
-  const TimePoint real_give_up =
-      SteadyClock::now() + std::chrono::seconds(5);
-  while (fired.load() != 11 && SteadyClock::now() < real_give_up) {
-    clock.AdvanceUntilQuiescent(Millis(100), [&] { return fired == 11; });
-    std::this_thread::sleep_for(Millis(1));
-  }
-  EXPECT_EQ(fired.load(), 11) << "both same-tick timers must fire";
+  EXPECT_EQ(wheel.RunDue(Now()), tick);
+  EXPECT_EQ(fired, 0) << "fired before the tick";
+  clock.AdvanceTo(tick);
+  EXPECT_EQ(wheel.RunDue(Now()), TimePoint::max());
+  EXPECT_EQ(fired, 11) << "both same-tick timers must fire";
   EXPECT_EQ(wheel.pending(), 0u);
-  wheel.Shutdown();
   clock.Uninstall();
 }
 
@@ -233,20 +229,14 @@ TEST(TimerWheelVirtualTest, CancellationRacingAdvanceFiresExactlyOnceOrNot) {
     std::atomic<int> fired{0};
     const TimerWheel::TimerId id =
         wheel.Schedule(Deadline::AfterMillis(5), [&] { ++fired; });
-    std::thread advancer([&] { clock.AdvanceBy(Millis(10)); });
+    // The wheel's owner steps time past the deadline and fires it while
+    // this thread cancels.
+    std::thread owner([&] {
+      clock.AdvanceBy(Millis(10));
+      wheel.RunDue(clock.Now());
+    });
     const bool cancelled = wheel.Cancel(id);
-    advancer.join();
-    // Let a won-the-race callback finish before asserting: real time,
-    // because the service thread may be scheduled arbitrarily late
-    // under load.
-    clock.AdvanceUntilQuiescent(Millis(20));
-    const TimePoint cb_give_up =
-        SteadyClock::now() + std::chrono::seconds(2);
-    while (!cancelled && fired.load() == 0 &&
-           SteadyClock::now() < cb_give_up) {
-      std::this_thread::sleep_for(Millis(1));
-    }
-    std::this_thread::sleep_for(Millis(2));
+    owner.join();
     if (cancelled) {
       EXPECT_EQ(fired.load(), 0) << "iteration " << i
                                  << ": cancelled timer fired";
@@ -254,8 +244,8 @@ TEST(TimerWheelVirtualTest, CancellationRacingAdvanceFiresExactlyOnceOrNot) {
       EXPECT_EQ(fired.load(), 1) << "iteration " << i
                                  << ": uncancelled timer must fire once";
     }
+    EXPECT_EQ(wheel.pending(), 0u);
   }
-  wheel.Shutdown();
   clock.Uninstall();
 }
 
@@ -263,18 +253,15 @@ TEST(TimerWheelVirtualTest, PollDeadlineFiresWithoutAnyAdvance) {
   VirtualClock clock;
   clock.Install();
   TimerWheel wheel;
-  std::atomic<bool> fired{false};
+  bool fired = false;
   const TimerWheel::TimerId id =
       wheel.Schedule(Deadline::Poll(), [&] { fired = true; });
   EXPECT_NE(id, 0u);
-  // Already due: the wheel thread fires it on wake-up, no advance
-  // needed (real-time wait below, not a virtual one).
-  const TimePoint give_up = SteadyClock::now() + Millis(2000);
-  while (!fired.load() && SteadyClock::now() < give_up) {
-    std::this_thread::sleep_for(Millis(1));
-  }
-  EXPECT_TRUE(fired.load());
-  wheel.Shutdown();
+  // Already due: the first run fires it, no advance needed.
+  const TimePoint before = Now();
+  EXPECT_EQ(wheel.RunDue(Now()), TimePoint::max());
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(Now(), before);
   clock.Uninstall();
 }
 
@@ -285,7 +272,28 @@ TEST(TimerWheelVirtualTest, InfiniteDeadlineIsNeverScheduled) {
   EXPECT_EQ(wheel.Schedule(Deadline::Infinite(), [] {}), 0u);
   EXPECT_EQ(wheel.pending(), 0u);
   EXPECT_FALSE(wheel.Cancel(0));
-  wheel.Shutdown();
+  EXPECT_EQ(wheel.RunDue(Now() + Millis(60'000)), TimePoint::max());
+  clock.Uninstall();
+}
+
+TEST(TimerWheelVirtualTest, EndpointPassEndsOnItsNextEntrysDeadline) {
+  VirtualClock clock;
+  clock.Install();
+  auto ep = clf::CreateSinkEndpoint({});
+  ASSERT_TRUE(ep.ok()) << ep.status();
+  TimerWheel& timers = (*ep)->timers();
+  // An entry the receiver schedules itself, 2 ms ahead, is due before
+  // its next 5 ms slice ends: that pass polls only until the entry's
+  // deadline and registers it, so the controller steps onto it.
+  std::atomic<std::int64_t> late_us{-1};
+  timers.Schedule(Deadline::Poll(), [&] {
+    const TimePoint due = Now() + Millis(2);
+    timers.Schedule(Deadline::At(due),
+                    [&, due] { late_us = ToMicros(Now() - due); });
+  });
+  clock.AdvanceUntilQuiescent(Millis(1000), [&] { return late_us >= 0; });
+  EXPECT_EQ(late_us.load(), 0) << "fired after its deadline";
+  (*ep)->Shutdown();
   clock.Uninstall();
 }
 
@@ -486,6 +494,58 @@ TEST(SimControllerTest, RunForAdvancesVirtualTimeFast) {
   EXPECT_EQ(sim.Now(), t0 + Millis(60'000));
   EXPECT_LT(SteadyClock::now() - wall0, Millis(5'000))
       << "a simulated minute must run in (milli)seconds of wall time";
+}
+
+TEST(SimControllerTest, PeersGetParkedAtTheOwnerTimesOutOnItsVirtualDeadline) {
+  // No thread sleeps until a parked waiter's deadline: the owner's CLF
+  // receiver registers it as its pass deadline and fires the waiter's
+  // timer, so the controller must still step onto it.
+  SimController sim(SimController::SeedFromEnv(25));
+  core::Runtime::Options opts;
+  opts.num_address_spaces = 2;
+  opts.dispatcher_threads = 2;
+  auto created = core::Runtime::Create(opts);
+  ASSERT_TRUE(created.ok()) << created.status();
+  // Shut down (joining the receivers) before the clock goes: a receiver
+  // holds the clock it registered its pass with until the pass ends.
+  std::unique_ptr<core::Runtime> rt = std::move(*created);
+  auto ch = rt->as(1).CreateChannel();
+  ASSERT_TRUE(ch.ok()) << ch.status();
+  auto in = rt->as(0).Connect(*ch, core::ConnMode::kInput);
+  ASSERT_TRUE(in.ok()) << in.status();
+  auto owned = rt->as(1).FindChannel(ch->bits());
+  ASSERT_NE(owned, nullptr);
+
+  // Time stands still until the controller moves it, so the owner
+  // parks the get with the very deadline the peer set.
+  const TimePoint deadline = sim.Now() + Millis(30);
+  std::atomic<bool> returned{false};
+  Status status;
+  TimePoint returned_at{};
+  std::thread getter([&] {
+    auto item =
+        rt->as(0).Get(*in, core::GetSpec::Exact(0), Deadline::At(deadline));
+    status = item.status();
+    returned_at = Now();
+    returned = true;
+  });
+  const TimePoint give_up = SteadyClock::now() + std::chrono::seconds(10);
+  while (owned->parked_get_waiters() == 0 && SteadyClock::now() < give_up) {
+    std::this_thread::sleep_for(Millis(1));
+  }
+  EXPECT_EQ(owned->parked_get_waiters(), 1u) << "the get never parked";
+  // Step from each registered deadline to the next, uncoalesced. The
+  // horizon outlasts the peer's own 5 s of transport slack, so the
+  // getter returns even if the owner's timer never fires.
+  sim.clock().AdvanceUntilQuiescent(Millis(10'000),
+                                    [&] { return returned.load(); });
+  getter.join();
+  EXPECT_EQ(status.code(), StatusCode::kTimeout) << status;
+  EXPECT_GE(returned_at, deadline) << "returned before its deadline";
+  EXPECT_LE(returned_at, deadline + Millis(5))
+      << "returned " << ToMicros(returned_at - deadline)
+      << " us after its deadline: more than one receiver pass";
+  EXPECT_EQ(owned->parked_get_waiters(), 0u);
 }
 
 // --- schedule generation & shrinking --------------------------------------

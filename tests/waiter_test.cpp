@@ -1,10 +1,10 @@
-// Continuation-waiter model: the TimerWheel deadline service, the
-// two-phase (try-else-register) container API, and every lifecycle
-// path that must complete a parked waiter — deadline expiry via the
-// wheel, peer death, container close, and clean shutdown — plus the
-// liveness property the refactor exists for: a width-2 dispatcher
-// serving far more concurrently blocked remote getters than it has
-// workers.
+// Continuation-waiter model: the TimerWheel deadline table and the CLF
+// receiver that fires it, the two-phase (try-else-register) container
+// API, and every lifecycle path that must complete a parked waiter —
+// deadline expiry via the wheel, peer death, container close, and
+// clean shutdown — plus the liveness property the refactor exists
+// for: a width-2 dispatcher serving far more concurrently blocked
+// remote getters than it has workers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "clf_sink.hpp"
 #include "dstampede/common/waiter.hpp"
 #include "dstampede/core/channel.hpp"
 #include "dstampede/core/queue.hpp"
@@ -36,25 +37,30 @@ bool WaitFor(Pred pred, Duration timeout) {
 
 // --- TimerWheel -------------------------------------------------------
 
+// A standalone wheel has no thread: each test fires it through RunDue
+// at explicit times.
+
 TEST(TimerWheelTest, FiresScheduledCallbackAtDeadline) {
   TimerWheel wheel;
-  std::atomic<bool> fired{false};
-  const TimePoint start = Now();
-  ASSERT_NE(wheel.Schedule(Deadline::AfterMillis(30), [&] { fired = true; }),
-            0u);
-  EXPECT_TRUE(WaitFor([&] { return fired.load(); }, Millis(5000)));
-  EXPECT_GE(Now() - start, Millis(25));
+  bool fired = false;
+  const TimePoint due = Now() + Millis(30);
+  ASSERT_NE(wheel.Schedule(Deadline::At(due), [&] { fired = true; }), 0u);
+  EXPECT_EQ(wheel.RunDue(due - Micros(1)), due);
+  EXPECT_FALSE(fired) << "fired before its deadline";
+  EXPECT_EQ(wheel.RunDue(due), TimePoint::max());
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(wheel.pending(), 0u);
 }
 
 TEST(TimerWheelTest, CancelledEntryNeverFires) {
   TimerWheel wheel;
-  std::atomic<bool> fired{false};
+  bool fired = false;
   TimerWheel::TimerId id =
       wheel.Schedule(Deadline::AfterMillis(40), [&] { fired = true; });
   EXPECT_TRUE(wheel.Cancel(id));
   EXPECT_FALSE(wheel.Cancel(id));  // already gone
-  std::this_thread::sleep_for(Millis(80));
-  EXPECT_FALSE(fired.load());
+  EXPECT_EQ(wheel.RunDue(Now() + Millis(80)), TimePoint::max());
+  EXPECT_FALSE(fired);
   EXPECT_EQ(wheel.pending(), 0u);
 }
 
@@ -63,36 +69,69 @@ TEST(TimerWheelTest, InfiniteDeadlineIsNeverScheduled) {
   EXPECT_EQ(wheel.Schedule(Deadline::Infinite(), [] {}), 0u);
   EXPECT_EQ(wheel.pending(), 0u);
   EXPECT_FALSE(wheel.Cancel(0));
+  EXPECT_EQ(wheel.RunDue(TimePoint::max()), TimePoint::max());
 }
 
 TEST(TimerWheelTest, FiresInDeadlineOrderNotInsertionOrder) {
   TimerWheel wheel;
-  ds::Mutex mu("test.order_mu");
   std::vector<int> order;
-  std::atomic<int> fired{0};
-  auto record = [&](int tag) {
-    ds::MutexLock lock(mu);
-    order.push_back(tag);
-    fired.fetch_add(1);
-  };
+  const TimePoint start = Now();
   // Inserted late-first; must fire early-first.
-  wheel.Schedule(Deadline::AfterMillis(60), [&] { record(2); });
-  wheel.Schedule(Deadline::AfterMillis(20), [&] { record(1); });
-  ASSERT_TRUE(WaitFor([&] { return fired.load() == 2; }, Millis(5000)));
-  ds::MutexLock lock(mu);
+  wheel.Schedule(Deadline::At(start + Millis(60)), [&] { order.push_back(2); });
+  wheel.Schedule(Deadline::At(start + Millis(20)), [&] { order.push_back(1); });
+  EXPECT_EQ(wheel.RunDue(start + Millis(100)), TimePoint::max());
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(TimerWheelTest, ShutdownDropsPendingEntriesWithoutFiring) {
+TEST(TimerWheelTest, EntryACallbackSchedulesWaitsForTheNextRun) {
   TimerWheel wheel;
+  const TimePoint now = Now();
+  int fired = 0;
+  wheel.Schedule(Deadline::At(now), [&] {
+    ++fired;
+    // Already due, but RunDue took its batch before this callback ran.
+    wheel.Schedule(Deadline::Poll(), [&] { fired += 10; });
+  });
+  EXPECT_EQ(wheel.RunDue(now), TimePoint::min());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(wheel.RunDue(now), TimePoint::max());
+  EXPECT_EQ(fired, 11);
+}
+
+// --- the CLF endpoint fires its wheel ---------------------------------
+
+TEST(TimerWheelTest, EndpointReceiverFiresAnEntryScheduledFromAnotherThread) {
+  auto ep = clf::CreateSinkEndpoint({});
+  ASSERT_TRUE(ep.ok()) << ep.status();
   std::atomic<bool> fired{false};
-  wheel.Schedule(Deadline::AfterMillis(10000), [&] { fired = true; });
-  wheel.Shutdown();
+  std::atomic<bool> on_this_thread{false};
+  const std::thread::id self = std::this_thread::get_id();
+  const TimePoint due = Now() + Millis(30);
+  TimePoint fired_at{};
+  (*ep)->timers().Schedule(Deadline::At(due), [&] {
+    fired_at = Now();
+    on_this_thread = std::this_thread::get_id() == self;
+    fired = true;
+  });
+  ASSERT_TRUE(WaitFor([&] { return fired.load(); }, Millis(5000)));
+  EXPECT_GE(fired_at, due);
+  EXPECT_FALSE(on_this_thread.load()) << "the receiver fires the wheel";
+  EXPECT_EQ((*ep)->timers().pending(), 0u);
+}
+
+TEST(TimerWheelTest, EntryOnAShutDownEndpointsWheelNeverFires) {
+  auto ep = clf::CreateSinkEndpoint({});
+  ASSERT_TRUE(ep.ok()) << ep.status();
+  (*ep)->Shutdown();
+  std::atomic<bool> fired{false};
+  // One entry already due and one due within the wait: a live receiver
+  // would fire both within a pass of their deadlines.
+  (*ep)->timers().Schedule(Deadline::Poll(), [&] { fired = true; });
+  (*ep)->timers().Schedule(Deadline::AfterMillis(10), [&] { fired = true; });
+  std::this_thread::sleep_for(Millis(60));
   EXPECT_FALSE(fired.load());
-  EXPECT_EQ(wheel.pending(), 0u);
-  // New entries after shutdown are refused, not leaked.
-  EXPECT_EQ(wheel.Schedule(Deadline::AfterMillis(1), [&] { fired = true; }),
-            0u);
+  // They stay until the endpoint goes, and are destroyed unfired.
+  EXPECT_EQ((*ep)->timers().pending(), 2u);
 }
 
 // --- the waiter engine, over both container kinds ---------------------
@@ -166,19 +205,24 @@ TYPED_TEST(ContainerWaiterTest, DeadlineExpiryWhileParkedCompletesWithTimeout) {
   TimerWheel wheel;
   TypeParam c{this->Capacity(0), &wheel};
   std::uint32_t conn = c.Attach(ConnMode::kInput, "t");
-  std::atomic<bool> done{false};
-  std::atomic<StatusCode> observed{StatusCode::kOk};
-  std::uint64_t id = c.GetAsync(conn, GetSpec::Exact(9),
-                                Deadline::AfterMillis(40),
+  bool done = false;
+  StatusCode observed = StatusCode::kOk;
+  const TimePoint due = Now() + Millis(10'000);
+  std::uint64_t id = c.GetAsync(conn, GetSpec::Exact(9), Deadline::At(due),
                                 [&](Result<ItemView> item) {
                                   observed = item.status().code();
                                   done = true;
                                 });
   EXPECT_GT(id, 0u);
   // Nothing is ever put: only the wheel can resolve this waiter.
-  ASSERT_TRUE(WaitFor([&] { return done.load(); }, Millis(5000)));
-  EXPECT_EQ(observed.load(), StatusCode::kTimeout);
+  EXPECT_EQ(wheel.RunDue(due - Micros(1)), due);
+  EXPECT_FALSE(done) << "timed out before its deadline";
+  EXPECT_EQ(c.parked_get_waiters(), 1u);
+  wheel.RunDue(due);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(observed, StatusCode::kTimeout);
   EXPECT_EQ(c.parked_get_waiters(), 0u);
+  EXPECT_EQ(wheel.pending(), 0u);
 }
 
 TYPED_TEST(ContainerWaiterTest, CancelWaitersOfCompletesOnlyThatOrigin) {
@@ -304,13 +348,18 @@ TEST(WaiterCancellationTest, BackpressureDeadlineExpiryTimesOutThePut) {
   LocalChannel ch{attr, &wheel};
   (void)ch.Attach(ConnMode::kOutput, "t");
   ASSERT_TRUE(ch.Put(0, Payload("a"), Deadline::Poll()).ok());
-  std::atomic<bool> done{false};
+  bool done = false;
   StatusCode observed = StatusCode::kOk;
-  ch.PutAsync(1, Payload("b"), Deadline::AfterMillis(40), [&](Status st) {
+  const TimePoint due = Now() + Millis(10'000);
+  ch.PutAsync(1, Payload("b"), Deadline::At(due), [&](Status st) {
     observed = st.code();
     done = true;
   });
-  ASSERT_TRUE(WaitFor([&] { return done.load(); }, Millis(5000)));
+  EXPECT_EQ(wheel.RunDue(due - Micros(1)), due);
+  EXPECT_FALSE(done) << "timed out before its deadline";
+  EXPECT_EQ(ch.parked_put_waiters(), 1u);
+  wheel.RunDue(due);
+  ASSERT_TRUE(done);
   EXPECT_EQ(observed, StatusCode::kTimeout);
   EXPECT_EQ(ch.parked_put_waiters(), 0u);
 }
